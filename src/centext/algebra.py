@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import DimMismatch, InvalidDim, NotInVariety
-from .fields import Field
+from .fields import Field, json_value
 from .identities import VarietySpec, evaluate_tree
 from .linalg import (
     Subspace,
@@ -141,21 +141,22 @@ class Algebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "Algebra":
-        field = Field.from_spec(data["field"])
-        n = int(data["dim"])
+        field = Field.from_spec(json_value(data, "field", str))
+        n = json_value(data, "dim", int)
         if n < 1:
             raise InvalidDim(f"dimension {n} must be >= 1")
         z = field.zero
         table = [[[z] * n for _ in range(n)] for _ in range(n)]
-        for entry in data.get("products", ()):
-            i, j = int(entry["i"]), int(entry["j"])
+        products = json_value(data, "products", list) if "products" in data else ()
+        for entry in products:
+            i, j = json_value(entry, "i", int), json_value(entry, "j", int)
             if not (1 <= i <= n and 1 <= j <= n):
                 raise DimMismatch(f"product index ({i},{j}) outside 1..{n}")
-            for term in entry["out"]:
-                k = int(term["k"])
+            for term in json_value(entry, "out", list):
+                k = json_value(term, "k", int)
                 if not (1 <= k <= n):
                     raise DimMismatch(f"output index {k} outside 1..{n}")
-                table[i - 1][j - 1][k - 1] = field.scalar(term["c"])
+                table[i - 1][j - 1][k - 1] = field.scalar(json_value(term, "c", (str, int)))
         return cls(field, table)
 
     def __repr__(self):

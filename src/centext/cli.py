@@ -163,10 +163,10 @@ def _cmd_extend(args) -> int:
     algebra = _load_algebra(args.algebra, field)
     variety = builtin_variety(args.variety)
     thetas = [_load_cocycle(spec, algebra) for spec in args.cocycle]
-    result = central_extension(algebra, thetas, variety)
+    h = second_cohomology(algebra, variety)
+    result = central_extension(algebra, thetas, variety, h=h)
     t1 = None
     if len(thetas) == 1:
-        h = second_cohomology(algebra, variety)
         if h.class_is_zero(thetas[0]):
             t1 = False
         else:

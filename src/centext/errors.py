@@ -73,3 +73,12 @@ class UnsupportedVariety(CentextError):
 
 class TableMismatch(CentextError):
     """A constructed extension does not match its expected product pattern."""
+
+
+class InvariantError(CentextError):
+    """A computed object broke an invariant that holds by construction,
+    such as a group action leaving its domain."""
+
+
+class MalformedInput(CentextError):
+    """A JSON input document lacks a key or holds a value of the wrong type."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CompositeModulus, DivisionByZero, FieldMismatch
+from .errors import CompositeModulus, DivisionByZero, FieldMismatch, MalformedInput
 
 
 def _is_prime(p: int) -> bool:
@@ -256,3 +256,21 @@ class Scalar:
 
 
 RATIONALS = Field(None)
+
+
+def json_value(data, key: str, kind):
+    """data[key] from a parsed JSON object, checked to be an instance of
+    kind (a bool never counts as an int); MalformedInput otherwise."""
+    if not isinstance(data, dict) or key not in data:
+        raise MalformedInput(f"expected a JSON object with key {key!r}")
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise MalformedInput(f"key {key!r} holds {value!r}, a value of the wrong type")
+    return value
+
+
+def json_scalar(field: Field, value) -> Scalar:
+    """A scalar from a JSON literal: a string such as "-1/2", or an int."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise MalformedInput(f"expected a scalar literal, got {value!r}")
+    return field.scalar(value)

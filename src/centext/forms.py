@@ -7,8 +7,8 @@ labels e_1..e_n; internal storage is a 0-based matrix of entries."""
 
 from __future__ import annotations
 
-from .errors import DimMismatch, FieldMismatch, IndexOutOfRange
-from .fields import Field, Scalar
+from .errors import DimMismatch, FieldMismatch, IndexOutOfRange, InvalidDim
+from .fields import Field, Scalar, json_scalar, json_value
 from .linalg import vec_is_zero
 
 
@@ -116,10 +116,23 @@ class BilinearForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "BilinearForm":
-        field = Field.from_spec(data["field"])
-        n = data["dim"]
-        vec = [field.scalar(lit) for lit in data["matrix"]]
-        return cls.from_vector(field, n, vec)
+        """Read a cocycle file: {"n", "field", "entries": [{"i", "j", "c"}]}
+        with 1-based indices and absent entries zero, or the
+        {"dim", "field", "matrix"} document that to_json writes."""
+        field = Field.from_spec(json_value(data, "field", str))
+        if "entries" not in data:
+            vec = [json_scalar(field, x) for x in json_value(data, "matrix", list)]
+            return cls.from_vector(field, json_value(data, "dim", int), vec)
+        n = json_value(data, "n", int)
+        if n < 1:
+            raise InvalidDim(f"dimension {n} must be >= 1")
+        rows = [[field.zero] * n for _ in range(n)]
+        for entry in json_value(data, "entries", list):
+            i, j = json_value(entry, "i", int), json_value(entry, "j", int)
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise DimMismatch(f"entry index ({i},{j}) outside 1..{n}")
+            rows[i - 1][j - 1] = field.scalar(json_value(entry, "c", (str, int)))
+        return cls(field, rows)
 
     def __repr__(self):
         entries = [

@@ -91,31 +91,8 @@ def rref(rows):
     work = [list(r) for r in rows]
     if not work:
         return [], []
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(work)):
-            if not work[i][c].is_zero:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = work[r][c].inv()
-        if not inv.is_one:
-            work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][c].is_zero:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    reduced = [tuple(row) for row in work[:r]]
-    return reduced, pivots
+    work, pivots = _rref_full(work, len(work[0]))
+    return [tuple(row) for row in work[: len(pivots)]], pivots
 
 
 def rref_with_transform(rows, field: Field):

@@ -3,10 +3,13 @@ null-filiform algebra, over finite prime fields.
 
 The automorphism group is enumerated exactly (one automorphism per
 first column with nonzero leading entry), the induced linear action on
-class coordinates is precomputed per automorphism, and orbits are found
-with a union-find over the full point set (all of H^2) or over the
-Grassmannian lines whose cocycle annihilator meets the algebra
-annihilator trivially (the T_1 condition).
+class coordinates is precomputed per automorphism, and one union-find
+routine finds the orbits, either on the full point set (all of H^2) or
+on the Grassmannian lines whose cocycle annihilator meets the algebra
+annihilator trivially (the T_1 condition).  As Ann(mu0:n) = <e_n>, a
+line is in T_1 exactly when one of the linear forms
+c -> theta_c(e_n, e_j), c -> theta_c(e_j, e_n) is nonzero on its
+coordinates, so T_1 membership is tested without building the cocycle.
 
 Representatives over algebraically closed fields of characteristic zero
 are tabulated for the left-commutative and bicommutative varieties; over
@@ -28,6 +31,7 @@ from .errors import (
     BudgetExceeded,
     FieldMismatch,
     InvalidDim,
+    InvariantError,
     TableMismatch,
     UnsupportedVariety,
 )
@@ -108,11 +112,9 @@ def roots_of_unity_subgroup(i: int, n: int, field: Field) -> RootSubgroup:
     roots = [x for x in candidates if (x ** (n + 1)).is_one]
     powers = {x ** (i + 1) for x in roots}
     elements = tuple(sorted(powers))
-    # subgroup sanity: closed under products and inverses
     for a in elements:
-        for b in elements:
-            assert a * b in powers
-        assert a.inv() in powers
+        if a.inv() not in powers or any(a * b not in powers for b in elements):
+            raise InvariantError(f"R({i}, {n}) over {field.spec()} is not a subgroup")
     return RootSubgroup(i=i, n=n, field=field, elements=elements)
 
 
@@ -194,42 +196,36 @@ def closed_field_representatives(
     def _add(label, form, family, **kw):
         out.append(NamedClass(label=label, form=form, family=family, **kw))
 
+    def _nabla_plus(i, values, family, **kw):
+        # nabla_n + mu*delta_i_1, one class per parameter value
+        for mu in values:
+            _add(
+                _nabla_mu_label(n, i, mu),
+                nab + mu * delta(i, 1, n, field),
+                family,
+                trivial=mu.is_zero,
+                mu=mu,
+                **kw,
+            )
+
+    def _mubars(i):
+        # F* / R(i, n): the parameters of nabla_n + mubar*delta_i_1
+        if field.is_finite:
+            return coset_representatives(roots_of_unity_subgroup(i, n, field))
+        return [m for m in mus if not m.is_zero]
+
+    if level == "H2":
+        _add("zero", BilinearForm.zero(field, n), "zero", t1=False)
     if vname == "left_commutative":
         if level == "H2":
-            _add("zero", BilinearForm.zero(field, n), "zero", trivial=False, t1=False)
             for i in range(2, n + 1):
                 _add(f"delta{i}_1", delta(i, 1, n, field), "delta_i_1")
-            for mu in mus:
-                _add(
-                    _nabla_mu_label(n, n, mu),
-                    nab + mu * delta(n, 1, n, field),
-                    "nabla+mu*delta_n_1",
-                    trivial=mu.is_zero,
-                    mu=mu,
-                )
+            _nabla_plus(n, mus, "nabla+mu*delta_n_1")
             for i in range(2, n):
-                if field.is_finite:
-                    mubars = coset_representatives(roots_of_unity_subgroup(i, n, field))
-                else:
-                    mubars = [m for m in mus if not m.is_zero]
-                for mu in mubars:
-                    _add(
-                        _nabla_mu_label(n, i, mu),
-                        nab + mu * delta(i, 1, n, field),
-                        "nabla+mubar*delta_i_1",
-                        mu=mu,
-                    )
+                _nabla_plus(i, _mubars(i), "nabla+mubar*delta_i_1")
         else:
             _add(f"delta{n}_1", delta(n, 1, n, field), "delta_n_1", ann_dim=1)
-            for mu in mus:
-                _add(
-                    _nabla_mu_label(n, n, mu),
-                    nab + mu * delta(n, 1, n, field),
-                    "nabla+mu*delta_n_1",
-                    trivial=mu.is_zero,
-                    ann_dim=1,
-                    mu=mu,
-                )
+            _nabla_plus(n, mus, "nabla+mu*delta_n_1", ann_dim=1)
             for i in range(2, n):
                 _add(
                     f"nabla{n}+delta{i}_1",
@@ -245,59 +241,24 @@ def closed_field_representatives(
                     t1=False,
                     ann_dim=2,
                 )
+    elif n == 2:  # bicommutative, both levels
+        line = {"ann_dim": 1} if level == "T1" else {}
+        _add("delta2_1", delta(2, 1, n, field), "delta_2_1", **line)
+        _nabla_plus(2, mus, "nabla+mu*delta_2_1", **line)
+    elif level == "H2":  # bicommutative
+        _add("delta2_1", delta(2, 1, n, field), "delta_2_1")
+        _add(f"nabla{n}", nab, "nabla", trivial=True)
+        _nabla_plus(2, _mubars(2), "nabla+mubar*delta_2_1")
     else:  # bicommutative
-        if level == "H2":
-            _add("zero", BilinearForm.zero(field, n), "zero", trivial=False, t1=False)
-            _add("delta2_1", delta(2, 1, n, field), "delta_2_1")
-            if n == 2:
-                for mu in mus:
-                    _add(
-                        _nabla_mu_label(n, 2, mu),
-                        nab + mu * delta(2, 1, n, field),
-                        "nabla+mu*delta_2_1",
-                        trivial=mu.is_zero,
-                        mu=mu,
-                    )
-            else:
-                _add(f"nabla{n}", nab, "nabla", trivial=True)
-                if field.is_finite:
-                    mubars = coset_representatives(roots_of_unity_subgroup(2, n, field))
-                else:
-                    mubars = [m for m in mus if not m.is_zero]
-                for mu in mubars:
-                    _add(
-                        _nabla_mu_label(n, 2, mu),
-                        nab + mu * delta(2, 1, n, field),
-                        "nabla+mubar*delta_2_1",
-                        mu=mu,
-                    )
-        else:
-            if n == 2:
-                _add("delta2_1", delta(2, 1, n, field), "delta_2_1", ann_dim=1)
-                for mu in mus:
-                    _add(
-                        _nabla_mu_label(n, 2, mu),
-                        nab + mu * delta(2, 1, n, field),
-                        "nabla+mu*delta_2_1",
-                        trivial=mu.is_zero,
-                        ann_dim=1,
-                        mu=mu,
-                    )
-            else:
-                _add(f"nabla{n}", nab, "nabla", trivial=True, ann_dim=1)
-                _add(
-                    f"nabla{n}+delta2_1",
-                    nab + delta(2, 1, n, field),
-                    "nabla+delta_2_1",
-                    ann_dim=1,
-                )
-                _add(
-                    "delta2_1",
-                    delta(2, 1, n, field),
-                    "delta_2_1_wide_annihilator",
-                    t1=False,
-                    ann_dim=2,
-                )
+        _add(f"nabla{n}", nab, "nabla", trivial=True, ann_dim=1)
+        _add(f"nabla{n}+delta2_1", nab + delta(2, 1, n, field), "nabla+delta_2_1", ann_dim=1)
+        _add(
+            "delta2_1",
+            delta(2, 1, n, field),
+            "delta_2_1_wide_annihilator",
+            t1=False,
+            ann_dim=2,
+        )
     return out
 
 
@@ -387,6 +348,14 @@ class ClassAction:
         self.h = second_cohomology(self.algebra, variety)
         self.dim_h = self.h.dim_h
         self._matrices = None
+        # c -> theta_c(e_n, e_j) and c -> theta_c(e_j, e_n), j = 1..n, as
+        # integer forms on class coordinates; the zero forms are dropped
+        forms = {
+            tuple(rep.rows[a][b].value for rep in self.h.h_reps)
+            for j in range(n)
+            for a, b in ((n - 1, j), (j, n - 1))
+        }
+        self._t1_forms = [f for f in forms if any(f)]
 
     @property
     def matrices(self):
@@ -430,8 +399,10 @@ class ClassAction:
         return lines
 
     def line_in_t1(self, line) -> bool:
-        theta = self.h.rep_from_coords(self.scalars(line))
-        return annihilator_intersection(self.algebra, [theta]).dim == 0
+        """Whether the cocycle annihilator of the line's class meets
+        Ann(mu0:n) = <e_n> trivially, i.e. e_n does not annihilate it."""
+        p = self.p
+        return any(sum(a * c for a, c in zip(f, line)) % p for f in self._t1_forms)
 
     def orbit_of_class(self, coords) -> frozenset:
         """BFS orbit of a single class point under the full group."""
@@ -456,24 +427,61 @@ class ClassAction:
         return tuple(coords_b) in self.orbit_of_class(coords_a)
 
 
-def _match_labels(action: ClassAction, reps, members_to_orbit, to_domain):
+def _orbit_report(action: ClassAction, kind, domain, image, to_domain, mu_sample):
+    """Split the domain into orbits of the full automorphism group, where
+    image(mat, x) is the domain element that the matrix sends x to, and
+    label each orbit with the tabulated representatives that
+    to_domain(named) places in it (None places a class nowhere)."""
+    index = {x: i for i, x in enumerate(domain)}
+    parent = list(range(len(domain)))
+    for i, x in enumerate(domain):
+        for mat in action.matrices:
+            j = index.get(image(mat, x))
+            if j is None:
+                raise InvariantError(
+                    f"{kind} are not closed under the action; {x} maps outside the domain"
+                )
+            _union(parent, i, j)
+    groups: dict = {}
+    for i, x in enumerate(domain):
+        groups.setdefault(_find(parent, i), []).append(x)
+    orbit_members = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    orbit_index = {x: k for k, group in enumerate(orbit_members) for x in group}
+    level = kind[:2]  # "H2" for "H2_points", "T1" for "T1_lines"
+    try:
+        reps = closed_field_representatives(
+            action.variety, action.n, action.field, level=level, mu_sample=mu_sample
+        )
+    except UnsupportedVariety:
+        reps = []
     matched = {}
     for named in reps:
-        point = to_domain(named)
-        if point is None:
-            continue
-        idx = members_to_orbit.get(point)
-        if idx is not None:
-            matched[named.label] = idx
-    return matched
-
-
-def _collect_orbits(parent, points):
-    groups: dict = {}
-    for idx, pt in enumerate(points):
-        groups.setdefault(_find(parent, idx), []).append(pt)
-    orbit_members = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-    return orbit_members
+        k = orbit_index.get(to_domain(named))
+        if k is not None:
+            matched[named.label] = k
+    labels: dict = {}
+    for label, k in matched.items():
+        labels.setdefault(k, []).append(label)
+    orbits = tuple(
+        Orbit(
+            representative=action.scalars(group[0]),
+            size=len(group),
+            members=tuple(group),
+            labels=tuple(labels.get(k, ())),
+        )
+        for k, group in enumerate(orbit_members)
+    )
+    if sum(o.size for o in orbits) != len(domain):
+        raise InvariantError(f"orbit sizes do not add up to the {len(domain)} {kind}")
+    return OrbitReport(
+        variety=action.variety.name,
+        n=action.n,
+        field=action.field,
+        kind=kind,
+        domain_size=len(domain),
+        orbits=orbits,
+        matched_labels=matched,
+    )
 
 
 def orbits_on_H2(
@@ -489,46 +497,13 @@ def orbits_on_H2(
     total = action.p ** action.dim_h
     if total > action.budget:
         raise BudgetExceeded(f"{total} points exceed budget {action.budget}")
-    points = action.all_points()
-    index = {pt: i for i, pt in enumerate(points)}
-    parent = list(range(len(points)))
-    for i, pt in enumerate(points):
-        for mat in action.matrices:
-            _union(parent, i, index[action.apply(mat, pt)])
-    orbit_members = _collect_orbits(parent, points)
-    members_to_orbit = {
-        pt: k for k, group in enumerate(orbit_members) for pt in group
-    }
-    labels: dict = {}
-    try:
-        reps = closed_field_representatives(
-            action.variety, n, field, level="H2", mu_sample=mu_sample
-        )
-    except UnsupportedVariety:
-        reps = []
-    matched = _match_labels(
-        action, reps, members_to_orbit, lambda named: action.coords_of(named.form)
-    )
-    for label, idx in matched.items():
-        labels.setdefault(idx, []).append(label)
-    orbits = tuple(
-        Orbit(
-            representative=action.scalars(group[0]),
-            size=len(group),
-            members=tuple(group),
-            labels=tuple(labels.get(k, ())),
-        )
-        for k, group in enumerate(orbit_members)
-    )
-    assert sum(o.size for o in orbits) == total
-    return OrbitReport(
-        variety=action.variety.name,
-        n=n,
-        field=field,
-        kind="H2_points",
-        domain_size=total,
-        orbits=orbits,
-        matched_labels=matched,
+    return _orbit_report(
+        action,
+        "H2_points",
+        action.all_points(),
+        action.apply,
+        lambda named: action.coords_of(named.form),
+        mu_sample,
     )
 
 
@@ -545,60 +520,22 @@ def orbits_on_T1(
     all_lines = action.all_lines()
     if len(all_lines) > action.budget:
         raise BudgetExceeded(f"{len(all_lines)} lines exceed budget {action.budget}")
-    lines = [ln for ln in all_lines if action.line_in_t1(ln)]
-    index = {ln: i for i, ln in enumerate(lines)}
-    parent = list(range(len(lines)))
-    for i, ln in enumerate(lines):
-        for mat in action.matrices:
-            img = action.normalize_line(action.apply(mat, ln))
-            j = index.get(img)
-            if j is None:
-                raise RuntimeError(
-                    "T_1 lines are not closed under the action; "
-                    f"{ln} maps outside the domain"
-                )
-            _union(parent, i, j)
-    orbit_members = _collect_orbits(parent, lines)
-    members_to_orbit = {
-        ln: k for k, group in enumerate(orbit_members) for ln in group
-    }
 
     def line_of(named: NamedClass):
         if not named.t1:
             return None
         coords = action.coords_of(named.form)
-        if all(c == 0 for c in coords):
+        if not any(coords):
             return None
         return action.normalize_line(coords)
 
-    labels: dict = {}
-    try:
-        reps = closed_field_representatives(
-            action.variety, n, field, level="T1", mu_sample=mu_sample
-        )
-    except UnsupportedVariety:
-        reps = []
-    matched = _match_labels(action, reps, members_to_orbit, line_of)
-    for label, idx in matched.items():
-        labels.setdefault(idx, []).append(label)
-    orbits = tuple(
-        Orbit(
-            representative=action.scalars(group[0]),
-            size=len(group),
-            members=tuple(group),
-            labels=tuple(labels.get(k, ())),
-        )
-        for k, group in enumerate(orbit_members)
-    )
-    assert sum(o.size for o in orbits) == len(lines)
-    return OrbitReport(
-        variety=action.variety.name,
-        n=n,
-        field=field,
-        kind="T1_lines",
-        domain_size=len(lines),
-        orbits=orbits,
-        matched_labels=matched,
+    return _orbit_report(
+        action,
+        "T1_lines",
+        [ln for ln in all_lines if action.line_in_t1(ln)],
+        lambda mat, ln: action.normalize_line(action.apply(mat, ln)),
+        line_of,
+        mu_sample,
     )
 
 

@@ -227,3 +227,55 @@ def test_expression_parser():
     for bad in ("nabla_n +", "3", "delta_2", "nabla_1_2", "* delta_1_1", "x+y"):
         with pytest.raises(ValueError):
             parse_cocycle_expr(bad, 3, f)
+
+
+def test_cocycle_file_in_readme_format(capsys, tmp_path):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({
+        "n": 3, "field": "Q",
+        "entries": [{"i": 1, "j": 3, "c": "1"}, {"i": 2, "j": 2, "c": "1"},
+                    {"i": 3, "j": 1, "c": "1/2"}],
+    }))
+    via_file = run_json(capsys, "extend", "--algebra", "mu0:3", "--variety", "lc",
+                        "--cocycle", str(path))
+    via_expr = run_json(capsys, "extend", "--algebra", "mu0:3", "--variety", "lc",
+                        "--cocycle", "expr:nabla_n - 1/2*delta_3_1")
+    assert via_file == via_expr
+    assert via_file["non_split"] and via_file["t1"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"field": "Q", "entries": [{"i": 1, "j": 1, "c": "1"}]},           # no n
+    {"n": 3, "field": "Q", "entries": [{"i": 4, "j": 1, "c": "1"}]},   # index > n
+    {"n": 3, "field": "Q", "entries": [{"i": 1, "c": "1"}]},           # no j
+    {"n": 3, "field": "Q", "entries": [{"i": 1, "j": 1, "c": None}]},  # bad scalar
+    {"n": "3", "field": "Q", "entries": []},
+    {"n": 3, "field": 7, "entries": []},
+    {"dim": 3, "field": "Q"},                                          # no matrix
+    {"dim": 2, "field": "Q", "matrix": [[1, 0], [0, 1]]},
+    [1, 2, 3],
+])
+def test_malformed_cocycle_file_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "extend", "--algebra", "mu0:3", "--variety", "lc",
+                       "--cocycle", str(path))
+    assert code == 2, err
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("doc", [
+    {"field": "Q", "products": []},                                     # no dim
+    {"dim": 2, "products": []},                                         # no field
+    {"dim": 2, "field": "Q", "products": [{"i": 1, "j": 1}]},           # no out
+    {"dim": 2, "field": "Q", "products": [{"i": 1, "j": 1, "out": [{"k": 2}]}]},
+    {"dim": 2, "field": "Q", "products": [{"i": "x", "j": 1, "out": []}]},
+    {"dim": 2, "field": "Q", "products": {"i": 1}},
+    "mu0:3",
+])
+def test_malformed_algebra_file_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "cohomology", "--algebra", str(path), "--variety", "lc")
+    assert code == 2, err
+    assert err.startswith("error:")

@@ -5,9 +5,11 @@ from centext import (
     ClassAction,
     Field,
     InvalidDim,
+    InvariantError,
     RATIONALS,
     TableMismatch,
     UnsupportedVariety,
+    annihilator_intersection,
     automorphism_count,
     build_table1,
     check_table1,
@@ -314,3 +316,22 @@ def test_report_json_shape():
     data = rep_h2.to_json()
     # associative has no tabulated list; all orbits are field-extra
     assert all(o.get("note") == "extra (field-dependent)" for o in data["orbits"])
+
+
+@pytest.mark.parametrize("variety", ["lc", "bc", "associative"])
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 5), (4, 3)])
+def test_line_in_t1_matches_annihilator_intersection(variety, n, p):
+    field = Field.prime(p)
+    action = ClassAction(n, variety, field)
+    base = null_filiform(n, field)
+    for line in action.all_lines():
+        theta = action.h.rep_from_coords(action.scalars(line))
+        expected = annihilator_intersection(base, [theta]).dim == 0
+        assert action.line_in_t1(line) == expected, line
+
+
+def test_domain_leaving_the_action_raises(monkeypatch):
+    # lines with a zero delta2_1 coordinate are not an invariant set
+    monkeypatch.setattr(ClassAction, "line_in_t1", lambda self, line: line[1] == 0)
+    with pytest.raises(InvariantError, match="not closed under the action"):
+        orbits_on_T1(3, "lc", Field.prime(3))
