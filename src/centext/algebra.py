@@ -5,28 +5,27 @@ of scalars (0-based indices internally; JSON and printed labels are
 1-based). The n-dimensional null-filiform algebra has e_i * e_j =
 e_{i+j} when i + j <= n and 0 otherwise; that zero convention is baked
 into the constructor only, not into any later computation.
+
+Raw values inside, Scalar at the boundary: next to the public table each
+algebra keeps a sparse table of (k, raw value) pairs (see
+``Scalar.raw``), and products, identity evaluation and cocycle equations
+run on sparse vectors of such pairs.  ``Algebra.multiply`` converts
+Scalar vectors on entry and on exit.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from .budget import check_budget
 from .errors import DimMismatch, InvalidDim, NotInVariety
 from .fields import Field, json_value
 from .identities import VarietySpec, evaluate_tree
-from .linalg import (
-    Subspace,
-    basis_vec,
-    kernel_basis,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    zero_vec,
-)
+from .linalg import Subspace, basis_vec, kernel_basis, vec_is_zero
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "table")
+    __slots__ = ("field", "dim", "table", "_sparse")
 
     def __init__(self, field: Field, table):
         table = tuple(
@@ -41,6 +40,11 @@ class Algebra:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "table", table)
+        sparse = tuple(
+            tuple(tuple((k, x.raw) for k, x in enumerate(vec) if not x.is_zero) for vec in row)
+            for row in table
+        )
+        object.__setattr__(self, "_sparse", sparse)
 
     def __setattr__(self, name, value):
         raise AttributeError("Algebra is immutable")
@@ -52,19 +56,32 @@ class Algebra:
     def multiply(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimMismatch("vector length does not match algebra dimension")
-        acc = zero_vec(self.field, self.dim)
-        for i, xi in enumerate(x):
-            if xi.is_zero:
-                continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if yj.is_zero:
-                    continue
-                vec = row[j]
-                if vec_is_zero(vec):
-                    continue
-                acc = vec_add(acc, vec_scale(xi * yj, vec))
-        return acc
+        field = self.field
+        u, w = (
+            tuple((i, field.scalar(c).raw) for i, c in enumerate(v) if not c.is_zero)
+            for v in (x, y)
+        )
+        out = [field.zero] * self.dim
+        for k, c in self._product(u, w):
+            out[k] = field.from_raw(c)
+        return tuple(out)
+
+    def _product(self, u, w):
+        """Product of sparse raw vectors, tuples of (index, nonzero raw
+        value) pairs; the zero vector is the empty tuple."""
+        table, p = self._sparse, self.field.p
+        if len(u) == 1 and len(w) == 1 and u[0][1] * w[0][1] == 1:
+            return table[u[0][0]][w[0][0]]
+        acc = {}
+        for i, x in u:
+            row = table[i]
+            for j, y in w:
+                xy = x * y
+                for k, c in row[j]:
+                    acc[k] = acc.get(k, 0) + xy * c
+        if p:
+            return tuple((k, v % p) for k, v in acc.items() if v % p)
+        return tuple((k, v) for k, v in acc.items() if v)
 
     def annihilator(self) -> Subspace:
         """Elements x with x*A = 0 and A*x = 0."""
@@ -143,8 +160,7 @@ class Algebra:
     def from_json(cls, data: dict) -> "Algebra":
         field = Field.from_spec(json_value(data, "field", str))
         n = json_value(data, "dim", int)
-        if n < 1:
-            raise InvalidDim(f"dimension {n} must be >= 1")
+        _check_size(n)
         z = field.zero
         table = [[[z] * n for _ in range(n)] for _ in range(n)]
         products = json_value(data, "products", list) if "products" in data else ()
@@ -163,11 +179,18 @@ class Algebra:
         return f"Algebra(dim={self.dim}, field={self.field.spec()})"
 
 
+def _check_size(n: int) -> None:
+    """Refuse a dimension below 1, or an n^3 structure-constant table
+    over the enumeration budget, before anything is allocated."""
+    if n < 1:
+        raise InvalidDim(f"dimension {n} must be >= 1")
+    check_budget(n**3, "structure constants")
+
+
 def null_filiform(n: int, field: Field) -> Algebra:
     """The n-dimensional null-filiform associative algebra:
     e_i * e_j = e_{i+j} for i + j <= n, and 0 otherwise."""
-    if n < 1:
-        raise InvalidDim(f"dimension {n} must be >= 1")
+    _check_size(n)
     z, o = field.zero, field.one
     table = [[[z] * n for _ in range(n)] for _ in range(n)]
     for i in range(1, n + 1):
@@ -182,25 +205,50 @@ def is_standard_null_filiform(a: Algebra) -> bool:
     return a.table == null_filiform(a.dim, a.field).table
 
 
+def _identity_terms(a: Algebra, variety: VarietySpec):
+    """The one walk over the multilinear identities and basis tuples
+    behind variety membership, cocycle equations and cocycle checks.
+
+    Yields (identity, tuple, terms) for every multilinear identity and
+    every tuple of 0-based basis indices bound to its variables, where
+    terms lists (coeff, u, w) for each monomial u*w whose factors u and w
+    (sparse raw vectors) are both nonzero; a monomial is dropped as soon
+    as a product inside it vanishes.  Raises CharTooSmall when the
+    multilinear identities do not replace the originals, and
+    BudgetExceeded when the tuples are over the enumeration budget.
+    """
+    variety.char_gate(a.field)
+    n = a.dim
+    idents = variety.multilinear_identities
+    check_budget(sum(n ** len(ident.variables) for ident in idents), "identity tuples")
+    basis = [((i, 1),) for i in range(n)]
+    mul = a._product
+    for ident in idents:
+        split = [(m.coeff, *m.split_root()) for m in ident.monomials]
+        for combo in itertools.product(range(n), repeat=len(ident.variables)):
+            env = dict(zip(ident.variables, [basis[i] for i in combo]))
+            terms = []
+            for coeff, left, right in split:
+                u = evaluate_tree(left, env, mul)
+                w = evaluate_tree(right, env, mul) if u else None
+                if w:
+                    terms.append((coeff, u, w))
+            yield ident, combo, terms
+
+
 def satisfies_variety(a: Algebra, variety: VarietySpec) -> bool:
     """Whether the algebra satisfies all identities of the variety,
     checked via the multilinearized identities on all basis tuples.
-    Raises CharTooSmall when that replacement is not valid."""
-    variety.char_gate(a.field)
-    n = a.dim
-    basis = [a.basis_vector(i) for i in range(1, n + 1)]
-    for ident in variety.multilinear_identities:
-        k = len(ident.variables)
-        for combo in itertools.product(basis, repeat=k):
-            env = dict(zip(ident.variables, combo))
-            acc = zero_vec(a.field, n)
-            for mono in ident.monomials:
-                val = evaluate_tree(mono.tree, env, a.multiply)
-                if vec_is_zero(val):
-                    continue
-                acc = vec_add(acc, vec_scale(a.field.scalar(mono.coeff), val))
-            if not vec_is_zero(acc):
-                return False
+    Raises CharTooSmall when that replacement is not valid, and
+    BudgetExceeded when the tuples are over the enumeration budget."""
+    p = a.field.p
+    for _, _, terms in _identity_terms(a, variety):
+        acc = {}
+        for coeff, u, w in terms:
+            for k, v in a._product(u, w):
+                acc[k] = acc.get(k, 0) + coeff * v
+        if any(v % p if p else v for v in acc.values()):
+            return False
     return True
 
 

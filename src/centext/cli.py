@@ -85,10 +85,6 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
     return total
 
 
-def _load_field(spec: str) -> Field:
-    return Field.from_spec(spec)
-
-
 def _load_algebra(spec: str, field: Field) -> Algebra:
     if spec.startswith("mu0:"):
         return null_filiform(int(spec[4:]), field)
@@ -108,6 +104,13 @@ def _load_cocycle(spec: str, algebra: Algebra) -> BilinearForm:
     if theta.n != algebra.dim:
         raise DimMismatch("cocycle file dimension differs from the algebra's")
     return theta
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(obj) -> None:
@@ -135,7 +138,7 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    field = _load_field(args.field)
+    field = Field.from_spec(args.field)
     algebra = _load_algebra(args.algebra, field)
     variety = builtin_variety(args.variety)
     h = second_cohomology(algebra, variety)
@@ -159,7 +162,7 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    field = _load_field(args.field)
+    field = Field.from_spec(args.field)
     algebra = _load_algebra(args.algebra, field)
     variety = builtin_variety(args.variety)
     thetas = [_load_cocycle(spec, algebra) for spec in args.cocycle]
@@ -189,7 +192,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_aut(args) -> int:
-    field = _load_field(args.field)
+    field = Field.from_spec(args.field)
     out = {"n": args.n, "field": field.spec()}
     if args.count:
         out["count"] = automorphism_count(args.n, field)
@@ -206,7 +209,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_act(args) -> int:
-    field = _load_field(args.field)
+    field = Field.from_spec(args.field)
     algebra = null_filiform(args.n, field)
     col = [field.scalar(x) for x in args.col.split(",")]
     phi = Automorphism(field, col)
@@ -229,7 +232,7 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    field = _load_field(args.field)
+    field = Field.from_spec(args.field)
     fn = orbits_on_T1 if args.level == "t1" else orbits_on_H2
     report = fn(args.n, args.variety, field, budget=args.budget)
     _emit(report.to_json(include_members=args.members))
@@ -237,7 +240,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_table1(args) -> int:
-    field = _load_field(args.field)
+    field = Field.from_spec(args.field)
     mu = None
     if args.mu is not None:
         mu = [Fraction(m) for m in args.mu.split(",")]
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variety", required=True)
     p.add_argument("--level", choices=("h2", "t1"), default="t1")
     p.add_argument("--members", action="store_true", help="list orbit members")
-    p.add_argument("--budget", type=int, help="enumeration budget override")
+    p.add_argument("--budget", type=positive_int, help="enumeration budget override")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("verify-table1", help="verify the extension table rows")
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the full claim battery")
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=positive_int)
     p.add_argument("--primes", help="comma-separated orbit primes, default 3,5")
     p.set_defaults(fn=_cmd_reproduce)
 

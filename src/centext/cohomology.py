@@ -11,12 +11,10 @@ are taken modulo coboundaries.
 
 from __future__ import annotations
 
-import itertools
-
-from .algebra import Algebra, is_standard_null_filiform, require_in_variety
+from .algebra import Algebra, _identity_terms, is_standard_null_filiform, require_in_variety
 from .errors import DimMismatch, NotACocycle
 from .forms import BilinearForm, delta, nabla
-from .identities import VarietySpec, evaluate_tree, format_identity
+from .identities import VarietySpec, format_identity
 from .linalg import (
     Subspace,
     kernel_basis,
@@ -27,39 +25,36 @@ from .linalg import (
 )
 
 
-def _basis_env(a: Algebra):
-    return [a.basis_vector(i) for i in range(1, a.dim + 1)]
+def _cocycle_equations(a: Algebra, variety: VarietySpec):
+    """The linear constraints on the entries c_ij (row-major) of a
+    cocycle, one per (identity, basis tuple), deduplicated in first-seen
+    order.  Yields (row, identity, tuple): row is a sparse raw
+    {i*n + j: coefficient of c_ij}, and the identity and the tuple of
+    0-based basis indices are where it was first seen."""
+    n, p = a.dim, a.field.p
+    seen = set()
+    for ident, combo, terms in _identity_terms(a, variety):
+        acc = {}
+        for coeff, u, w in terms:
+            for i, x in u:
+                cx = coeff * x
+                for j, y in w:
+                    pos = i * n + j
+                    acc[pos] = acc.get(pos, 0) + cx * y
+        if p:
+            row = {k: v % p for k, v in acc.items() if v % p}
+        else:
+            row = {k: v for k, v in acc.items() if v}
+        if row:
+            key = frozenset(row.items())
+            if key not in seen:
+                seen.add(key)
+                yield row, ident, combo
 
 
 def _equation_rows(a: Algebra, variety: VarietySpec):
-    """Linear constraints on the entries c_ij (row-major) of a cocycle,
-    one row per (identity, basis tuple), deduplicated in first-seen order."""
-    n = a.dim
-    basis = _basis_env(a)
-    z = a.field.zero
-    rows = {}
-    for ident in variety.multilinear_identities:
-        split = [(m.coeff, *m.split_root()) for m in ident.monomials]
-        for combo in itertools.product(basis, repeat=len(ident.variables)):
-            env = dict(zip(ident.variables, combo))
-            acc = [z] * (n * n)
-            touched = False
-            for coeff, left, right in split:
-                u = evaluate_tree(left, env, a.multiply)
-                w = evaluate_tree(right, env, a.multiply)
-                c = a.field.scalar(coeff)
-                for i, ui in enumerate(u):
-                    if ui.is_zero:
-                        continue
-                    for j, wj in enumerate(w):
-                        if wj.is_zero:
-                            continue
-                        pos = i * n + j
-                        acc[pos] = acc[pos] + c * ui * wj
-                        touched = True
-            if touched and not all(x.is_zero for x in acc):
-                rows.setdefault(tuple(acc), None)
-    return list(rows)
+    """The distinct cocycle equations as sparse raw rows, first-seen order."""
+    return [row for row, _, _ in _cocycle_equations(a, variety)]
 
 
 def cocycle_space(a: Algebra, variety: VarietySpec):
@@ -75,28 +70,17 @@ def cocycle_space(a: Algebra, variety: VarietySpec):
 def check_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> None:
     """Raise NotACocycle (naming a violated equation) unless theta
     satisfies every cocycle equation of the variety over this algebra."""
-    variety.char_gate(a.field)
     if theta.n != a.dim or theta.field != a.field:
         raise DimMismatch("form does not match the algebra")
-    basis = _basis_env(a)
-    for ident in variety.multilinear_identities:
-        split = [(m.coeff, *m.split_root()) for m in ident.monomials]
-        for combo in itertools.product(range(1, a.dim + 1), repeat=len(ident.variables)):
-            env = {v: basis[i - 1] for v, i in zip(ident.variables, combo)}
-            acc = a.field.zero
-            for coeff, left, right in split:
-                u = evaluate_tree(left, env, a.multiply)
-                w = evaluate_tree(right, env, a.multiply)
-                val = theta.evaluate(u, w)
-                if not val.is_zero:
-                    acc = acc + a.field.scalar(coeff) * val
-            if not acc.is_zero:
-                args = ", ".join(
-                    f"{v}=e_{i}" for v, i in zip(ident.variables, combo)
-                )
-                raise NotACocycle(
-                    f"cocycle equation from '{format_identity(ident)}' fails at {args}"
-                )
+    p = a.field.p
+    entries = [x.raw for x in theta.as_vector()]
+    for row, ident, combo in _cocycle_equations(a, variety):
+        value = sum(v * entries[k] for k, v in row.items())
+        if value % p if p else value:
+            args = ", ".join(f"{v}=e_{i + 1}" for v, i in zip(ident.variables, combo))
+            raise NotACocycle(
+                f"cocycle equation from '{format_identity(ident)}' fails at {args}"
+            )
 
 
 def is_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> bool:

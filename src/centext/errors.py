@@ -9,6 +9,11 @@ class CompositeModulus(CentextError):
     """A prime field was requested with a modulus that is not prime."""
 
 
+class ModulusTooLarge(CentextError):
+    """A prime field was requested with a modulus too large to certify
+    as prime."""
+
+
 class DivisionByZero(CentextError, ZeroDivisionError):
     """Multiplicative inverse of zero was requested."""
 

@@ -89,16 +89,13 @@ def central_extension(
         check_cocycle(a, variety, theta)
     if h is None:
         h = second_cohomology(a, variety)
-    coords = tuple(h.reduce_class(theta) for theta in thetas)
-    reduced, _ = rref([c for c in coords])
-    non_split = len(reduced) == len(thetas)
     ann_core = annihilator_intersection(a, thetas)
     return ExtensionResult(
         extended=build_extension(a, thetas),
         base=a,
         cocycles=thetas,
         variety=variety,
-        class_coords=coords,
-        non_split=non_split,
+        class_coords=tuple(h.reduce_class(theta) for theta in thetas),
+        non_split=is_non_split(a, variety, thetas, h),
         annihilator_dim=ann_core.dim + len(thetas),
     )

@@ -3,26 +3,51 @@
 Scalars are immutable, carry their field, and never leave exact
 representations: rationals are stored as reduced ``fractions.Fraction``
 values, prime-field elements as canonical residues in ``0..p-1``.
+Inner loops elsewhere in the package work on raw values instead (see
+``Scalar.raw`` and ``Field.from_raw``) and build scalars only for results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CompositeModulus, DivisionByZero, FieldMismatch, MalformedInput
+from .errors import (
+    CompositeModulus,
+    DivisionByZero,
+    FieldMismatch,
+    MalformedInput,
+    ModulusTooLarge,
+)
+
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# this bound (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p: int) -> bool:
-    # deterministic trial division; moduli stay small in practice
+    """Deterministic primality for p < MODULUS_LIMIT (larger p raise)."""
+    if p >= MODULUS_LIMIT:
+        raise ModulusTooLarge(f"modulus {p} is too large to certify as prime")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -98,6 +123,14 @@ class Field:
     @property
     def one(self) -> "Scalar":
         return self.scalar(1)
+
+    def from_raw(self, value) -> "Scalar":
+        """The scalar of a raw value: an int or Fraction over Q, an int
+        (any representative) over F_p.  Unlike ``scalar`` it does no
+        type checking, for converting results of raw-value loops."""
+        if self.p is None:
+            return Scalar(self, Fraction(value))
+        return Scalar(self, value % self.p)
 
     def elements(self):
         """All field elements, in canonical residue order (finite fields only)."""
@@ -224,6 +257,15 @@ class Scalar:
     @property
     def is_one(self) -> bool:
         return self.value == 1
+
+    @property
+    def raw(self):
+        """The plain value for inner loops: the residue over F_p; over Q
+        an int when integral, the Fraction otherwise."""
+        v = self.value
+        if type(v) is Fraction and v.denominator == 1:
+            return v.numerator
+        return v
 
     def literal(self) -> str:
         """Canonical text form: decimal integer or ``a/b``."""

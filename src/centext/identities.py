@@ -40,10 +40,16 @@ def tree_leaves(tree):
 
 
 def evaluate_tree(tree, env, mul):
-    """Evaluate with variables bound to vectors and mul a vector product."""
+    """Evaluate with variables bound to vectors and mul a vector product.
+    A falsy value (the empty sparse vector) is a zero product: it is
+    returned at once, without evaluating the other factor."""
     if isinstance(tree, str):
         return env[tree]
-    return mul(evaluate_tree(tree[0], env, mul), evaluate_tree(tree[1], env, mul))
+    left = evaluate_tree(tree[0], env, mul)
+    if not left:
+        return left
+    right = evaluate_tree(tree[1], env, mul)
+    return mul(left, right) if right else right
 
 
 @dataclass(frozen=True)

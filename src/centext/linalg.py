@@ -1,11 +1,19 @@
 """Exact linear algebra over a Field: row reduction, kernels, subspaces.
 
-Vectors are tuples of Scalar, matrices are lists/tuples of row vectors.
-All routines are deterministic: pivots are chosen leftmost-first and
-normalized to 1, so echelon forms are canonical for a given row span.
+Raw values inside, Scalar at the boundary.  ``rref``, ``kernel_basis``,
+``solve`` and ``Subspace`` reduce in one routine, ``_echelon``, on sparse
+rows ``{column: raw value}`` holding only nonzero entries, where a raw
+value is a residue mod p over F_p and an int or Fraction over Q (see
+``Scalar.raw``); ``rref_with_transform`` still eliminates on dense
+Scalar rows.  The public functions take and return vectors as tuples of
+Scalar and matrices as lists or tuples of row vectors, converting on
+entry and on exit.  Pivots are leftmost and normalized to 1, so echelon
+forms are canonical for a given row span.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .errors import DimMismatch
 from .fields import Field, Scalar
@@ -26,12 +34,6 @@ def vec_add(u, v):
     if len(u) != len(v):
         raise DimMismatch(f"vector lengths {len(u)} and {len(v)} differ")
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    if len(u) != len(v):
-        raise DimMismatch(f"vector lengths {len(u)} and {len(v)} differ")
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c: Scalar, u):
@@ -82,125 +84,175 @@ def identity_matrix(field: Field, m: int):
     return tuple(basis_vec(field, m, i) for i in range(m))
 
 
+# ---------------------------------------------------------------------------
+# the raw sparse reduction
+
+
+def _inverse(x, p):
+    if p:
+        return pow(x, -1, p)
+    inv = Fraction(1, x) if type(x) is int else 1 / x
+    return inv.numerator if inv.denominator == 1 else inv
+
+
+def _axpy(row: dict, f, other: dict, p) -> None:
+    """row += f * other, in place, keeping only nonzero entries."""
+    for k, v in other.items():
+        x = row.get(k, 0) + f * v
+        if p:
+            x %= p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+def _scale(row: dict, f, p) -> None:
+    for k, v in row.items():
+        row[k] = v * f % p if p else v * f
+
+
+def _echelon(rows, p):
+    """Gauss-Jordan elimination of sparse raw rows; the rows are consumed.
+    Returns (pivots, reduced): the pivot columns in ascending order and
+    the reduced rows in pivot order, the canonical RREF of the row span."""
+    by_pivot = {}
+    for row in rows:
+        for c in [c for c in row if c in by_pivot]:
+            _axpy(row, -row[c], by_pivot[c], p)
+        if not row:
+            continue
+        lead = min(row)
+        inv = _inverse(row[lead], p)
+        if inv != 1:
+            _scale(row, inv, p)
+        for other in by_pivot.values():
+            f = other.get(lead)
+            if f:
+                _axpy(other, -f, row, p)
+        by_pivot[lead] = row
+    pivots = sorted(by_pivot)
+    return pivots, [by_pivot[c] for c in pivots]
+
+
+def _raw_rows(rows):
+    """Sparse raw copies of rows given as Scalar vectors or, as the
+    cocycle equations come, as sparse {column: raw value} dicts."""
+    return [
+        dict(row) if isinstance(row, dict)
+        else {c: x.raw for c, x in enumerate(row) if not x.is_zero}
+        for row in rows
+    ]
+
+
+def _scalar_row(field: Field, row: dict, ncols: int):
+    out = [field.zero] * ncols
+    for c, v in row.items():
+        out[c] = field.from_raw(v)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Scalar wrappers
+
+
 def rref(rows):
     """Reduced row echelon form of the given rows.
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped, pivot
     entries are 1 and are the only nonzero entries in their columns.
     """
-    work = [list(r) for r in rows]
-    if not work:
+    rows = list(rows)
+    if not rows or not rows[0]:
         return [], []
-    work, pivots = _rref_full(work, len(work[0]))
-    return [tuple(row) for row in work[: len(pivots)]], pivots
+    field, ncols = rows[0][0].field, len(rows[0])
+    pivots, reduced = _echelon(_raw_rows(rows), field.p)
+    return [_scalar_row(field, row, ncols) for row in reduced], pivots
 
 
 def rref_with_transform(rows, field: Field):
     """Row reduce and also return T with T @ rows == reduced (padded with
-    zero rows). Used to solve many systems against the same matrix."""
+    zero rows). Used to solve many systems against the same matrix.
+    Eliminates on dense Scalar rows augmented by the identity."""
     m = len(rows)
-    aug = [list(rows[i]) + list(basis_vec(field, m, i)) for i in range(m)]
     ncols = len(rows[0]) if rows else 0
-    red, _ = _rref_full(aug, ncols)
-    reduced = [tuple(row[:ncols]) for row in red]
-    transform = [tuple(row[ncols:]) for row in red]
+    work = [list(rows[i]) + list(basis_vec(field, m, i)) for i in range(m)]
     pivots = []
-    for row in reduced:
-        for c, x in enumerate(row):
-            if not x.is_zero:
-                pivots.append(c)
-                break
-    rank = len([row for row in reduced if not vec_is_zero(row)])
-    return reduced, transform, pivots[:rank], rank
-
-
-def _rref_full(work, ncols):
-    """RREF restricted to the first ncols columns; keeps all rows."""
-    pivots = []
-    r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(work)):
-            if not work[i][c].is_zero:
-                pr = i
-                break
+        r = len(pivots)
+        pr = next((i for i in range(r, m) if not work[i][c].is_zero), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
         inv = work[r][c].inv()
         if not inv.is_one:
             work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
+        for i in range(m):
             if i != r and not work[i][c].is_zero:
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         pivots.append(c)
-        r += 1
-        if r == len(work):
+        if len(pivots) == m:
             break
-    return work, pivots
+    reduced = [tuple(row[:ncols]) for row in work]
+    transform = [tuple(row[ncols:]) for row in work]
+    return reduced, transform, pivots, len(pivots)
 
 
 def kernel_basis(rows, ncols: int, field: Field):
     """Canonical basis of the solution space of rows @ x = 0.
 
-    The standard basis (one free variable set to 1 at a time, in
-    ascending column order) is computed from the RREF and then
-    re-echelonized, so the result depends only on the solution space.
+    Rows are Scalar vectors or sparse {column: raw value} dicts.  The
+    standard basis (one free variable set to 1 at a time, in ascending
+    column order) is computed from the RREF and then re-echelonized, so
+    the result depends only on the solution space.
     """
-    reduced, pivots = rref(rows)
+    p = field.p
+    pivots, reduced = _echelon(_raw_rows(rows), p)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    z, o = field.zero, field.one
-    for f in free:
-        v = [z] * ncols
-        v[f] = o
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(tuple(v))
-    canon, _ = rref(basis)
-    return canon
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = {f: 1}
+        for c, row in zip(pivots, reduced):
+            x = row.get(f)
+            if x:
+                v[c] = -x % p if p else -x
+        basis.append(v)
+    return [_scalar_row(field, v, ncols) for v in _echelon(basis, p)[1]]
 
 
 def solve(rows, target, field: Field):
     """One exact solution x of A x = target for A given by rows, or None
     when the system is inconsistent. Free variables are set to zero."""
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return () if vec_is_zero(target) else None
     ncols = len(rows[0])
-    aug = [list(rows[i]) + [target[i]] for i in range(m)]
-    red, pivots = _rref_full(aug, ncols)
-    z = field.zero
-    x = [z] * ncols
-    rank = len(pivots)
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    for r in range(rank, m):
-        if not red[r][ncols].is_zero and vec_is_zero(red[r][:ncols]):
-            return None
-    # verify (guards against free-variable columns interacting with target)
-    for i in range(m):
-        acc = z
-        for j in range(ncols):
-            if not rows[i][j].is_zero and not x[j].is_zero:
-                acc = acc + rows[i][j] * x[j]
-        if acc != target[i]:
-            return None
-    return tuple(x)
+    augmented = _raw_rows(rows)
+    for row, b in zip(augmented, target):
+        if not b.is_zero:
+            row[ncols] = b.raw
+    pivots, reduced = _echelon(augmented, field.p)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = {c: row[ncols] for c, row in zip(pivots, reduced) if ncols in row}
+    return _scalar_row(field, x, ncols)
 
 
 class Subspace:
     """A linear subspace of F^m, stored by its canonical RREF basis."""
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "basis", "_pivot_rows")
 
     def __init__(self, field: Field, ambient: int, vectors=()):
+        pivots, reduced = _echelon(_raw_rows(vectors), field.p)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient", ambient)
-        reduced, _ = rref(list(vectors))
-        object.__setattr__(self, "basis", tuple(reduced))
+        object.__setattr__(
+            self, "basis", tuple(_scalar_row(field, row, ambient) for row in reduced)
+        )
+        object.__setattr__(self, "_pivot_rows", dict(zip(pivots, reduced)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -212,13 +264,10 @@ class Subspace:
     def contains(self, v) -> bool:
         if len(v) != self.ambient:
             raise DimMismatch(f"vector length {len(v)} in ambient {self.ambient}")
-        residue = list(v)
-        for row in self.basis:
-            lead = next(c for c, x in enumerate(row) if not x.is_zero)
-            if not residue[lead].is_zero:
-                f = residue[lead]
-                residue = [x - f * y for x, y in zip(residue, row)]
-        return all(x.is_zero for x in residue)
+        residue = _raw_rows([v])[0]
+        for c in [c for c in residue if c in self._pivot_rows]:
+            _axpy(residue, -residue[c], self._pivot_rows[c], self.field.p)
+        return not residue
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)

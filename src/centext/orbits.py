@@ -21,14 +21,13 @@ that no tabulated representative hits are reported as extra
 from __future__ import annotations
 
 import itertools
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import Algebra, null_filiform, satisfies_variety
 from .automorphisms import Automorphism, class_action_matrix
-from .cohomology import annihilator_intersection, second_cohomology
+from .budget import check_budget, resolve_budget
+from .cohomology import CohomologySpace, annihilator_intersection, second_cohomology
 from .errors import (
-    BudgetExceeded,
     FieldMismatch,
     InvalidDim,
     InvariantError,
@@ -40,19 +39,6 @@ from .fields import Field, Scalar
 from .forms import BilinearForm, delta, nabla
 from .identities import VarietySpec, builtin_variety
 
-DEFAULT_BUDGET = 500_000
-BUDGET_ENV_VAR = "CENTEXT_BUDGET"
-
-
-def resolve_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
-
-
 def automorphism_count(n: int, field: Field) -> int:
     if not field.is_finite:
         raise FieldMismatch("the automorphism group is finite only over finite fields")
@@ -63,10 +49,7 @@ def enumerate_automorphisms(n: int, field: Field, budget: int | None = None):
     """All automorphisms of the n-dimensional null-filiform algebra over
     a finite prime field, one per admissible first column, in
     lexicographic column order."""
-    count = automorphism_count(n, field)
-    limit = resolve_budget(budget)
-    if count > limit:
-        raise BudgetExceeded(f"{count} automorphisms exceed budget {limit}")
+    check_budget(automorphism_count(n, field), "automorphisms", budget)
     p = field.p
     for head in range(1, p):
         for tail in itertools.product(range(p), repeat=n - 1):
@@ -494,9 +477,7 @@ def orbits_on_H2(
     """Partition all of H^2 (as coordinate tuples over F_p) into orbits
     by applying every automorphism's class action."""
     action = ClassAction(n, variety, field, budget)
-    total = action.p ** action.dim_h
-    if total > action.budget:
-        raise BudgetExceeded(f"{total} points exceed budget {action.budget}")
+    check_budget(action.p ** action.dim_h, "points", action.budget)
     return _orbit_report(
         action,
         "H2_points",
@@ -517,9 +498,8 @@ def orbits_on_T1(
     """Partition the T_1 Grassmannian lines (normalized class coordinate
     vectors with trivial annihilator overlap) into orbits."""
     action = ClassAction(n, variety, field, budget)
-    all_lines = action.all_lines()
-    if len(all_lines) > action.budget:
-        raise BudgetExceeded(f"{len(all_lines)} lines exceed budget {action.budget}")
+    p, d = action.p, action.dim_h
+    check_budget((p**d - 1) // (p - 1), "lines", action.budget)
 
     def line_of(named: NamedClass):
         if not named.t1:
@@ -532,7 +512,7 @@ def orbits_on_T1(
     return _orbit_report(
         action,
         "T1_lines",
-        [ln for ln in all_lines if action.line_in_t1(ln)],
+        [ln for ln in action.all_lines() if action.line_in_t1(ln)],
         lambda mat, ln: action.normalize_line(action.apply(mat, ln)),
         line_of,
         mu_sample,
@@ -549,6 +529,8 @@ class TableRow:
     expected: Algebra
     expected_ann_dim: int
     expected_t1: bool
+    # H^2 of the base for the left-commutative variety, shared by the rows
+    base_h2: CohomologySpace = dataclass_field(compare=False, repr=False)
 
 
 def _pattern_algebra(n: int, field: Field, products) -> Algebra:
@@ -566,11 +548,12 @@ def _pattern_algebra(n: int, field: Field, products) -> Algebra:
 def classification_table(n: int, field: Field, mu_sample=None):
     """Rows of the classification table of one-dimensional non-split
     extensions of the n-dimensional null-filiform algebra, with their
-    expected product patterns."""
+    expected product patterns and the base's H^2, computed once."""
     if n < 2:
         raise InvalidDim("the table is defined for n >= 2")
     rows = []
     one = field.one
+    h = second_cohomology(null_filiform(n, field), builtin_variety("left_commutative"))
 
     def base_products(limit, skip=()):
         prods = {}
@@ -590,6 +573,7 @@ def classification_table(n: int, field: Field, mu_sample=None):
             expected=_pattern_algebra(n, field, prods),
             expected_ann_dim=1,
             expected_t1=True,
+            base_h2=h,
         )
     )
     # e_k e_1 = e_{k+1} + e_{n+1}: annihilator gains a second dimension
@@ -603,6 +587,7 @@ def classification_table(n: int, field: Field, mu_sample=None):
                 expected=_pattern_algebra(n, field, prods),
                 expected_ann_dim=2,
                 expected_t1=False,
+                base_h2=h,
             )
         )
     # nabla_n + delta_k_1, 2 <= k <= n-1
@@ -616,6 +601,7 @@ def classification_table(n: int, field: Field, mu_sample=None):
                 expected=_pattern_algebra(n, field, prods),
                 expected_ann_dim=1,
                 expected_t1=True,
+                base_h2=h,
             )
         )
     # nabla_n + mu * delta_n_1
@@ -631,15 +617,15 @@ def classification_table(n: int, field: Field, mu_sample=None):
                 expected=_pattern_algebra(n, field, prods),
                 expected_ann_dim=1,
                 expected_t1=True,
+                base_h2=h,
             )
         )
     return rows
 
 
 def _check_row(row: TableRow, n: int, field: Field) -> dict:
-    lc = builtin_variety("left_commutative")
-    base = null_filiform(n, field)
-    result = central_extension(base, [row.cocycle], lc)
+    lc, base = row.base_h2.variety, row.base_h2.algebra
+    result = central_extension(base, [row.cocycle], lc, h=row.base_h2)
     ext = result.extended
     if ext.table != row.expected.table:
         for i in range(ext.dim):

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .algebra import null_filiform, satisfies_variety
 from .automorphisms import Automorphism, act_on_cocycle
+from .budget import resolve_budget
 from .cohomology import cocycle_space, is_cocycle, second_cohomology
 from .errors import InvalidDim, NotACocycle
 from .extensions import build_extension, central_extension
@@ -24,7 +25,6 @@ from .orbits import (
     check_table1,
     closed_field_representatives,
     orbits_on_T1,
-    resolve_budget,
 )
 
 EXPECTED_DIMS = {

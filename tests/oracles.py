@@ -173,3 +173,83 @@ def is_associative(table):
                 if lhs != rhs:
                     return False
     return True
+
+
+def modp_kernel(rows, ncols, p):
+    """Kernel basis over F_p, canonical like frac_kernel."""
+    reduced, pivots = modp_rref(rows, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = 1
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[f] % p
+        basis.append(vec)
+    canon, _ = modp_rref(basis, p)
+    return canon
+
+
+# ---------------------------------------------------------------------------
+# multilinear identities on basis tuples, evaluated densely
+#
+# An identity is given as plain data: its variable names and a list of
+# (coefficient, tree) monomials, a tree being a variable name or a pair
+# (left, right).  p=None works over Q, otherwise everything is mod p.
+
+
+def _vec_mul(table, x, y, p):
+    out = table_mul(table, x, y)
+    return [v % p for v in out] if p else out
+
+
+def tree_value(table, tree, env, p=None):
+    if isinstance(tree, str):
+        return env[tree]
+    left = tree_value(table, tree[0], env, p)
+    right = tree_value(table, tree[1], env, p)
+    return _vec_mul(table, left, right, p)
+
+
+def _basis_tuples(n, variables):
+    """(tuple of 0-based indices, env) for every tuple, first index slowest."""
+    k = len(variables)
+    for code in range(n**k):
+        idx = []
+        for _ in range(k):
+            code, r = divmod(code, n)
+            idx.append(r)
+        idx = tuple(reversed(idx))
+        yield idx, {v: basis_vec(n, i) for v, i in zip(variables, idx)}
+
+
+def identity_holds(table, variables, monomials, p=None):
+    """Whether sum coeff * tree vanishes on every tuple of basis vectors."""
+    n = len(table)
+    for _, env in _basis_tuples(n, variables):
+        acc = [Fraction(0)] * n
+        for coeff, tree in monomials:
+            val = tree_value(table, tree, env, p)
+            acc = [a + coeff * v for a, v in zip(acc, val)]
+        if any((a % p if p else a) != 0 for a in acc):
+            return False
+    return True
+
+
+def cocycle_rows(table, variables, monomials, p=None):
+    """One row over the n*n entries c_ij (row-major) per tuple of basis
+    vectors: the coefficients of sum coeff * theta(left, right) over the
+    monomials left*right.  Yields (tuple of 0-based indices, row)."""
+    n = len(table)
+    for idx, env in _basis_tuples(n, variables):
+        row = [Fraction(0)] * (n * n)
+        for coeff, (left, right) in monomials:
+            u = tree_value(table, left, env, p)
+            w = tree_value(table, right, env, p)
+            for i in range(n):
+                if u[i] == 0:
+                    continue
+                for j in range(n):
+                    if w[j] != 0:
+                        row[i * n + j] += coeff * u[i] * w[j]
+        yield idx, [(x % p if p else x) for x in row]

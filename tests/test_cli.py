@@ -279,3 +279,33 @@ def test_malformed_algebra_file_exits_2(capsys, tmp_path, doc):
     code, _, err = run(capsys, "cohomology", "--algebra", str(path), "--variety", "lc")
     assert code == 2, err
     assert err.startswith("error:")
+
+
+def test_budget_must_be_positive(capsys):
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--n", "3", "--field", "Fp:3", "--variety", "lc",
+                  "--budget", value])
+        assert exc.value.code == 2
+        assert "--budget: must be at least 1" in capsys.readouterr().err
+
+
+def test_algebra_size_is_bounded_by_the_budget(capsys):
+    # mu0:80 has 80^3 = 512000 structure constants, over the default budget
+    code, _, err = run(capsys, "cohomology", "--algebra", "mu0:80", "--variety", "lc")
+    assert code == 2
+    assert "512000 structure constants exceed budget" in err
+
+
+def test_identity_tuples_are_bounded_by_the_budget(capsys):
+    # Jordan's degree-4 identity on mu0:30 walks 30^4 basis tuples
+    code, _, err = run(capsys, "cohomology", "--algebra", "mu0:30", "--variety", "jordan")
+    assert code == 2
+    assert "identity tuples exceed budget" in err
+
+
+def test_huge_modulus_is_refused(capsys):
+    code, _, err = run(capsys, "cohomology", "--algebra", "mu0:3", "--variety", "lc",
+                       "--field", f"Fp:{2**89 - 1}")
+    assert code == 2
+    assert "too large to certify as prime" in err

@@ -131,3 +131,29 @@ def test_scalars_hashable_and_ordered():
     # int and Fraction compare equal to matching scalars
     assert f.scalar(3) == 3
     assert RATIONALS.scalar(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_primality_is_exact_below_the_limit():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    for n in range(-3, 5000):
+        if trial_division(n):
+            assert Field.prime(n).p == n
+        else:
+            with pytest.raises(CompositeModulus):
+                Field.prime(n)
+    assert Field.prime(2**61 - 1).p == 2**61 - 1
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(CompositeModulus):
+            Field.prime(n)
+
+
+def test_moduli_above_the_limit_are_refused():
+    from centext import ModulusTooLarge
+    from centext.fields import MODULUS_LIMIT
+
+    for n in (MODULUS_LIMIT, 2**89 - 1):
+        with pytest.raises(ModulusTooLarge):
+            Field.prime(n)

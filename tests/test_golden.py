@@ -1,8 +1,10 @@
 """Byte-for-byte CLI output contract.
 
 Each file under tests/golden/ is the stdout of one command, captured
-before the orbit and representative code was restructured; refactors
-must leave these outputs unchanged.  To add a case, run the command
+before the code it exercises was restructured (the classify and
+verify-table1 files before the orbit and representative code, the
+cohomology and extend files before the sparse raw-value kernel);
+refactors must leave these outputs unchanged.  To add a case, run the command
 with the package as it stands and save its stdout under the case name.
 """
 
@@ -20,6 +22,10 @@ def _classify(n, p, variety, level):
             "--level", level, "--members"]
 
 
+def _cohomology(n, variety, field):
+    return ["cohomology", "--algebra", f"mu0:{n}", "--variety", variety, "--field", field]
+
+
 CASES = {
     "classify_lc_n3_f5_t1": _classify(3, 5, "lc", "t1"),
     "classify_lc_n3_f3_h2": _classify(3, 3, "lc", "h2"),
@@ -30,6 +36,13 @@ CASES = {
     "classify_associative_n3_f3_t1": _classify(3, 3, "associative", "t1"),
     "classify_novikov_n3_f3_h2": _classify(3, 3, "novikov", "h2"),
     "verify_table1_n4": ["verify-table1", "--n", "4"],
+    "cohomology_jordan_n5_q": _cohomology(5, "jordan", "Q"),
+    "cohomology_jordan_n5_f5": _cohomology(5, "jordan", "Fp:5"),
+    "cohomology_novikov_n6_q": _cohomology(6, "novikov", "Q"),
+    "cohomology_alternative_n5_q": _cohomology(5, "alternative", "Q"),
+    "cohomology_lc_n7_f7": _cohomology(7, "lc", "Fp:7"),
+    "extend_lc_n3_expr": ["extend", "--algebra", "mu0:3", "--variety", "lc",
+                          "--cocycle", "expr:nabla_n + 1/2*delta_2_1 - delta_1_1"],
 }
 
 

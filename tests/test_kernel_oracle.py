@@ -1,0 +1,203 @@
+"""Differential tests of the sparse raw-value kernel against the dense
+Fraction/int reference implementations in oracles.py: variety
+membership, cocycle equations, cocycle checks and row reduction, on
+random sparse structure constants and random matrices (fixed seeds)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from centext import (
+    RATIONALS,
+    Algebra,
+    BilinearForm,
+    Field,
+    NotACocycle,
+    VARIETY_NAMES,
+    builtin_variety,
+    check_cocycle,
+    format_identity,
+    kernel_basis,
+    rref,
+    satisfies_variety,
+)
+from centext.cohomology import _equation_rows
+from centext.linalg import mat_mul, rref_with_transform, solve
+
+from oracles import (
+    cocycle_rows,
+    frac_kernel,
+    frac_rref,
+    identity_holds,
+    modp_kernel,
+    modp_rref,
+)
+
+FIELDS = {"Q": RATIONALS, "F5": Field.prime(5)}
+
+
+def _value(rng, p):
+    if p:
+        return rng.randint(1, p - 1)
+    return Fraction(rng.choice((-3, -2, -1, 1, 2)), rng.choice((1, 1, 2, 3)))
+
+
+def random_table(rng, n, p, graded):
+    """Sparse structure constants: any (i, j, k) with probability 1/6, or
+    for graded tables only e_i e_j -> e_{i+j}, so some lie in varieties."""
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if graded:
+                if i + j + 1 < n and rng.random() < 0.7:
+                    table[i][j][i + j + 1] = _value(rng, p)
+            else:
+                for k in range(n):
+                    if rng.random() < 1 / 6:
+                        table[i][j][k] = _value(rng, p)
+    return table
+
+
+def algebras(seed):
+    rng = random.Random(seed)
+    for name, field in FIELDS.items():
+        for n in (2, 3, 4):
+            for graded in (True, False):
+                for _ in range(2):
+                    table = random_table(rng, n, field.p, graded)
+                    yield name, field, table, Algebra(field, table)
+
+
+def reduce(x, p):
+    return x % p if p else x
+
+
+def oracle_equations(table, ident, p):
+    monos = [(m.coeff, m.tree) for m in ident.monomials]
+    return cocycle_rows(table, ident.variables, monos, p)
+
+
+def first_seen(rows):
+    out = []
+    for row in rows:
+        if any(row) and row not in out:
+            out.append(row)
+    return out
+
+
+def dense(rows, ncols):
+    out = []
+    for row in rows:
+        vec = [0] * ncols
+        for k, v in row.items():
+            vec[k] = v
+        out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("vname", VARIETY_NAMES)
+def test_membership_matches_dense_oracle(vname):
+    variety = builtin_variety(vname)
+    outcomes = set()
+    for _, field, table, a in algebras(3):
+        want = all(
+            identity_holds(table, ident.variables, [(m.coeff, m.tree) for m in ident.monomials], field.p)
+            for ident in variety.multilinear_identities
+        )
+        assert satisfies_variety(a, variety) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("vname", ["left_commutative", "jordan", "assosymmetric", "alternative"])
+def test_equation_rows_and_cocycle_checks_match_dense_oracle(vname):
+    variety = builtin_variety(vname)
+    rng = random.Random(5)
+    for _, field, table, a in algebras(4):
+        p, n = field.p, a.dim
+        tagged = [
+            (ident, idx, row)
+            for ident in variety.multilinear_identities
+            for idx, row in oracle_equations(table, ident, p)
+        ]
+        want_rows = first_seen([row for _, _, row in tagged])
+        assert dense(_equation_rows(a, variety), n * n) == want_rows
+        # the row space's kernel, and forms in it and near it
+        if p:
+            kernel = modp_kernel(want_rows, n * n, p)
+        else:
+            kernel = frac_kernel(want_rows, n * n)
+        got = [[x.value for x in v] for v in kernel_basis(_equation_rows(a, variety), n * n, field)]
+        assert got == kernel
+        for _ in range(4):
+            theta = [0] * (n * n)
+            for vec in kernel:
+                c = _value(rng, p)
+                theta = [reduce(t + c * x, p) for t, x in zip(theta, vec)]
+            if rng.random() < 0.5:
+                theta[rng.randrange(n * n)] = _value(rng, p)
+            form = BilinearForm.from_vector(field, n, [field.scalar(t) for t in theta])
+            failing = [
+                (ident, idx)
+                for ident, idx, row in tagged
+                if reduce(sum(r * t for r, t in zip(row, theta)), p) != 0
+            ]
+            if not failing:
+                check_cocycle(a, variety, form)
+                continue
+            ident, idx = failing[0]
+            args = ", ".join(f"{v}=e_{i + 1}" for v, i in zip(ident.variables, idx))
+            with pytest.raises(NotACocycle) as err:
+                check_cocycle(a, variety, form)
+            assert str(err.value) == (
+                f"cocycle equation from '{format_identity(ident)}' fails at {args}"
+            )
+
+
+def random_matrix(rng, nrows, ncols, p):
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.2:
+            rows.append([0] * ncols)
+        else:
+            rows.append([_value(rng, p) if rng.random() < 0.4 else 0 for _ in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_reduction_matches_dense_oracle(name):
+    field = FIELDS[name]
+    p = field.p
+    rng = random.Random(23)
+    shapes = [(3, 4, "zero"), (1, 1, "zero")] + [
+        (rng.randint(1, 7), rng.randint(1, 8), "random") for _ in range(40)
+    ]
+    for nrows, ncols, kind in shapes:
+        if kind == "zero":
+            mat = [[0] * ncols for _ in range(nrows)]
+        else:
+            mat = random_matrix(rng, nrows, ncols, p)
+        scalars = [[field.scalar(x) for x in row] for row in mat]
+        want, want_pivots = modp_rref(mat, p) if p else frac_rref(mat)
+        reduced, pivots = rref(scalars)
+        assert [[x.value for x in row] for row in reduced] == want
+        assert list(pivots) == want_pivots
+        kernel = modp_kernel(mat, ncols, p) if p else frac_kernel(mat, ncols)
+        got = kernel_basis(scalars, ncols, field)
+        assert [[x.value for x in v] for v in got] == kernel
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in mat]
+        assert kernel_basis(sparse, ncols, field) == got
+        # T @ A = reduced rows padded with zeros, and T is invertible
+        red, t, t_pivots, rank = rref_with_transform(scalars, field)
+        assert rank == len(want) and t_pivots == want_pivots
+        assert [[x.value for x in row] for row in red[:rank]] == want
+        assert all(x.is_zero for row in red[rank:] for x in row)
+        assert mat_mul(t, scalars) == tuple(tuple(row) for row in red)
+        t_vals = [[x.value for x in row] for row in t]
+        assert len((modp_rref(t_vals, p) if p else frac_rref(t_vals))[0]) == nrows
+        # a consistent right-hand side is solved; the solution checks
+        x0 = [field.scalar(_value(rng, p)) for _ in range(ncols)]
+        target = [sum((a * b for a, b in zip(row, x0)), field.zero) for row in scalars]
+        sol = solve(scalars, target, field)
+        assert [sum((a * b for a, b in zip(row, sol)), field.zero) for row in scalars] == target
