@@ -83,16 +83,21 @@ class Algebra:
             return tuple((k, v % p) for k, v in acc.items() if v % p)
         return tuple((k, v) for k, v in acc.items() if v)
 
+    def _annihilator_rows(self) -> list:
+        """The equations (x * e_j)_k = 0 and (e_j * x)_k = 0 on the
+        coordinates of x, as sparse raw rows {i: coefficient of x_i}."""
+        rows = {}
+        for i, row in enumerate(self._sparse):
+            for j, vec in enumerate(row):
+                for k, c in vec:
+                    rows.setdefault((0, j, k), {})[i] = c  # e_i e_j in x * e_j
+                    rows.setdefault((1, i, k), {})[j] = c  # e_i e_j in e_i * x
+        return list(rows.values())
+
     def annihilator(self) -> Subspace:
         """Elements x with x*A = 0 and A*x = 0."""
-        rows = []
-        n = self.dim
-        for j in range(n):
-            for k in range(n):
-                rows.append(tuple(self.table[i][j][k] for i in range(n)))  # x * e_j
-                rows.append(tuple(self.table[j][i][k] for i in range(n)))  # e_j * x
-        basis = kernel_basis(rows, n, self.field)
-        return Subspace(self.field, n, basis)
+        basis = kernel_basis(self._annihilator_rows(), self.dim, self.field)
+        return Subspace(self.field, self.dim, basis)
 
     def _subspace_product(self, u_space: Subspace, v_space: Subspace) -> list:
         return [

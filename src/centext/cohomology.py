@@ -104,24 +104,32 @@ def coboundary_space(a: Algebra):
     return [BilinearForm.from_vector(a.field, n, v) for v in reduced]
 
 
-def cocycle_annihilator(a: Algebra, theta: BilinearForm) -> Subspace:
-    """Elements x with theta(x, A) = 0 and theta(A, x) = 0."""
+def _form_annihilator_rows(a: Algebra, theta: BilinearForm) -> list:
+    """The equations theta(x, e_j) = 0 and theta(e_j, x) = 0 on the
+    coordinates of x."""
     if theta.n != a.dim or theta.field != a.field:
         raise DimMismatch("form does not match the algebra")
     n = a.dim
     rows = []
     for j in range(n):
         rows.append(tuple(theta.rows[i][j] for i in range(n)))  # theta(x, e_j)
-        rows.append(tuple(theta.rows[j][i] for i in range(n)))  # theta(e_j, x)
-    return Subspace(a.field, n, kernel_basis(rows, n, a.field))
+        rows.append(theta.rows[j])  # theta(e_j, x)
+    return rows
+
+
+def cocycle_annihilator(a: Algebra, theta: BilinearForm) -> Subspace:
+    """Elements x with theta(x, A) = 0 and theta(A, x) = 0."""
+    rows = _form_annihilator_rows(a, theta)
+    return Subspace(a.field, a.dim, kernel_basis(rows, a.dim, a.field))
 
 
 def annihilator_intersection(a: Algebra, thetas) -> Subspace:
-    """Ann(A) intersected with the annihilators of all the given forms."""
-    space = a.annihilator()
+    """Ann(A) intersected with the annihilators of all the given forms:
+    the kernel of their equations, stacked."""
+    rows = a._annihilator_rows()
     for theta in thetas:
-        space = space.intersect(cocycle_annihilator(a, theta))
-    return space
+        rows += _form_annihilator_rows(a, theta)
+    return Subspace(a.field, a.dim, kernel_basis(rows, a.dim, a.field))
 
 
 def _preferred_h_reps(a: Algebra, variety: VarietySpec):

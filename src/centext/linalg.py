@@ -19,11 +19,6 @@ from .errors import DimMismatch
 from .fields import Field, Scalar
 
 
-def zero_vec(field: Field, m: int):
-    z = field.zero
-    return tuple(z for _ in range(m))
-
-
 def basis_vec(field: Field, m: int, k: int):
     """Standard basis vector with a 1 in position k (0-based)."""
     z, o = field.zero, field.one
@@ -268,31 +263,6 @@ class Subspace:
         for c in [c for c in residue if c in self._pivot_rows]:
             _axpy(residue, -residue[c], self._pivot_rows[c], self.field.p)
         return not residue
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise DimMismatch("subspaces live in different ambient spaces")
-        if not self.basis or not other.basis:
-            return Subspace(self.field, self.ambient)
-        # solve a*B1 - b*B2 = 0 over stacked coefficients (a, b)
-        k1, k2 = len(self.basis), len(other.basis)
-        rows = []
-        for col in range(self.ambient):
-            row = [self.basis[i][col] for i in range(k1)]
-            row += [-other.basis[j][col] for j in range(k2)]
-            rows.append(tuple(row))
-        ker = kernel_basis(rows, k1 + k2, self.field)
-        vectors = []
-        for sol in ker:
-            v = zero_vec(self.field, self.ambient)
-            for i in range(k1):
-                if not sol[i].is_zero:
-                    v = vec_add(v, vec_scale(sol[i], self.basis[i]))
-            vectors.append(v)
-        return Subspace(self.field, self.ambient, vectors)
 
     def __eq__(self, other):
         return (

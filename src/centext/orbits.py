@@ -2,13 +2,14 @@
 null-filiform algebra, over finite prime fields.
 
 The automorphism group is enumerated exactly (one automorphism per
-first column with nonzero leading entry), the induced linear action on
-class coordinates is precomputed per automorphism, and one union-find
-routine finds the orbits, either on the full point set (all of H^2) or
-on the Grassmannian lines whose cocycle annihilator meets the algebra
-annihilator trivially (the T_1 condition).  As Ann(mu0:n) = <e_n>, a
-line is in T_1 exactly when one of the linear forms
-c -> theta_c(e_n, e_j), c -> theta_c(e_j, e_n) is nonzero on its
+first column with nonzero leading entry) and the induced linear action
+on class coordinates is precomputed per automorphism.  As these matrices
+list the whole group, the orbit of an element is the set of its images,
+and one routine collects these image sets, either on the full point set
+(all of H^2) or on the Grassmannian lines whose cocycle annihilator
+meets the algebra annihilator trivially (the T_1 condition).  As
+Ann(mu0:n) = <e_n>, a line is in T_1 exactly when one of the linear
+forms c -> theta_c(e_n, e_j), c -> theta_c(e_j, e_n) is nonzero on its
 coordinates, so T_1 membership is tested without building the cocycle.
 
 Representatives over algebraically closed fields of characteristic zero
@@ -75,11 +76,6 @@ class RootSubgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def index(self) -> int:
-        if not self.field.is_finite:
-            raise FieldMismatch("index is only defined over finite fields")
-        return (self.field.p - 1) // self.order
 
     def same_coset(self, x: Scalar, y: Scalar) -> bool:
         return self.contains(x / y)
@@ -266,13 +262,6 @@ class OrbitReport:
     orbits: tuple
     matched_labels: dict
 
-    def orbit_of(self, coords) -> int:
-        residues = tuple(c.value for c in coords)
-        for idx, orbit in enumerate(self.orbits):
-            if residues in orbit.members:
-                return idx
-        raise KeyError(f"{residues} not in the enumerated domain")
-
     def to_json(self, include_members: bool = False) -> dict:
         orbits = []
         for orbit in self.orbits:
@@ -296,21 +285,6 @@ class OrbitReport:
             "orbits": orbits,
             "matched_labels": {k: v for k, v in sorted(self.matched_labels.items())},
         }
-
-
-def _find(parent, x):
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
-def _union(parent, x, y):
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx != ry:
-        parent[max(rx, ry)] = min(rx, ry)
 
 
 class ClassAction:
@@ -388,21 +362,10 @@ class ClassAction:
         return any(sum(a * c for a, c in zip(f, line)) % p for f in self._t1_forms)
 
     def orbit_of_class(self, coords) -> frozenset:
-        """BFS orbit of a single class point under the full group."""
+        """The orbit of a class point: its images under every automorphism."""
         if isinstance(coords[0], Scalar):
             coords = tuple(c.value for c in coords)
-        seen = {tuple(coords)}
-        frontier = [tuple(coords)]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                for mat in self.matrices:
-                    img = self.apply(mat, pt)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(self.apply(mat, coords) for mat in self.matrices)
 
     def same_orbit(self, coords_a, coords_b) -> bool:
         if isinstance(coords_b[0], Scalar):
@@ -414,21 +377,32 @@ def _orbit_report(action: ClassAction, kind, domain, image, to_domain, mu_sample
     """Split the domain into orbits of the full automorphism group, where
     image(mat, x) is the domain element that the matrix sends x to, and
     label each orbit with the tabulated representatives that
-    to_domain(named) places in it (None places a class nowhere)."""
-    index = {x: i for i, x in enumerate(domain)}
-    parent = list(range(len(domain)))
-    for i, x in enumerate(domain):
-        for mat in action.matrices:
-            j = index.get(image(mat, x))
-            if j is None:
-                raise InvariantError(
-                    f"{kind} are not closed under the action; {x} maps outside the domain"
-                )
-            _union(parent, i, j)
-    groups: dict = {}
-    for i, x in enumerate(domain):
-        groups.setdefault(_find(parent, i), []).append(x)
-    orbit_members = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    to_domain(named) places in it (None places a class nowhere).
+
+    The matrices list the whole group, so the orbit of x is the set of its
+    images.  The domain is walked in order and each element not yet
+    placed contributes its image set.  An image outside the domain, or
+    an image set that meets an orbit already found (the matrices are then
+    no group), raises InvariantError."""
+    in_domain = set(domain)
+    placed = set()
+    orbit_members = []
+    for x in domain:
+        if x in placed:
+            continue
+        orbit = {image(mat, x) for mat in action.matrices}
+        if not orbit <= in_domain:
+            raise InvariantError(
+                f"{kind} are not closed under the action; {x} maps outside the domain"
+            )
+        if not placed.isdisjoint(orbit):
+            raise InvariantError(
+                f"the images of {x} meet an orbit already found; "
+                "the action matrices are not a group"
+            )
+        placed |= orbit
+        orbit_members.append(sorted(orbit))
+    orbit_members.sort(key=lambda g: g[0])
     orbit_index = {x: k for k, group in enumerate(orbit_members) for x in group}
     level = kind[:2]  # "H2" for "H2_points", "T1" for "T1_lines"
     try:
@@ -662,14 +636,8 @@ def _check_row(row: TableRow, n: int, field: Field) -> dict:
     }
 
 
-def build_table1(n: int, field: Field, mu_sample=None):
-    """Construct and verify every table row; raises TableMismatch on the
-    first row whose extension does not match its stated pattern."""
-    return [_check_row(row, n, field) for row in classification_table(n, field, mu_sample)]
-
-
 def check_table1(n: int, field: Field, mu_sample=None):
-    """Like build_table1 but collects per-row pass/fail instead of raising."""
+    """Construct and verify every table row, collecting per-row pass/fail."""
     out = []
     for row in classification_table(n, field, mu_sample):
         try:
@@ -677,3 +645,13 @@ def check_table1(n: int, field: Field, mu_sample=None):
         except TableMismatch as exc:
             out.append({"label": row.label, "ok": False, "detail": str(exc)})
     return out
+
+
+def build_table1(n: int, field: Field, mu_sample=None):
+    """Like check_table1, but raises TableMismatch with the detail of the
+    first row whose extension does not match its stated pattern."""
+    results = check_table1(n, field, mu_sample)
+    for result in results:
+        if not result["ok"]:
+            raise TableMismatch(result["detail"])
+    return results

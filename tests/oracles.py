@@ -253,3 +253,44 @@ def cocycle_rows(table, variables, monomials, p=None):
                     if w[j] != 0:
                         row[i * n + j] += coeff * u[i] * w[j]
         yield idx, [(x % p if p else x) for x in row]
+
+
+# ---------------------------------------------------------------------------
+# orbits of a finite matrix group, by union-find over every (element, matrix)
+
+
+def _normalize_line(v, p):
+    lead = next(x for x in v if x % p)
+    inv = modp_inv(lead, p)
+    return tuple(x * inv % p for x in v)
+
+
+def orbit_partition(domain, matrices, p, lines):
+    """The orbits of the group listed by matrices (integer matrices
+    acting mod p) on the domain, as a sorted list of sorted lists.  With
+    lines=True the domain holds normalized line coordinates and images
+    are normalized too.  Raises ValueError when an image leaves the
+    domain."""
+    domain = [tuple(x) for x in domain]
+    index = {x: i for i, x in enumerate(domain)}
+    parent = list(range(len(domain)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, x in enumerate(domain):
+        for mat in matrices:
+            y = tuple(sum(a * b for a, b in zip(row, x)) % p for row in mat)
+            if lines:
+                y = _normalize_line(y, p)
+            if y not in index:
+                raise ValueError(f"{x} maps to {y}, outside the domain")
+            ri, rj = find(i), find(index[y])
+            parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i, x in enumerate(domain):
+        groups.setdefault(find(i), []).append(x)
+    return sorted(sorted(g) for g in groups.values())

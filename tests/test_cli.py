@@ -290,6 +290,15 @@ def test_budget_must_be_positive(capsys):
         assert "--budget: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "many"])
+def test_budget_env_must_be_a_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("CENTEXT_BUDGET", value)
+    code, out, err = run(capsys, "cohomology", "--algebra", "mu0:2", "--variety", "lc")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "CENTEXT_BUDGET" in err
+    assert "structure constants" not in err
+
+
 def test_algebra_size_is_bounded_by_the_budget(capsys):
     # mu0:80 has 80^3 = 512000 structure constants, over the default budget
     code, _, err = run(capsys, "cohomology", "--algebra", "mu0:80", "--variety", "lc")

@@ -1,7 +1,8 @@
 """Differential tests of the sparse raw-value kernel against the dense
 Fraction/int reference implementations in oracles.py: variety
-membership, cocycle equations, cocycle checks and row reduction, on
-random sparse structure constants and random matrices (fixed seeds)."""
+membership, cocycle equations, cocycle checks, annihilators and row
+reduction, on random sparse structure constants, forms and matrices
+(fixed seeds)."""
 
 import random
 from fractions import Fraction
@@ -15,8 +16,10 @@ from centext import (
     Field,
     NotACocycle,
     VARIETY_NAMES,
+    annihilator_intersection,
     builtin_variety,
     check_cocycle,
+    cocycle_annihilator,
     format_identity,
     kernel_basis,
     rref,
@@ -153,6 +156,57 @@ def test_equation_rows_and_cocycle_checks_match_dense_oracle(vname):
             assert str(err.value) == (
                 f"cocycle equation from '{format_identity(ident)}' fails at {args}"
             )
+
+
+def annihilator_equations(table, forms):
+    """Dense rows on the coordinates of x: (x e_j)_k, (e_j x)_k, then
+    theta(x, e_j) and theta(e_j, x) for each form."""
+    n = len(table)
+    rows = []
+    for j in range(n):
+        for k in range(n):
+            rows.append([table[i][j][k] for i in range(n)])
+            rows.append([table[j][i][k] for i in range(n)])
+    for theta in forms:
+        for j in range(n):
+            rows.append([theta[i][j] for i in range(n)])
+            rows.append([theta[j][i] for i in range(n)])
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_annihilators_match_dense_oracle(name):
+    p = FIELDS[name].p
+    rng = random.Random(29)
+    dims = set()
+    for fname, field, table, a in algebras(31):
+        if fname != name:
+            continue
+        n = a.dim
+        zero = [[[0] * n for _ in range(n)] for _ in range(n)]
+
+        def kernel(rows):
+            return modp_kernel(rows, n, p) if p else frac_kernel(rows, n)
+
+        def values(space):
+            return [[x.value for x in v] for v in space.basis]
+
+        assert values(a.annihilator()) == kernel(annihilator_equations(table, []))
+        for count in (0, 1, 2):
+            forms = [
+                [[_value(rng, p) if rng.random() < 0.25 else 0 for _ in range(n)]
+                 for _ in range(n)]
+                for _ in range(count)
+            ]
+            thetas = [BilinearForm(field, f) for f in forms]
+            want = kernel(annihilator_equations(table, forms))
+            assert values(annihilator_intersection(a, thetas)) == want
+            dims.add(len(want))
+            for theta, form in zip(thetas, forms):
+                assert values(cocycle_annihilator(a, theta)) == kernel(
+                    annihilator_equations(zero, [form])
+                )
+    assert len(dims) > 2  # trivial and nontrivial intersections both occur
 
 
 def random_matrix(rng, nrows, ncols, p):

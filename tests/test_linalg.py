@@ -121,14 +121,6 @@ def test_subspace_membership_and_intersection():
     assert s1.dim == 2 and s2.dim == 2
     assert s1.contains(vec_add(e(0), vec_scale(f.scalar(3), e(1))))
     assert not s1.contains(e(2))
-    inter = s1.intersect(s2)
-    assert inter.dim == 1 and inter.contains(e(1))
-    # intersection with a skew line
-    diag = vec_add(e(0), e(3))
-    s3 = Subspace(f, 4, [diag])
-    assert s1.intersect(s3).dim == 0
-    assert s1.contains_subspace(Subspace(f, 4, [e(0)]))
-    assert not s1.contains_subspace(s2)
 
 
 def test_subspace_canonical_equality():

@@ -27,14 +27,14 @@ from centext import (
 )
 from centext.orbits import _check_row, resolve_budget
 
-from oracles import modp_inv
+from oracles import modp_inv, orbit_partition
 
 
 def test_roots_of_unity_frozen_f13():
     f = Field.prime(13)
     sub = roots_of_unity_subgroup(2, 3, f)
     assert sorted(x.value for x in sub.elements) == [1, 5, 8, 12]
-    assert sub.order == 4 and sub.index() == 3
+    assert sub.order == 4
     # oracle: brute force over all residues
     roots = [x for x in range(1, 13) if pow(x, 4, 13) == 1]
     want = sorted({pow(x, 3, 13) for x in roots})
@@ -82,6 +82,24 @@ def test_budget_env_override(monkeypatch):
     assert resolve_budget(9) == 9
     monkeypatch.delenv("CENTEXT_BUDGET")
     assert resolve_budget(None) == 500_000
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_is_refused(budget):
+    with pytest.raises(BudgetExceeded, match="CENTEXT_BUDGET"):
+        resolve_budget(budget)
+    with pytest.raises(BudgetExceeded, match="at least 1"):
+        orbits_on_T1(3, "lc", Field.prime(5), budget=budget)
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "x", "1.5", ""])
+def test_budget_env_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("CENTEXT_BUDGET", value)
+    with pytest.raises(BudgetExceeded, match="CENTEXT_BUDGET"):
+        resolve_budget(None)
+    with pytest.raises(BudgetExceeded, match="CENTEXT_BUDGET"):
+        orbits_on_H2(2, "lc", Field.prime(3))
+    assert resolve_budget(9) == 9  # an explicit budget does not read the variable
 
 
 def test_h2_orbits_bc_n2_f5():
@@ -156,13 +174,16 @@ def test_mu_coordinate_is_orbit_invariant():
         assert len(leading) == 1  # no mixing of nabla-free lines
 
 
-def test_orbit_of_class_bfs_matches_partition():
+def test_orbit_of_class_matches_partition():
     action = ClassAction(2, "bicommutative", Field.prime(3))
     # class points, not lines: [nabla2] scales by phi11^3
     orbit = action.orbit_of_class((1, 0))
     assert orbit == {(1, 0), (2, 0)}
     assert action.same_orbit((1, 0), (2, 0))
     assert not action.same_orbit((1, 0), (0, 1))
+    report = orbits_on_H2(2, "bicommutative", Field.prime(3))
+    for orbit in report.orbits:
+        assert action.orbit_of_class(orbit.members[-1]) == set(orbit.members)
 
 
 def test_closed_field_representatives_lc_t1_structure():
@@ -303,6 +324,21 @@ def test_check_table1_collects_failures(monkeypatch):
     assert len(bad) == 1 and bad[0]["label"] == "nabla3"
 
 
+def test_build_table1_raises_with_the_failing_row(monkeypatch):
+    import centext.orbits as orbits_mod
+
+    real = orbits_mod._check_row
+
+    def flaky(row, n, field):
+        if row.label == "delta2_1":
+            raise TableMismatch(f"row {row.label}: synthetic failure")
+        return real(row, n, field)
+
+    monkeypatch.setattr(orbits_mod, "_check_row", flaky)
+    with pytest.raises(TableMismatch, match="row delta2_1: synthetic failure"):
+        build_table1(3, RATIONALS)
+
+
 def test_report_json_shape():
     rep = orbits_on_T1(2, "lc", Field.prime(3))
     data = rep.to_json(include_members=True)
@@ -335,3 +371,35 @@ def test_domain_leaving_the_action_raises(monkeypatch):
     monkeypatch.setattr(ClassAction, "line_in_t1", lambda self, line: line[1] == 0)
     with pytest.raises(InvariantError, match="not closed under the action"):
         orbits_on_T1(3, "lc", Field.prime(3))
+
+
+@pytest.mark.parametrize("variety", ["lc", "bc", "associative", "novikov"])
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 5), (4, 3)])
+def test_orbits_match_union_find_oracle(variety, n, p):
+    field = Field.prime(p)
+    action = ClassAction(n, variety, field)
+    lines = [ln for ln in action.all_lines() if action.line_in_t1(ln)]
+    for report, domain, is_lines in (
+        (orbits_on_H2(n, variety, field), action.all_points(), False),
+        (orbits_on_T1(n, variety, field), lines, True),
+    ):
+        want = orbit_partition(domain, action.matrices, p, is_lines)
+        got = [list(o.members) for o in report.orbits]
+        assert got == want, (report.kind, variety, n, p)
+        assert [o.size for o in report.orbits] == [len(g) for g in want]
+        assert report.domain_size == len(domain)
+
+
+def test_matrices_that_are_no_group_raise(monkeypatch):
+    # {I, 2I} mod 7 is not closed: the images of x and of 2x overlap
+    # without being equal
+    def not_a_group(self):
+        d = self.dim_h
+        return [
+            tuple(tuple(c if i == j else 0 for j in range(d)) for i in range(d))
+            for c in (1, 2)
+        ]
+
+    monkeypatch.setattr(ClassAction, "matrices", property(not_a_group))
+    with pytest.raises(InvariantError, match="meet an orbit already found"):
+        orbits_on_H2(3, "lc", Field.prime(7))
