@@ -6,6 +6,14 @@ coordinates (a_1, ..., a_n) with a_1 != 0, then phi(e_j) = phi(e_1)^j,
 so column j of the matrix is the j-fold convolution of column 1 with
 itself, truncated to n entries. The action on a form is
 (phi . theta)(x, y) = theta(phi(x), phi(y)), i.e. M^T C M on matrices.
+
+One kernel on raw values (residues mod p over F_p, ints or Fractions
+over Q; see ``Scalar.raw``) does this work: the lower-triangular matrix
+from a first column, M^T C M on a form given by its nonzero (i, j, c)
+triples, and the class coordinates of the image from
+``CohomologySpace._reduce_raw``.  ``Automorphism.matrix``,
+``act_on_cocycle`` and ``class_action_matrix`` convert its results to
+Scalars; the orbit enumeration uses it directly.
 """
 
 from __future__ import annotations
@@ -15,22 +23,64 @@ from .cohomology import CohomologySpace
 from .errors import DimMismatch, NotInvertible
 from .fields import Field
 from .forms import BilinearForm
-from .linalg import mat_mul, rref, transpose, vec_is_zero
+from .linalg import _scalar_row, rref, transpose
 
 
-def _convolve(u, v, n: int, field: Field):
-    """1-based convolution w_i = sum over a+b=i of u_a v_b, truncated to n."""
-    z = field.zero
-    out = [z] * n
-    for i0 in range(n):
-        acc = z
-        for a0 in range(i0):
-            x, y = u[a0], v[i0 - 1 - a0]
-            if x.is_zero or y.is_zero:
+def _lower_triangular(col, p):
+    """Rows of the automorphism matrix whose first column is col (raw
+    values).  Each further column is the previous one, u, convolved with
+    col: w_i = sum over a+b=i of u_a col_b (1-based), truncated to n
+    entries and reduced mod p when p is set."""
+    n = len(col)
+    cols = [col]
+    for _ in range(1, n):
+        u = cols[-1]
+        w = [0] * n
+        for i in range(1, n):
+            acc = sum(u[a] * col[i - 1 - a] for a in range(i))
+            w[i] = acc % p if p else acc
+        cols.append(w)
+    return tuple(zip(*cols))
+
+
+def _triples(theta: BilinearForm):
+    """The nonzero entries of a form as raw (i, j, c) triples, 0-based."""
+    return [
+        (i, j, x.raw)
+        for i, row in enumerate(theta.rows)
+        for j, x in enumerate(row)
+        if not x.is_zero
+    ]
+
+
+def _act_raw(m, triples, p) -> dict:
+    """M^T C M for the raw lower-triangular matrix m (rows) and the form
+    C given by raw triples, as sparse {a*n + b: raw value}:
+    entry (a, b) is the sum of m[i][a] c m[j][b], where a <= i, b <= j."""
+    n = len(m)
+    out = {}
+    for i, j, c in triples:
+        row_j = m[j]
+        for a, x in enumerate(m[i][: i + 1]):
+            if not x:
                 continue
-            acc = acc + x * y
-        out[i0] = acc
-    return tuple(out)
+            xc, base = x * c, a * n
+            for b, y in enumerate(row_j[: j + 1]):
+                if y:
+                    k = base + b
+                    out[k] = out.get(k, 0) + xc * y
+    if p:
+        return {k: v % p for k, v in out.items() if v % p}
+    return {k: v for k, v in out.items() if v}
+
+
+def _class_matrix(h: CohomologySpace, m, rep_triples):
+    """Raw class-action matrix (rows) of the automorphism with raw matrix
+    m: column k holds the class coordinates of m acting on the k-th
+    representative, given by its raw triples."""
+    p = h.algebra.field.p
+    cols = [h._reduce_raw(_act_raw(m, t, p)) for t in rep_triples]
+    return tuple(zip(*cols))
 
 
 class Automorphism:
@@ -38,7 +88,7 @@ class Automorphism:
     stored as its first column and the full (lower triangular) matrix
     with entries matrix[i][j] = phi_{i+1, j+1}."""
 
-    __slots__ = ("field", "n", "first_col", "matrix")
+    __slots__ = ("field", "n", "first_col", "matrix", "_raw")
 
     def __init__(self, field: Field, first_col):
         col = tuple(field.scalar(x) for x in first_col)
@@ -47,14 +97,13 @@ class Automorphism:
             raise DimMismatch("empty column")
         if col[0].is_zero:
             raise NotInvertible("phi_{1,1} must be nonzero")
-        cols = [col]
-        for _ in range(1, n):
-            cols.append(_convolve(cols[-1], col, n, field))
-        matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        raw = _lower_triangular(tuple(x.raw for x in col), field.p)
+        matrix = tuple(tuple(field.from_raw(x) for x in row) for row in raw)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "first_col", col)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_raw", raw)
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
@@ -128,8 +177,9 @@ def act_on_cocycle(phi: Automorphism, theta: BilinearForm) -> BilinearForm:
     """(phi . theta)(x, y) = theta(phi x, phi y), i.e. M^T C M."""
     if theta.n != phi.n or theta.field != phi.field:
         raise DimMismatch("form and automorphism sizes differ")
-    mt = transpose(phi.matrix)
-    return BilinearForm(phi.field, mat_mul(mat_mul(mt, theta.rows), phi.matrix))
+    n = phi.n
+    image = _act_raw(phi._raw, _triples(theta), phi.field.p)
+    return BilinearForm.from_vector(phi.field, n, _scalar_row(phi.field, image, n * n))
 
 
 def act_on_class(h: CohomologySpace, phi: Automorphism, coords):
@@ -141,6 +191,7 @@ def act_on_class(h: CohomologySpace, phi: Automorphism, coords):
 def class_action_matrix(h: CohomologySpace, phi: Automorphism):
     """Matrix of the (linear) action on class coordinates: column k is
     the reduced class of phi acting on the k-th representative."""
-    cols = [h.reduce_class(act_on_cocycle(phi, rep)) for rep in h.h_reps]
-    d = h.dim_h
-    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+    if phi.n != h.algebra.dim or phi.field != h.algebra.field:
+        raise DimMismatch("automorphism does not match the cohomology space")
+    raw = _class_matrix(h, phi._raw, [_triples(rep) for rep in h.h_reps])
+    return tuple(tuple(phi.field.from_raw(x) for x in row) for row in raw)

@@ -15,14 +15,7 @@ from .algebra import Algebra, _identity_terms, is_standard_null_filiform, requir
 from .errors import DimMismatch, NotACocycle
 from .forms import BilinearForm, delta, nabla
 from .identities import VarietySpec, format_identity
-from .linalg import (
-    Subspace,
-    kernel_basis,
-    mat_vec,
-    rref,
-    rref_with_transform,
-    vec_is_zero,
-)
+from .linalg import Subspace, kernel_basis, rref, rref_with_transform, vec_is_zero
 
 
 def _cocycle_equations(a: Algebra, variety: VarietySpec):
@@ -150,7 +143,15 @@ def _preferred_h_reps(a: Algebra, variety: VarietySpec):
 
 class CohomologySpace:
     """Second cohomology data: cocycle basis, coboundary basis, chosen
-    class representatives, and the reduction map onto class coordinates."""
+    class representatives, and the reduction map onto class coordinates.
+
+    The reduction map is the transform T of a row reduction of the
+    matrix whose columns are the coboundary basis and then the
+    representatives, so T theta holds the coordinates of theta in that
+    basis followed by entries that vanish exactly when theta is in their
+    span, the cocycle space.  The rows of T for the class coordinates and
+    for those checks are kept as sparse raw rows, built on the first
+    reduction."""
 
     __slots__ = (
         "algebra",
@@ -161,7 +162,7 @@ class CohomologySpace:
         "h_labels",
         "preferred_basis_used",
         "_transform",
-        "_ncols",
+        "_raw_rows",
     )
 
     def __init__(self, algebra, variety, z_basis, b_basis, h_reps, h_labels, preferred):
@@ -179,7 +180,7 @@ class CohomologySpace:
         if rank != len(cols) or pivots != list(range(len(cols))):
             raise RuntimeError("coboundary/representative columns are not independent")
         self._transform = transform
-        self._ncols = len(cols)
+        self._raw_rows = None
 
     @property
     def dim_z(self) -> int:
@@ -193,16 +194,33 @@ class CohomologySpace:
     def dim_h(self) -> int:
         return len(self.h_reps)
 
+    def _reduce_raw(self, entries: dict):
+        """Raw coordinates of the class of the form whose nonzero entries
+        are {i*n + j: raw value}; NotACocycle when the form is outside
+        the cocycle span."""
+        if self._raw_rows is None:
+            self._raw_rows = [
+                {c: x.raw for c, x in enumerate(row) if not x.is_zero}
+                for row in self._transform[self.dim_b :]
+            ]
+        p = self.algebra.field.p
+        values = [
+            sum(x * entries[k] for k, x in row.items() if k in entries)
+            for row in self._raw_rows
+        ]
+        if p:
+            values = [v % p for v in values]
+        if any(values[self.dim_h :]):
+            raise NotACocycle("form lies outside the cocycle space")
+        return tuple(values[: self.dim_h])
+
     def reduce_class(self, theta: BilinearForm):
         """Coordinates of the class [theta] in the h_reps basis.
         Raises NotACocycle when theta is outside the cocycle span."""
         if theta.n != self.algebra.dim or theta.field != self.algebra.field:
             raise DimMismatch("form does not match the cohomology space")
-        w = mat_vec(self._transform, theta.as_vector())
-        for r in range(self._ncols, len(w)):
-            if not w[r].is_zero:
-                raise NotACocycle("form lies outside the cocycle space")
-        return tuple(w[self.dim_b : self._ncols])
+        entries = {k: x.raw for k, x in enumerate(theta.as_vector()) if not x.is_zero}
+        return tuple(self.algebra.field.from_raw(v) for v in self._reduce_raw(entries))
 
     def rep_from_coords(self, coords) -> BilinearForm:
         if len(coords) != self.dim_h:

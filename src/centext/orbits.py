@@ -1,14 +1,17 @@
 """Orbits of cohomology classes under the automorphism group of the
 null-filiform algebra, over finite prime fields.
 
-The automorphism group is enumerated exactly (one automorphism per
-first column with nonzero leading entry) and the induced linear action
-on class coordinates is precomputed per automorphism.  As these matrices
-list the whole group, the orbit of an element is the set of its images,
-and one routine collects these image sets, either on the full point set
-(all of H^2) or on the Grassmannian lines whose cocycle annihilator
-meets the algebra annihilator trivially (the T_1 condition).  As
-Ann(mu0:n) = <e_n>, a line is in T_1 exactly when one of the linear
+The automorphism group is enumerated exactly (one first column with
+nonzero leading entry per automorphism) and the induced linear action on
+class coordinates is computed on raw residues for each; only the distinct
+matrices are kept.  They are the image of Aut(mu0:n) in GL(H^2), usually
+far smaller than the group (294 matrices for the 2058 automorphisms of
+n = 4 over F_7 in the left-commutative variety).  As the image is a
+group, the orbit of an element is the set of its images under these
+matrices, and one routine collects these image sets, either on the full
+point set (all of H^2) or on the Grassmannian lines whose cocycle
+annihilator meets the algebra annihilator trivially (the T_1 condition).
+As Ann(mu0:n) = <e_n>, a line is in T_1 exactly when one of the linear
 forms c -> theta_c(e_n, e_j), c -> theta_c(e_j, e_n) is nonzero on its
 coordinates, so T_1 membership is tested without building the cocycle.
 
@@ -25,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import Algebra, null_filiform, satisfies_variety
-from .automorphisms import Automorphism, class_action_matrix
+from .automorphisms import Automorphism, _class_matrix, _lower_triangular, _triples
 from .budget import check_budget, resolve_budget
 from .cohomology import CohomologySpace, annihilator_intersection, second_cohomology
 from .errors import (
@@ -46,15 +49,21 @@ def automorphism_count(n: int, field: Field) -> int:
     return (field.p - 1) * field.p ** (n - 1)
 
 
+def _first_columns(n: int, p: int):
+    """The admissible first columns over F_p as residue tuples, in
+    lexicographic order."""
+    for head in range(1, p):
+        for tail in itertools.product(range(p), repeat=n - 1):
+            yield (head, *tail)
+
+
 def enumerate_automorphisms(n: int, field: Field, budget: int | None = None):
     """All automorphisms of the n-dimensional null-filiform algebra over
     a finite prime field, one per admissible first column, in
     lexicographic column order."""
     check_budget(automorphism_count(n, field), "automorphisms", budget)
-    p = field.p
-    for head in range(1, p):
-        for tail in itertools.product(range(p), repeat=n - 1):
-            yield Automorphism(field, [head, *tail])
+    for col in _first_columns(n, field.p):
+        yield Automorphism(field, col)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +325,18 @@ class ClassAction:
 
     @property
     def matrices(self):
-        """Integer class-action matrices, one per automorphism."""
+        """The distinct class-action matrices, the image of Aut in GL(H^2),
+        as residue rows in the order first seen walking the automorphisms'
+        first columns.  The budget counts the whole group."""
         if self._matrices is None:
-            mats = []
-            for phi in enumerate_automorphisms(self.n, self.field, self.budget):
-                rows = class_action_matrix(self.h, phi)
-                mats.append(tuple(tuple(x.value for x in row) for row in rows))
-            self._matrices = mats
+            check_budget(automorphism_count(self.n, self.field), "automorphisms", self.budget)
+            reps = [_triples(rep) for rep in self.h.h_reps]
+            self._matrices = list(
+                dict.fromkeys(
+                    _class_matrix(self.h, _lower_triangular(col, self.p), reps)
+                    for col in _first_columns(self.n, self.p)
+                )
+            )
         return self._matrices
 
     def apply(self, mat, point):
@@ -379,8 +393,8 @@ def _orbit_report(action: ClassAction, kind, domain, image, to_domain, mu_sample
     label each orbit with the tabulated representatives that
     to_domain(named) places in it (None places a class nowhere).
 
-    The matrices list the whole group, so the orbit of x is the set of its
-    images.  The domain is walked in order and each element not yet
+    The matrices are the image of the group in GL(H^2), itself a group,
+    so the orbit of x is the set of its images.  The domain is walked in order and each element not yet
     placed contributes its image set.  An image outside the domain, or
     an image set that meets an orbit already found (the matrices are then
     no group), raises InvariantError."""

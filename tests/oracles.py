@@ -294,3 +294,72 @@ def orbit_partition(domain, matrices, p, lines):
     for i, x in enumerate(domain):
         groups.setdefault(find(i), []).append(x)
     return sorted(sorted(g) for g in groups.values())
+
+
+# ---------------------------------------------------------------------------
+# cohomology classes and the automorphism action on them
+
+
+def span_coordinates(columns, target, p=None):
+    """Coordinates x with sum x_k columns[k] == target (over Q with
+    Fractions, mod p otherwise), or None when target is outside the span.
+    The columns must be independent."""
+    k = len(columns)
+    rows = [[col[r] for col in columns] + [target[r]] for r in range(len(target))]
+    reduced, pivots = modp_rref(rows, p) if p else frac_rref(rows)
+    if k in pivots:
+        return None
+    if pivots != list(range(k)):
+        raise ValueError("the columns are not independent")
+    return [row[k] for row in reduced]
+
+
+def _poly_mul(u, v, n, p):
+    """Product of the coefficient lists of sum u_i t^(i+1), truncated to
+    t^1..t^n: multiplication in the null-filiform algebra e_i e_j = e_(i+j)."""
+    out = [0] * n
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if a and b and i + j + 1 < n:
+                out[i + j + 1] = (out[i + j + 1] + a * b) % p
+    return out
+
+
+def class_action_oracle(n, p, reps):
+    """The set of class-action matrices of Aut(mu0:n) over F_p on the
+    classes with representatives reps (n x n int matrices), each a tuple
+    of rows: column k holds the coordinates of M^T R_k M modulo the
+    coboundaries nu_1..nu_(n-1) (forms with ones where i + j = k + 1,
+    1-based), for every automorphism matrix M, whose column j is the j-th
+    power of its first column.  Raises ValueError when an image is no
+    combination of coboundaries and representatives."""
+    basis = []
+    for k in range(2, n + 1):  # the coboundary of the functional e_k^*
+        basis.append([1 if i + j + 2 == k else 0 for i in range(n) for j in range(n)])
+    basis += [[x % p for row in rep for x in row] for rep in reps]
+    nb = n - 1
+    found = set()
+    for code in range((p - 1) * p ** (n - 1)):
+        col = []
+        for _ in range(n - 1):
+            code, r = divmod(code, p)
+            col.append(r)
+        col = [code + 1] + col
+        cols = [col]
+        for _ in range(n - 1):
+            cols.append(_poly_mul(cols[-1], col, n, p))
+        m = [[cols[j][i] for j in range(n)] for i in range(n)]
+        images = []
+        for rep in reps:
+            # (M^T R M)[a][b] = sum over i, j of M[i][a] R[i][j] M[j][b]
+            img = [
+                sum(m[i][a] * rep[i][j] * m[j][b] for i in range(n) for j in range(n)) % p
+                for a in range(n)
+                for b in range(n)
+            ]
+            coords = span_coordinates(basis, img, p)
+            if coords is None:
+                raise ValueError(f"image of a representative under {col} is no cocycle")
+            images.append(coords[nb:])
+        found.add(tuple(tuple(c[r] for c in images) for r in range(len(reps))))
+    return found

@@ -4,9 +4,12 @@ Each file under tests/golden/ is the stdout of one command, captured
 before the code it exercises was restructured (the classify and
 verify-table1 files before the orbit and representative code, the
 cohomology and extend files before the sparse raw-value kernel, the
-classify files for lc over F_7 and F_5 before orbits became image sets);
-refactors must leave these outputs unchanged.  To add a case, run the command
-with the package as it stands and save its stdout under the case name.
+classify files for lc over F_7 and F_5 before orbits became image sets,
+the classify files of (4, lc, F_7), (5, bc, F_5), (4, novikov, F_5) and
+(4, associative, F_7) before the class action moved to raw values);
+refactors must leave these outputs unchanged.  To add a case, run the
+command with the package as it stands and save its stdout under the case
+name.
 """
 
 from pathlib import Path
@@ -38,6 +41,10 @@ CASES = {
     "classify_novikov_n3_f3_h2": _classify(3, 3, "novikov", "h2"),
     "classify_lc_n3_f7_h2": _classify(3, 7, "lc", "h2"),
     "classify_lc_n4_f5_t1": _classify(4, 5, "lc", "t1"),
+    "classify_lc_n4_f7_t1": _classify(4, 7, "lc", "t1"),
+    "classify_bc_n5_f5_t1": _classify(5, 5, "bc", "t1"),
+    "classify_novikov_n4_f5_t1": _classify(4, 5, "novikov", "t1"),
+    "classify_associative_n4_f7_h2": _classify(4, 7, "associative", "h2"),
     "verify_table1_n4": ["verify-table1", "--n", "4"],
     "cohomology_jordan_n5_q": _cohomology(5, "jordan", "Q"),
     "cohomology_jordan_n5_f5": _cohomology(5, "jordan", "Fp:5"),

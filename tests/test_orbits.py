@@ -12,7 +12,6 @@ from centext import (
     annihilator_intersection,
     automorphism_count,
     build_table1,
-    check_table1,
     classification_table,
     closed_field_representatives,
     coset_representatives,
@@ -27,7 +26,7 @@ from centext import (
 )
 from centext.orbits import _check_row, resolve_budget
 
-from oracles import modp_inv, orbit_partition
+from oracles import orbit_partition
 
 
 def test_roots_of_unity_frozen_f13():
@@ -74,6 +73,21 @@ def test_budget_guard():
         list(enumerate_automorphisms(5, f, budget=100))
     with pytest.raises(BudgetExceeded):
         orbits_on_T1(3, "lc", Field.prime(5), budget=10)
+
+
+def test_matrices_check_the_budget_before_building(monkeypatch):
+    # the budget counts the whole group, not the distinct matrices
+    import centext.orbits as orbits_mod
+
+    action = ClassAction(4, "lc", Field.prime(7), budget=1000)
+
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(orbits_mod, "_class_matrix", no_matrix)
+    monkeypatch.setattr(orbits_mod, "_lower_triangular", no_matrix)
+    with pytest.raises(BudgetExceeded, match="^2058 automorphisms exceed budget 1000$"):
+        action.matrices
 
 
 def test_budget_env_override(monkeypatch):
