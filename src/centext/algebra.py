@@ -10,12 +10,15 @@ Raw values inside, Scalar at the boundary: next to the public table each
 algebra keeps a sparse table of (k, raw value) pairs (see
 ``Scalar.raw``), and products, identity evaluation and cocycle equations
 run on sparse vectors of such pairs.  ``Algebra.multiply`` converts
-Scalar vectors on entry and on exit.
+Scalar vectors on entry and on exit.  Algebras built inside the package
+from raw values (extensions, expected table patterns) start from the
+sparse table, and their Scalar table is built only when it is read.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 from .budget import check_budget
 from .errors import DimMismatch, InvalidDim, NotInVariety
@@ -25,7 +28,7 @@ from .linalg import Subspace, basis_vec, kernel_basis, vec_is_zero
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "table", "_sparse")
+    __slots__ = ("field", "dim", "_table", "_sparse", "_verdicts")
 
     def __init__(self, field: Field, table):
         table = tuple(
@@ -37,14 +40,44 @@ class Algebra:
         for row in table:
             if len(row) != dim or any(len(vec) != dim for vec in row):
                 raise DimMismatch("structure constant table must be dim x dim x dim")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "table", table)
         sparse = tuple(
             tuple(tuple((k, x.raw) for k, x in enumerate(vec) if not x.is_zero) for vec in row)
             for row in table
         )
+        self._set(field, sparse, table)
+
+    def _set(self, field, sparse, table):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dim", len(sparse))
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_sparse", sparse)
+        object.__setattr__(self, "_verdicts", {})
+
+    @classmethod
+    def _from_sparse(cls, field: Field, sparse) -> "Algebra":
+        """The algebra of a sparse raw table, given as the private table
+        is kept: sparse[i][j] lists the (k, raw value) pairs of e_i * e_j
+        with nonzero values in ascending k.  The Scalar table is built on
+        first use."""
+        a = object.__new__(cls)
+        a._set(field, sparse, None)
+        return a
+
+    @property
+    def table(self):
+        """table[i][j] = e_i * e_j as a tuple of scalars, 0-based."""
+        if self._table is None:
+            zero, from_raw = self.field.zero, self.field.from_raw
+
+            def vector(pairs):
+                out = [zero] * self.dim
+                for k, c in pairs:
+                    out[k] = from_raw(c)
+                return tuple(out)
+
+            table = tuple(tuple(map(vector, row)) for row in self._sparse)
+            object.__setattr__(self, "_table", table)
+        return self._table
 
     def __setattr__(self, name, value):
         raise AttributeError("Algebra is immutable")
@@ -140,11 +173,11 @@ class Algebra:
         return (
             isinstance(other, Algebra)
             and self.field == other.field
-            and self.table == other.table
+            and self._sparse == other._sparse
         )
 
     def __hash__(self):
-        return hash((self.field, self.table))
+        return hash((self.field, self._sparse))
 
     def to_json(self) -> dict:
         products = []
@@ -245,7 +278,28 @@ def satisfies_variety(a: Algebra, variety: VarietySpec) -> bool:
     """Whether the algebra satisfies all identities of the variety,
     checked via the multilinearized identities on all basis tuples.
     Raises CharTooSmall when that replacement is not valid, and
-    BudgetExceeded when the tuples are over the enumeration budget."""
+    BudgetExceeded when the tuples are over the enumeration budget; both
+    are checked on every call.
+
+    The verdict of each multilinear identity is kept on the algebra, so
+    each identity is walked at most once per Algebra object: another
+    variety sharing it (bicommutative after left-commutative) walks only
+    the identities not seen yet."""
+    variety.char_gate(a.field)
+    idents = variety.multilinear_identities
+    check_budget(sum(a.dim ** len(ident.variables) for ident in idents), "identity tuples")
+    verdicts = a._verdicts
+    for ident in idents:
+        if ident not in verdicts:
+            verdicts[ident] = _holds(a, replace(variety, multilinear_identities=(ident,)))
+        if not verdicts[ident]:
+            return False
+    return True
+
+
+def _holds(a: Algebra, variety: VarietySpec) -> bool:
+    """Whether every multilinear identity of the variety vanishes on
+    every tuple of basis elements."""
     p = a.field.p
     for _, _, terms in _identity_terms(a, variety):
         acc = {}

@@ -12,7 +12,7 @@ are taken modulo coboundaries.
 from __future__ import annotations
 
 from .algebra import Algebra, _identity_terms, is_standard_null_filiform, require_in_variety
-from .errors import DimMismatch, NotACocycle
+from .errors import DimMismatch, InvariantError, NotACocycle
 from .forms import BilinearForm, delta, nabla
 from .identities import VarietySpec, format_identity
 from .linalg import Subspace, kernel_basis, rref, rref_with_transform, vec_is_zero
@@ -50,11 +50,16 @@ def _equation_rows(a: Algebra, variety: VarietySpec):
     return [row for row, _, _ in _cocycle_equations(a, variety)]
 
 
-def cocycle_space(a: Algebra, variety: VarietySpec):
+def cocycle_space(a: Algebra, variety: VarietySpec, equations=None):
     """Canonical echelonized basis of the cocycle space Z^2(A, F) for the
-    variety, as a list of BilinearForm."""
+    variety, as a list of BilinearForm.  ``equations``, when given, are
+    the (row, identity, tuple) triples of ``_cocycle_equations(a,
+    variety)``, already built by the caller."""
     require_in_variety(a, variety)
-    rows = _equation_rows(a, variety)
+    if equations is None:
+        rows = _equation_rows(a, variety)
+    else:
+        rows = [row for row, _, _ in equations]
     n = a.dim
     basis = kernel_basis(rows, n * n, a.field)
     return [BilinearForm.from_vector(a.field, n, v) for v in basis]
@@ -65,9 +70,15 @@ def check_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> None
     satisfies every cocycle equation of the variety over this algebra."""
     if theta.n != a.dim or theta.field != a.field:
         raise DimMismatch("form does not match the algebra")
-    p = a.field.p
+    _check_equations(_cocycle_equations(a, variety), theta)
+
+
+def _check_equations(equations, theta: BilinearForm) -> None:
+    """Raise NotACocycle naming the first (row, identity, tuple) of
+    ``equations`` whose row does not vanish on theta."""
+    p = theta.field.p
     entries = [x.raw for x in theta.as_vector()]
-    for row, ident, combo in _cocycle_equations(a, variety):
+    for row, ident, combo in equations:
         value = sum(v * entries[k] for k, v in row.items())
         if value % p if p else value:
             args = ", ".join(f"{v}=e_{i + 1}" for v, i in zip(ident.variables, combo))
@@ -143,7 +154,14 @@ def _preferred_h_reps(a: Algebra, variety: VarietySpec):
 
 class CohomologySpace:
     """Second cohomology data: cocycle basis, coboundary basis, chosen
-    class representatives, and the reduction map onto class coordinates.
+    class representatives, the reduction map onto class coordinates, and
+    the cocycle equations the cocycle basis solves.
+
+    The equations are the deduplicated (row, identity, tuple) triples of
+    the identity walk, in first-seen order, kept from the solve so that
+    ``check_cocycle`` tests a form against them without walking the
+    identities again, and names the same failing equation as the
+    module-level ``check_cocycle``.
 
     The reduction map is the transform T of a row reduction of the
     matrix whose columns are the coboundary basis and then the
@@ -163,9 +181,10 @@ class CohomologySpace:
         "preferred_basis_used",
         "_transform",
         "_raw_rows",
+        "_equations",
     )
 
-    def __init__(self, algebra, variety, z_basis, b_basis, h_reps, h_labels, preferred):
+    def __init__(self, algebra, variety, z_basis, b_basis, h_reps, h_labels, preferred, equations):
         self.algebra = algebra
         self.variety = variety
         self.z_basis = tuple(z_basis)
@@ -173,12 +192,13 @@ class CohomologySpace:
         self.h_reps = tuple(h_reps)
         self.h_labels = tuple(h_labels)
         self.preferred_basis_used = preferred
+        self._equations = tuple(equations)
         cols = [f.as_vector() for f in self.b_basis] + [f.as_vector() for f in self.h_reps]
         n2 = algebra.dim * algebra.dim
         rows = [tuple(col[r] for col in cols) for r in range(n2)]
         _, transform, pivots, rank = rref_with_transform(rows, algebra.field)
         if rank != len(cols) or pivots != list(range(len(cols))):
-            raise RuntimeError("coboundary/representative columns are not independent")
+            raise InvariantError("coboundary/representative columns are not independent")
         self._transform = transform
         self._raw_rows = None
 
@@ -214,6 +234,13 @@ class CohomologySpace:
             raise NotACocycle("form lies outside the cocycle space")
         return tuple(values[: self.dim_h])
 
+    def check_cocycle(self, theta: BilinearForm) -> None:
+        """``check_cocycle(self.algebra, self.variety, theta)``, on the
+        stored equations: NotACocycle names the same violated equation."""
+        if theta.n != self.algebra.dim or theta.field != self.algebra.field:
+            raise DimMismatch("form does not match the algebra")
+        _check_equations(self._equations, theta)
+
     def reduce_class(self, theta: BilinearForm):
         """Coordinates of the class [theta] in the h_reps basis.
         Raises NotACocycle when theta is outside the cocycle span."""
@@ -243,13 +270,14 @@ class CohomologySpace:
 
 
 def second_cohomology(a: Algebra, variety: VarietySpec) -> CohomologySpace:
-    z_forms = cocycle_space(a, variety)
+    equations = tuple(_cocycle_equations(a, variety))
+    z_forms = cocycle_space(a, variety, equations)
     b_forms = coboundary_space(a)
     n2 = a.dim * a.dim
     z_sub = Subspace(a.field, n2, [f.as_vector() for f in z_forms])
     for b in b_forms:
         if not z_sub.contains(b.as_vector()):
-            raise RuntimeError("coboundary outside the cocycle space")
+            raise InvariantError("coboundary outside the cocycle space")
     preferred = _preferred_h_reps(a, variety)
     h_reps, h_labels, used_preferred = None, None, False
     if preferred is not None:
@@ -273,4 +301,6 @@ def second_cohomology(a: Algebra, variety: VarietySpec) -> CohomologySpace:
                 h_labels.append(f"z{idx + 1}")
                 current.append(z.as_vector())
                 span = Subspace(a.field, n2, current)
-    return CohomologySpace(a, variety, z_forms, b_forms, h_reps, h_labels, used_preferred)
+    return CohomologySpace(
+        a, variety, z_forms, b_forms, h_reps, h_labels, used_preferred, equations
+    )

@@ -60,6 +60,11 @@ class NotACocycle(CentextError):
     in the computed cocycle space."""
 
 
+class CohomologyMismatch(CentextError):
+    """A cohomology space was passed with an algebra or variety other
+    than the one it was computed for."""
+
+
 class IndexOutOfRange(CentextError):
     """A named bilinear form was requested with indices outside 1..n."""
 

@@ -15,13 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .cohomology import (
-    CohomologySpace,
-    annihilator_intersection,
-    check_cocycle,
-    second_cohomology,
-)
-from .errors import DimMismatch
+from .cohomology import CohomologySpace, annihilator_intersection, second_cohomology
+from .errors import CohomologyMismatch, DimMismatch
 from .identities import VarietySpec
 from .linalg import rref
 
@@ -38,28 +33,40 @@ class ExtensionResult:
 
 
 def build_extension(a: Algebra, thetas) -> Algebra:
-    """The product table of the extension; no cocycle checking."""
+    """The product table of the extension; no cocycle checking.  It is
+    built as a sparse raw table: e_i * e_j of A followed by the nonzero
+    theta_t(e_i, e_j) at f_t, and zero products for every f_t."""
     n, s = a.dim, len(thetas)
     for theta in thetas:
         if theta.n != n or theta.field != a.field:
             raise DimMismatch("form does not match the algebra")
-    m = n + s
-    z = a.field.zero
-    table = [[[z] * m for _ in range(m)] for _ in range(m)]
-    for i in range(n):
-        for j in range(n):
-            vec = a.table[i][j]
-            for k in range(n):
-                table[i][j][k] = vec[k]
-            for t, theta in enumerate(thetas):
-                table[i][j][n + t] = theta.rows[i][j]
-    return Algebra(a.field, table)
+    sparse = []
+    for i, row in enumerate(a._sparse):
+        out = []
+        for j, vec in enumerate(row):
+            values = [theta.rows[i][j] for theta in thetas]
+            out.append(vec + tuple((n + t, x.raw) for t, x in enumerate(values) if not x.is_zero))
+        sparse.append(tuple(out) + ((),) * s)
+    sparse += [((),) * (n + s)] * s
+    return Algebra._from_sparse(a.field, tuple(sparse))
+
+
+def _space_for(a: Algebra, variety: VarietySpec, h: CohomologySpace | None) -> CohomologySpace:
+    """h, or H^2 of (a, variety) when h is None.  A space computed for
+    another algebra or variety raises CohomologyMismatch."""
+    if h is None:
+        return second_cohomology(a, variety)
+    if h.algebra != a or h.variety != variety:
+        raise CohomologyMismatch(
+            f"cohomology space of {h.variety.name} on a {h.algebra.dim}-dimensional "
+            f"algebra passed for {variety.name} on a {a.dim}-dimensional algebra"
+        )
+    return h
 
 
 def is_non_split(a: Algebra, variety: VarietySpec, thetas, h: CohomologySpace | None = None) -> bool:
     """Whether the cocycle classes are linearly independent in H^2."""
-    if h is None:
-        h = second_cohomology(a, variety)
+    h = _space_for(a, variety, h)
     coords = [h.reduce_class(theta) for theta in thetas]
     reduced, _ = rref(coords)
     return len(reduced) == len(thetas)
@@ -68,8 +75,7 @@ def is_non_split(a: Algebra, variety: VarietySpec, thetas, h: CohomologySpace | 
 def in_T1(a: Algebra, variety: VarietySpec, theta, h: CohomologySpace | None = None) -> bool:
     """Whether the (nonzero) class of theta spans a line whose cocycle
     annihilator meets Ann(A) trivially."""
-    if h is None:
-        h = second_cohomology(a, variety)
+    h = _space_for(a, variety, h)
     coords = h.reduce_class(theta)
     if all(c.is_zero for c in coords):
         raise ValueError("zero cohomology class does not span a line")
@@ -83,12 +89,13 @@ def central_extension(
     h: CohomologySpace | None = None,
 ) -> ExtensionResult:
     """Checked central extension: every form must be a cocycle for the
-    variety (NotACocycle names a violated equation otherwise)."""
+    variety (NotACocycle names a violated equation otherwise).  The forms
+    are checked against the cocycle equations kept on h, the H^2 of
+    (a, variety), computed here when h is None."""
     thetas = tuple(thetas)
+    h = _space_for(a, variety, h)
     for theta in thetas:
-        check_cocycle(a, variety, theta)
-    if h is None:
-        h = second_cohomology(a, variety)
+        h.check_cocycle(theta)
     ann_core = annihilator_intersection(a, thetas)
     return ExtensionResult(
         extended=build_extension(a, thetas),

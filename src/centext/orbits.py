@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .algebra import Algebra, null_filiform, satisfies_variety
 from .automorphisms import Automorphism, _class_matrix, _lower_triangular, _triples
 from .budget import check_budget, resolve_budget
-from .cohomology import CohomologySpace, annihilator_intersection, second_cohomology
+from .cohomology import CohomologySpace, second_cohomology
 from .errors import (
     FieldMismatch,
     InvalidDim,
@@ -523,14 +523,15 @@ class TableRow:
 
 def _pattern_algebra(n: int, field: Field, products) -> Algebra:
     """Build the expected (n+1)-dimensional algebra from a dict
-    (i, j) -> list of (k, scalar)."""
+    (i, j) -> list of (k, scalar), 1-based, as a sparse raw table."""
     m = n + 1
-    z = field.zero
-    table = [[[z] * m for _ in range(m)] for _ in range(m)]
+    sparse = [[()] * m for _ in range(m)]
     for (i, j), terms in products.items():
+        vec = {}
         for k, c in terms:
-            table[i - 1][j - 1][k - 1] = field.scalar(c)
-    return Algebra(field, table)
+            vec[k - 1] = field.scalar(c).raw
+        sparse[i - 1][j - 1] = tuple(sorted((k, c) for k, c in vec.items() if c))
+    return Algebra._from_sparse(field, tuple(tuple(row) for row in sparse))
 
 
 def classification_table(n: int, field: Field, mu_sample=None):
@@ -612,16 +613,22 @@ def classification_table(n: int, field: Field, mu_sample=None):
 
 
 def _check_row(row: TableRow, n: int, field: Field) -> dict:
+    """Extend the base by the row's cocycle, checked against the cocycle
+    equations kept on row.base_h2, and compare the extension with the
+    row's pattern (raw tables; scalars only for a TableMismatch text),
+    flags and annihilator dimension.  The row is in T_1 exactly when that
+    dimension is 1, and the bicommutative test walks only the
+    right-commutative identity: the left-commutative verdict is kept."""
     lc, base = row.base_h2.variety, row.base_h2.algebra
     result = central_extension(base, [row.cocycle], lc, h=row.base_h2)
-    ext = result.extended
-    if ext.table != row.expected.table:
+    ext, expected = result.extended, row.expected
+    if ext != expected:
         for i in range(ext.dim):
             for j in range(ext.dim):
-                if ext.table[i][j] != row.expected.table[i][j]:
+                if ext._sparse[i][j] != expected._sparse[i][j]:
                     raise TableMismatch(
                         f"row {row.label}: product e_{i + 1} e_{j + 1} is "
-                        f"{ext.table[i][j]}, expected {row.expected.table[i][j]}"
+                        f"{ext.table[i][j]}, expected {expected.table[i][j]}"
                     )
     if not satisfies_variety(ext, lc):
         raise TableMismatch(f"row {row.label}: extension is not left-commutative")
@@ -634,7 +641,7 @@ def _check_row(row: TableRow, n: int, field: Field) -> dict:
         )
     if ext.annihilator().dim != row.expected_ann_dim:
         raise TableMismatch(f"row {row.label}: extended annihilator disagrees")
-    t1 = annihilator_intersection(base, [row.cocycle]).dim == 0
+    t1 = result.annihilator_dim == 1
     if t1 != row.expected_t1:
         raise TableMismatch(
             f"row {row.label}: T_1 membership {t1}, expected {row.expected_t1}"

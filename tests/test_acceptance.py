@@ -17,7 +17,6 @@ from centext import (
     central_extension,
     closed_field_representatives,
     cocycle_space,
-    coboundary_space,
     delta,
     is_cocycle,
     nabla,

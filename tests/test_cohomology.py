@@ -5,8 +5,10 @@ import pytest
 
 from centext import (
     BilinearForm,
+    CohomologySpace,
     DimMismatch,
     Field,
+    InvariantError,
     NotACocycle,
     NotInVariety,
     RATIONALS,
@@ -249,3 +251,19 @@ def test_cocycle_space_requires_membership():
     not_lc = Algebra(f, [[[o, z], [z, o]], [[z, z], [z, z]]]).opposite()
     with pytest.raises(NotInVariety):
         cocycle_space(not_lc, LC)
+
+
+def test_representative_in_the_coboundaries_is_an_invariant_error():
+    h = second_cohomology(null_filiform(3, RATIONALS), LC)
+    with pytest.raises(InvariantError, match="not independent"):
+        CohomologySpace(
+            h.algebra, h.variety, h.z_basis, h.b_basis, (h.b_basis[0],), ("b",), False, ()
+        )
+
+
+def test_coboundary_outside_the_cocycles_is_an_invariant_error(monkeypatch):
+    import centext.cohomology as cohomology_mod
+
+    monkeypatch.setattr(cohomology_mod, "cocycle_space", lambda a, variety, equations: [])
+    with pytest.raises(InvariantError, match="coboundary outside the cocycle space"):
+        second_cohomology(null_filiform(3, RATIONALS), LC)

@@ -1,12 +1,18 @@
+import random
+
 import pytest
 
 from centext import (
+    Algebra,
+    BilinearForm,
+    CohomologyMismatch,
     Field,
     NotACocycle,
     RATIONALS,
     build_extension,
     builtin_variety,
     central_extension,
+    check_cocycle,
     delta,
     in_T1,
     is_non_split,
@@ -137,3 +143,79 @@ def test_extension_stays_in_variety_for_every_basis_cocycle():
             for theta in cocycle_space(a, variety):
                 ext = build_extension(a, [theta])
                 assert satisfies_variety(ext, variety)
+
+
+def _check_error(fn):
+    """The NotACocycle message of fn(), or None when it does not raise."""
+    try:
+        fn()
+    except NotACocycle as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field.prime(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("vname", ["lc", "bc", "novikov", "jordan"])
+def test_stored_equations_check_like_check_cocycle(field, vname):
+    # central_extension checks each form against the equations kept on h;
+    # it must fail exactly when check_cocycle does, naming the same equation
+    variety = builtin_variety(vname)
+    rng = random.Random(f"{vname}-{field.spec()}")
+    failures = set()
+    for n in (3, 4, 5):
+        a = null_filiform(n, field)
+        h = second_cohomology(a, variety)
+        forms = []
+        for _ in range(6):
+            theta = BilinearForm.zero(field, n)
+            for z in h.z_basis:
+                theta = theta + rng.randint(-3, 3) * z
+            forms.append(theta)
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            forms.append(theta + delta(i, j, n, field))
+        for _ in range(4):
+            forms.append(BilinearForm(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]))
+        for theta in forms:
+            want = _check_error(lambda: check_cocycle(a, variety, theta))
+            got = _check_error(lambda: central_extension(a, [theta], variety, h=h))
+            assert got == want
+            failures.add(want)
+    assert None in failures and len(failures) > 2  # both outcomes, several equations
+
+
+def test_space_of_another_algebra_or_variety_is_refused():
+    f = RATIONALS
+    a3, a4 = null_filiform(3, f), null_filiform(4, f)
+    h3 = second_cohomology(a3, LC)
+    theta = nabla(3, 3, f)
+    zero3 = Algebra(f, [[[0] * 3 for _ in range(3)] for _ in range(3)])
+    for base, variety in ((a4, LC), (zero3, LC), (a3, BC), (a3, ASSOC)):
+        form = nabla(base.dim, base.dim, f)
+        with pytest.raises(CohomologyMismatch):
+            central_extension(base, [form], variety, h=h3)
+        with pytest.raises(CohomologyMismatch):
+            is_non_split(base, variety, [form], h=h3)
+        with pytest.raises(CohomologyMismatch):
+            in_T1(base, variety, form, h=h3)
+    # an equal algebra built separately is the same algebra
+    same = central_extension(null_filiform(3, f), [theta], builtin_variety("lc"), h=h3)
+    assert same.non_split
+
+
+def test_raw_extension_table_equals_the_scalar_table():
+    for field in (RATIONALS, Field.prime(5)):
+        a = null_filiform(3, field)
+        theta = nabla(3, 3, field) + field.scalar(2) * delta(2, 1, 3, field)
+        raw = build_extension(a, [theta, delta(3, 1, 3, field)])
+        n, m = 3, 5
+        table = [[[0] * m for _ in range(m)] for _ in range(m)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    table[i][j][k] = a.table[i][j][k]
+                table[i][j][3] = theta.rows[i][j]
+                table[i][j][4] = delta(3, 1, 3, field).rows[i][j]
+        scalar = Algebra(field, table)
+        assert raw == scalar and hash(raw) == hash(scalar)
+        assert raw.table == scalar.table
+        assert raw.to_json() == scalar.to_json()

@@ -6,7 +6,9 @@ verify-table1 files before the orbit and representative code, the
 cohomology and extend files before the sparse raw-value kernel, the
 classify files for lc over F_7 and F_5 before orbits became image sets,
 the classify files of (4, lc, F_7), (5, bc, F_5), (4, novikov, F_5) and
-(4, associative, F_7) before the class action moved to raw values);
+(4, associative, F_7) before the class action moved to raw values, and
+``verify-table1 --n 6`` over Q and ``--n 5`` over F_7 before Table 1
+verification reused the stored cocycle equations and membership verdicts);
 refactors must leave these outputs unchanged.  To add a case, run the
 command with the package as it stands and save its stdout under the case
 name.
@@ -46,6 +48,8 @@ CASES = {
     "classify_novikov_n4_f5_t1": _classify(4, 5, "novikov", "t1"),
     "classify_associative_n4_f7_h2": _classify(4, 7, "associative", "h2"),
     "verify_table1_n4": ["verify-table1", "--n", "4"],
+    "verify_table1_n6": ["verify-table1", "--n", "6"],
+    "verify_table1_n5_f7": ["verify-table1", "--n", "5", "--field", "Fp:7"],
     "cohomology_jordan_n5_q": _cohomology(5, "jordan", "Q"),
     "cohomology_jordan_n5_f5": _cohomology(5, "jordan", "Fp:5"),
     "cohomology_novikov_n6_q": _cohomology(6, "novikov", "Q"),

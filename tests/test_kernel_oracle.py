@@ -4,6 +4,7 @@ membership, cocycle equations, cocycle checks, annihilators and row
 reduction, on random sparse structure constants, forms and matrices
 (fixed seeds)."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from centext import (
     RATIONALS,
     Algebra,
     BilinearForm,
+    BudgetExceeded,
+    CharTooSmall,
     Field,
     NotACocycle,
     VARIETY_NAMES,
@@ -22,9 +25,11 @@ from centext import (
     cocycle_annihilator,
     format_identity,
     kernel_basis,
+    null_filiform,
     rref,
     satisfies_variety,
 )
+import centext.algebra as algebra_mod
 from centext.cohomology import _equation_rows
 from centext.linalg import mat_mul, rref_with_transform, solve
 
@@ -111,6 +116,66 @@ def test_membership_matches_dense_oracle(vname):
         assert satisfies_variety(a, variety) == want
         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_stored_verdicts_match_dense_oracle_in_any_order():
+    # satisfies_variety keeps each identity's verdict on the Algebra object;
+    # every variety, asked in catalog order and then in reverse on one
+    # object, must get the oracle's answer and a fresh object's
+    outcomes = set()
+    for _, field, table, a in algebras(7):
+        want = {
+            vname: all(
+                identity_holds(table, ident.variables, [(m.coeff, m.tree) for m in ident.monomials], field.p)
+                for ident in builtin_variety(vname).multilinear_identities
+            )
+            for vname in VARIETY_NAMES
+        }
+        for vname in VARIETY_NAMES + tuple(reversed(VARIETY_NAMES)):
+            variety = builtin_variety(vname)
+            assert satisfies_variety(a, variety) == want[vname]
+            assert satisfies_variety(Algebra(field, table), variety) == want[vname]
+        outcomes.update(want.values())
+    assert outcomes == {True, False}
+
+
+def test_stored_verdicts_walk_only_new_identities(monkeypatch):
+    walked = []
+    real = algebra_mod._identity_terms
+
+    def recording(a, variety):
+        walked.extend(variety.multilinear_identities)
+        return real(a, variety)
+
+    monkeypatch.setattr(algebra_mod, "_identity_terms", recording)
+    a = null_filiform(4, RATIONALS)
+    lc, rc = builtin_variety("lc"), builtin_variety("rc")
+    assert satisfies_variety(a, lc)
+    assert walked == list(lc.multilinear_identities)
+    walked.clear()
+    assert satisfies_variety(a, builtin_variety("bc"))
+    assert walked == list(rc.multilinear_identities)
+    walked.clear()
+    assert satisfies_variety(a, lc) and satisfies_variety(a, rc)
+    assert walked == []
+
+
+def test_stored_verdicts_keep_the_char_gate_and_the_budget(monkeypatch):
+    f3 = Field.prime(3)
+    a = null_filiform(3, f3)
+    jordan = builtin_variety("jordan")
+    # the multilinear identities alone pass the gate and store their verdicts
+    linear = dataclasses.replace(jordan, identities=jordan.multilinear_identities)
+    assert satisfies_variety(a, linear)
+    with pytest.raises(CharTooSmall):
+        satisfies_variety(a, jordan)
+    lc = builtin_variety("lc")
+    assert satisfies_variety(a, lc)
+    monkeypatch.setenv("CENTEXT_BUDGET", "26")  # mu0:3 has 27 lc tuples
+    with pytest.raises(BudgetExceeded, match="27 identity tuples exceed budget 26"):
+        satisfies_variety(a, lc)
+    with pytest.raises(BudgetExceeded):
+        satisfies_variety(a, linear)
 
 
 @pytest.mark.parametrize("vname", ["left_commutative", "jordan", "assosymmetric", "alternative"])

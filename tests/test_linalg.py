@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 import sympy
 
 from centext import Field, RATIONALS, Subspace, kernel_basis, rref
