@@ -229,18 +229,16 @@ def null_filiform(n: int, field: Field) -> Algebra:
     """The n-dimensional null-filiform associative algebra:
     e_i * e_j = e_{i+j} for i + j <= n, and 0 otherwise."""
     _check_size(n)
-    z, o = field.zero, field.one
-    table = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i + j <= n:
-                table[i - 1][j - 1][i + j - 1] = o
-    return Algebra(field, table)
+    sparse = tuple(
+        tuple(((i + j + 1, 1),) if i + j + 2 <= n else () for j in range(n))
+        for i in range(n)
+    )
+    return Algebra._from_sparse(field, sparse)
 
 
 def is_standard_null_filiform(a: Algebra) -> bool:
     """Structural check: the table equals the null-filiform table verbatim."""
-    return a.table == null_filiform(a.dim, a.field).table
+    return a == null_filiform(a.dim, a.field)
 
 
 def _identity_terms(a: Algebra, variety: VarietySpec):

@@ -14,10 +14,10 @@ import sys
 from fractions import Fraction
 
 from .algebra import Algebra, null_filiform
-from .automorphisms import Automorphism, act_on_cocycle
+from .automorphisms import act_on_cocycle, automorphism_from_column
 from .cohomology import second_cohomology
 from .errors import CentextError, DimMismatch, FieldMismatch
-from .extensions import central_extension, in_T1
+from .extensions import central_extension
 from .fields import Field
 from .forms import BilinearForm, delta, nabla
 from .identities import builtin_variety, format_identity, VARIETY_NAMES
@@ -170,10 +170,8 @@ def _cmd_extend(args) -> int:
     result = central_extension(algebra, thetas, variety, h=h)
     t1 = None
     if len(thetas) == 1:
-        if h.class_is_zero(thetas[0]):
-            t1 = False
-        else:
-            t1 = in_T1(algebra, variety, thetas[0], h)
+        # in T1: the class is nonzero and f_1 alone spans the annihilator
+        t1 = result.non_split and result.annihilator_dim == 1
     _emit(
         {
             "base": algebra.to_json(),
@@ -197,9 +195,8 @@ def _cmd_aut(args) -> int:
     if args.count:
         out["count"] = automorphism_count(args.n, field)
     if args.col is not None:
-        col = [field.scalar(x) for x in args.col.split(",")]
-        phi = Automorphism(field, col)
-        out["column"] = [c.literal() for c in col]
+        phi = automorphism_from_column(args.n, field, args.col.split(","))
+        out["column"] = [c.literal() for c in phi.first_col]
         out["matrix"] = [[c.literal() for c in row] for row in phi.matrix]
         out["phi11"] = phi.phi11.literal()
     if not args.count and args.col is None:
@@ -211,14 +208,13 @@ def _cmd_aut(args) -> int:
 def _cmd_act(args) -> int:
     field = Field.from_spec(args.field)
     algebra = null_filiform(args.n, field)
-    col = [field.scalar(x) for x in args.col.split(",")]
-    phi = Automorphism(field, col)
+    phi = automorphism_from_column(args.n, field, args.col.split(","))
     theta = _load_cocycle(args.cocycle, algebra)
     image = act_on_cocycle(phi, theta)
     out = {
         "n": args.n,
         "field": field.spec(),
-        "column": [c.literal() for c in col],
+        "column": [c.literal() for c in phi.first_col],
         "cocycle": theta.to_json(),
         "image": image.to_json(),
     }

@@ -15,7 +15,7 @@ from .algebra import Algebra, _identity_terms, is_standard_null_filiform, requir
 from .errors import DimMismatch, InvariantError, NotACocycle
 from .forms import BilinearForm, delta, nabla
 from .identities import VarietySpec, format_identity
-from .linalg import Subspace, kernel_basis, rref, rref_with_transform, vec_is_zero
+from .linalg import Subspace, _echelon, _raw_rows, _scalar_row, kernel_basis, rref_with_transform
 
 
 def _cocycle_equations(a: Algebra, variety: VarietySpec):
@@ -95,17 +95,29 @@ def is_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> bool:
     return True
 
 
+def _coboundary_rows(a: Algebra) -> list:
+    """The canonical RREF of the coboundaries as sparse raw rows: the row
+    of the functional e_k^* holds the coefficient of e_k in e_i * e_j at
+    i*n + j, read from the sparse table."""
+    n = a.dim
+    rows = [{} for _ in range(n)]
+    for i, row in enumerate(a._sparse):
+        for j, vec in enumerate(row):
+            for k, c in vec:
+                rows[k][i * n + j] = c
+    return _echelon(rows, a.field.p)[1]
+
+
+def _forms(a: Algebra, rows) -> list:
+    """The bilinear forms of sparse raw rows over the algebra's entries."""
+    n = a.dim
+    return [BilinearForm.from_vector(a.field, n, _scalar_row(a.field, r, n * n)) for r in rows]
+
+
 def coboundary_space(a: Algebra):
     """Canonical echelonized basis of the coboundary space: forms
     (x, y) -> f(x*y) for the dual basis functionals f."""
-    n = a.dim
-    vectors = []
-    for k in range(n):
-        vec = tuple(a.table[i][j][k] for i in range(n) for j in range(n))
-        if not vec_is_zero(vec):
-            vectors.append(vec)
-    reduced, _ = rref(vectors)
-    return [BilinearForm.from_vector(a.field, n, v) for v in reduced]
+    return _forms(a, _coboundary_rows(a))
 
 
 def _form_annihilator_rows(a: Algebra, theta: BilinearForm) -> list:
@@ -269,38 +281,36 @@ class CohomologySpace:
         )
 
 
+def _new_directions(b_rows, forms, p) -> list:
+    """Indices of the forms outside the span of the coboundaries and the
+    forms before them: the rows that open a pivot in one echelon of the
+    coboundary rows followed by the forms."""
+    opened = []
+    _echelon(_raw_rows(b_rows + [f.as_vector() for f in forms]), p, opened)
+    return [i - len(b_rows) for i in opened if i >= len(b_rows)]
+
+
 def second_cohomology(a: Algebra, variety: VarietySpec) -> CohomologySpace:
+    """H^2 = Z^2 / B^2.  The representatives are the forms of
+    ``_preferred_h_reps`` when they complete B to a basis of Z, and
+    otherwise the cocycle basis vectors z<k> (1-based) outside the span of
+    B and the vectors before them; each choice is one echelon."""
     equations = tuple(_cocycle_equations(a, variety))
     z_forms = cocycle_space(a, variety, equations)
-    b_forms = coboundary_space(a)
-    n2 = a.dim * a.dim
-    z_sub = Subspace(a.field, n2, [f.as_vector() for f in z_forms])
-    for b in b_forms:
-        if not z_sub.contains(b.as_vector()):
-            raise InvariantError("coboundary outside the cocycle space")
+    b_rows = _coboundary_rows(a)
+    b_forms = _forms(a, b_rows)
+    z_sub = Subspace(a.field, a.dim * a.dim, [f.as_vector() for f in z_forms])
+    if not all(z_sub.contains(b.as_vector()) for b in b_forms):
+        raise InvariantError("coboundary outside the cocycle space")
     preferred = _preferred_h_reps(a, variety)
-    h_reps, h_labels, used_preferred = None, None, False
     if preferred is not None:
         forms, labels = preferred
-        stack = [f.as_vector() for f in b_forms] + [f.as_vector() for f in forms]
-        reduced, _ = rref(stack)
-        ok = (
-            len(forms) + len(b_forms) == len(z_forms)
-            and len(reduced) == len(z_forms)
+        if (
+            len(b_rows) + len(forms) == len(z_forms)
+            and len(_new_directions(b_rows, forms, a.field.p)) == len(forms)
             and all(z_sub.contains(f.as_vector()) for f in forms)
-        )
-        if ok:
-            h_reps, h_labels, used_preferred = forms, labels, True
-    if h_reps is None:
-        h_reps, h_labels = [], []
-        current = [f.as_vector() for f in b_forms]
-        span = Subspace(a.field, n2, current)
-        for idx, z in enumerate(z_forms):
-            if not span.contains(z.as_vector()):
-                h_reps.append(z)
-                h_labels.append(f"z{idx + 1}")
-                current.append(z.as_vector())
-                span = Subspace(a.field, n2, current)
-    return CohomologySpace(
-        a, variety, z_forms, b_forms, h_reps, h_labels, used_preferred, equations
-    )
+        ):
+            return CohomologySpace(a, variety, z_forms, b_forms, forms, labels, True, equations)
+    picked = _new_directions(b_rows, z_forms, a.field.p)
+    h_reps, h_labels = [z_forms[k] for k in picked], [f"z{k + 1}" for k in picked]
+    return CohomologySpace(a, variety, z_forms, b_forms, h_reps, h_labels, False, equations)

@@ -18,7 +18,7 @@ from .algebra import Algebra
 from .cohomology import CohomologySpace, annihilator_intersection, second_cohomology
 from .errors import CohomologyMismatch, DimMismatch
 from .identities import VarietySpec
-from .linalg import rref
+from .linalg import _echelon, _raw_rows
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,15 @@ def _space_for(a: Algebra, variety: VarietySpec, h: CohomologySpace | None) -> C
     return h
 
 
+def _independent(coords, p) -> bool:
+    """Whether the class coordinate tuples are linearly independent."""
+    return len(_echelon(_raw_rows(coords), p)[0]) == len(coords)
+
+
 def is_non_split(a: Algebra, variety: VarietySpec, thetas, h: CohomologySpace | None = None) -> bool:
     """Whether the cocycle classes are linearly independent in H^2."""
     h = _space_for(a, variety, h)
-    coords = [h.reduce_class(theta) for theta in thetas]
-    reduced, _ = rref(coords)
-    return len(reduced) == len(thetas)
+    return _independent([h.reduce_class(theta) for theta in thetas], a.field.p)
 
 
 def in_T1(a: Algebra, variety: VarietySpec, theta, h: CohomologySpace | None = None) -> bool:
@@ -97,12 +100,13 @@ def central_extension(
     for theta in thetas:
         h.check_cocycle(theta)
     ann_core = annihilator_intersection(a, thetas)
+    coords = tuple(h.reduce_class(theta) for theta in thetas)
     return ExtensionResult(
         extended=build_extension(a, thetas),
         base=a,
         cocycles=thetas,
         variety=variety,
-        class_coords=tuple(h.reduce_class(theta) for theta in thetas),
-        non_split=is_non_split(a, variety, thetas, h),
+        class_coords=coords,
+        non_split=_independent(coords, a.field.p),
         annihilator_dim=ann_core.dim + len(thetas),
     )

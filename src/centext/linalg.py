@@ -16,23 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimMismatch
-from .fields import Field, Scalar
+from .fields import Field
 
 
 def basis_vec(field: Field, m: int, k: int):
     """Standard basis vector with a 1 in position k (0-based)."""
     z, o = field.zero, field.one
     return tuple(o if i == k else z for i in range(m))
-
-
-def vec_add(u, v):
-    if len(u) != len(v):
-        raise DimMismatch(f"vector lengths {len(u)} and {len(v)} differ")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, u):
-    return tuple(c * a for a in u)
 
 
 def vec_is_zero(u) -> bool:
@@ -42,16 +32,7 @@ def vec_is_zero(u) -> bool:
 def mat_vec(rows, v):
     if rows and len(rows[0]) != len(v):
         raise DimMismatch(f"matrix width {len(rows[0])} vs vector length {len(v)}")
-    out = []
-    for row in rows:
-        acc = None
-        for a, b in zip(row, v):
-            if a.is_zero or b.is_zero:
-                continue
-            term = a * b
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else v[0].field.zero)
-    return tuple(out)
+    return tuple(_dot(row, v) for row in rows)
 
 
 def mat_mul(a, b):
@@ -73,10 +54,6 @@ def _dot(u, v):
 
 def transpose(rows):
     return tuple(tuple(r[j] for r in rows) for j in range(len(rows[0]))) if rows else ()
-
-
-def identity_matrix(field: Field, m: int):
-    return tuple(basis_vec(field, m, i) for i in range(m))
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +84,15 @@ def _scale(row: dict, f, p) -> None:
         row[k] = v * f % p if p else v * f
 
 
-def _echelon(rows, p):
+def _echelon(rows, p, opened=None):
     """Gauss-Jordan elimination of sparse raw rows; the rows are consumed.
     Returns (pivots, reduced): the pivot columns in ascending order and
-    the reduced rows in pivot order, the canonical RREF of the row span."""
+    the reduced rows in pivot order, the canonical RREF of the row span.
+    When ``opened`` is a list, the index of each input row that opened a
+    pivot, i.e. is outside the span of the rows before it, is appended
+    to it in input order."""
     by_pivot = {}
-    for row in rows:
+    for index, row in enumerate(rows):
         for c in [c for c in row if c in by_pivot]:
             _axpy(row, -row[c], by_pivot[c], p)
         if not row:
@@ -126,6 +106,8 @@ def _echelon(rows, p):
             if f:
                 _axpy(other, -f, row, p)
         by_pivot[lead] = row
+        if opened is not None:
+            opened.append(index)
     pivots = sorted(by_pivot)
     return pivots, [by_pivot[c] for c in pivots]
 

@@ -44,6 +44,8 @@ from .forms import BilinearForm, delta, nabla
 from .identities import VarietySpec, builtin_variety
 
 def automorphism_count(n: int, field: Field) -> int:
+    if n < 1:
+        raise InvalidDim(f"dimension {n} must be >= 1")
     if not field.is_finite:
         raise FieldMismatch("the automorphism group is finite only over finite fields")
     return (field.p - 1) * field.p ** (n - 1)

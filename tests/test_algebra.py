@@ -73,6 +73,36 @@ def test_null_filiform_recognition_is_basis_free():
     assert not is_standard_null_filiform(bad)
 
 
+def _explicit_null_filiform_table(n, field):
+    """e_i * e_j = e_{i+j} for i + j <= n, as a full Scalar table (0-based)."""
+    z, o = field.zero, field.one
+    return [
+        [[o if k == i + j + 1 else z for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field.prime(3)])
+def test_null_filiform_equals_the_algebra_of_its_explicit_table(field):
+    for n in range(1, 7):
+        explicit = Algebra(field, _explicit_null_filiform_table(n, field))
+        mu = null_filiform(n, field)
+        assert mu == explicit and hash(mu) == hash(explicit)
+        assert mu.table == explicit.table
+        assert is_standard_null_filiform(explicit)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field.prime(3)])
+def test_standard_null_filiform_rejects_one_changed_entry(field):
+    for n in range(1, 5):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    table = _explicit_null_filiform_table(n, field)
+                    table[i][j][k] = table[i][j][k] + field.one
+                    assert not is_standard_null_filiform(Algebra(field, table)), (n, i, j, k)
+
+
 def test_abelian_algebra_power_dims():
     f = RATIONALS
     z = f.zero

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from centext import null_filiform, RATIONALS
+from centext import (
+    DimMismatch,
+    Field,
+    InvalidDim,
+    RATIONALS,
+    automorphism_count,
+    automorphism_from_column,
+    null_filiform,
+)
 from centext.cli import main, parse_cocycle_expr
 
 
@@ -73,6 +81,22 @@ def test_extend_zero_class_reports_t1_false(capsys):
     assert data["t1"] is False
 
 
+def test_extend_nonzero_class_outside_t1_reports_t1_false(capsys):
+    data = run_json(
+        capsys,
+        "extend",
+        "--algebra",
+        "mu0:3",
+        "--variety",
+        "lc",
+        "--cocycle",
+        "named:delta_2_1",
+    )
+    assert data["non_split"] is True
+    assert data["annihilator_dim"] == 2
+    assert data["t1"] is False
+
+
 def test_extend_multiple_cocycles(capsys):
     data = run_json(
         capsys,
@@ -128,6 +152,30 @@ def test_aut_subcommand(capsys):
     assert data["count"] == 100
     code, _, err = run(capsys, "aut", "--n", "3", "--field", "Fp:5")
     assert code == 2 and "col" in err
+
+
+def test_aut_and_act_refuse_a_column_of_the_wrong_length(capsys):
+    for argv in (
+        ("aut", "--n", "3", "--col", "1,2"),
+        ("aut", "--n", "2", "--col", "1,2,0"),
+        ("act", "--n", "3", "--col", "1,2", "--cocycle", "named:nabla_n"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        n, length = int(argv[2]), len(argv[4].split(","))
+        assert err == f"error: column length {length} != {n}\n"
+    with pytest.raises(DimMismatch):
+        automorphism_from_column(3, RATIONALS, ["1", "2"])
+
+
+def test_aut_count_refuses_a_dimension_below_one(capsys):
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, "aut", "--n", n, "--count", "--field", "Fp:5")
+        assert code == 2 and out == ""
+        assert err == f"error: dimension {n} must be >= 1\n"
+    with pytest.raises(InvalidDim):
+        automorphism_count(0, Field.prime(5))
 
 
 def test_act_subcommand(capsys):

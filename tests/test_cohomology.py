@@ -5,6 +5,7 @@ import pytest
 
 from centext import (
     BilinearForm,
+    CharTooSmall,
     CohomologySpace,
     DimMismatch,
     Field,
@@ -26,7 +27,7 @@ from centext import (
     second_cohomology,
 )
 
-from oracles import extension_table, frac_rref, is_left_commutative
+from oracles import extension_table, frac_rref, is_left_commutative, modp_rref
 
 LC = builtin_variety("left_commutative")
 BC = builtin_variety("bicommutative")
@@ -267,3 +268,55 @@ def test_coboundary_outside_the_cocycles_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(cohomology_mod, "cocycle_space", lambda a, variety, equations: [])
     with pytest.raises(InvariantError, match="coboundary outside the cocycle space"):
         second_cohomology(null_filiform(3, RATIONALS), LC)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field.prime(5)])
+def test_representatives_are_the_greedy_prefix_rank_pick(field):
+    """The preferred forms are used exactly when they and the coboundaries
+    have rank dim Z; otherwise the representatives are the cocycle basis
+    vectors that raise the rank of the coboundaries and the vectors before
+    them, labelled by their place.  Ranks are from the dense oracles."""
+    p = field.p
+    if p:
+        rank = lambda rows: len(modp_rref(rows, p)[0])
+    else:
+        rank = lambda rows: len(frac_rref(rows)[0])
+    for name in VARIETY_NAMES:
+        variety = builtin_variety(name)
+        for n in range(1, 6):
+            try:
+                h = second_cohomology(null_filiform(n, field), variety)
+            except (CharTooSmall, NotInVariety):
+                continue
+            b, z = vecs(h.b_basis), vecs(h.z_basis)
+            if h.preferred_basis_used:
+                assert len(b) + h.dim_h == h.dim_z == rank(b + vecs(h.h_reps))
+                continue
+            picked = [k for k in range(len(z)) if rank(b + z[: k + 1]) > rank(b + z[:k])]
+            assert h.h_labels == tuple(f"z{k + 1}" for k in picked), (name, n)
+            assert h.h_reps == tuple(h.z_basis[k] for k in picked)
+
+
+def test_preferred_forms_that_are_not_a_complement_fall_back_to_the_greedy_pick(monkeypatch):
+    """Preferred forms of the right count are refused when they are
+    dependent on the coboundaries or outside the cocycle space; the
+    representatives are then the greedy pick, as for a variety with no
+    preferred forms."""
+    import centext.cohomology as cohomology_mod
+
+    f = RATIONALS
+    a = null_filiform(4, f)
+    assert second_cohomology(a, BC).preferred_basis_used
+    monkeypatch.setattr(cohomology_mod, "_preferred_h_reps", lambda a, variety: None)
+    want = second_cohomology(a, BC)
+    assert not want.preferred_basis_used
+    for forms in (
+        [nabla(4, 4, f), nabla(1, 4, f)],  # nabla_1 is a coboundary
+        [nabla(4, 4, f), delta(2, 2, 4, f)],  # delta_2_2 is no bc cocycle
+    ):
+        monkeypatch.setattr(
+            cohomology_mod, "_preferred_h_reps", lambda a, variety, forms=forms: (forms, ["x", "y"])
+        )
+        h = second_cohomology(a, BC)
+        assert not h.preferred_basis_used
+        assert (h.h_reps, h.h_labels) == (want.h_reps, want.h_labels)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -219,3 +220,24 @@ def test_raw_extension_table_equals_the_scalar_table():
         assert raw == scalar and hash(raw) == hash(scalar)
         assert raw.table == scalar.table
         assert raw.to_json() == scalar.to_json()
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field.prime(5)])
+def test_extension_facts_match_the_class_and_annihilator_checks(field):
+    """non_split is is_non_split on the same space, and for one cocycle
+    non_split with annihilator_dim 1 (the t1 of the extend command) is a
+    nonzero class that in_T1 accepts."""
+    for variety in (LC, BC):
+        for n in (3, 4):
+            a = null_filiform(n, field)
+            h = second_cohomology(a, variety)
+            forms = list(h.z_basis) + list(h.h_reps) + [h.h_reps[0] + h.z_basis[-1]]
+            for theta in forms:
+                result = central_extension(a, [theta], variety, h)
+                nonzero = not h.class_is_zero(theta)
+                assert result.non_split == nonzero == is_non_split(a, variety, [theta], h)
+                t1 = result.non_split and result.annihilator_dim == 1
+                assert t1 == (nonzero and in_T1(a, variety, theta, h))
+            for pair in itertools.combinations(forms, 2):
+                result = central_extension(a, pair, variety, h)
+                assert result.non_split == is_non_split(a, variety, pair, h)

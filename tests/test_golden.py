@@ -8,10 +8,12 @@ classify files for lc over F_7 and F_5 before orbits became image sets,
 the classify files of (4, lc, F_7), (5, bc, F_5), (4, novikov, F_5) and
 (4, associative, F_7) before the class action moved to raw values, and
 ``verify-table1 --n 6`` over Q and ``--n 5`` over F_7 before Table 1
-verification reused the stored cocycle equations and membership verdicts);
-refactors must leave these outputs unchanged.  To add a case, run the
-command with the package as it stands and save its stdout under the case
-name.
+verification reused the stored cocycle equations and membership verdicts,
+and ``cohomology`` of mu0:8 for right-commutative over Q and of mu0:6 for
+left-symmetric over F_5, whose representatives are the greedy pick from
+the cocycle basis, before that pick became one echelon); refactors must
+leave these outputs unchanged.  To add a case, run the command with the
+package as it stands and save its stdout under the case name.
 """
 
 from pathlib import Path
@@ -55,6 +57,8 @@ CASES = {
     "cohomology_novikov_n6_q": _cohomology(6, "novikov", "Q"),
     "cohomology_alternative_n5_q": _cohomology(5, "alternative", "Q"),
     "cohomology_lc_n7_f7": _cohomology(7, "lc", "Fp:7"),
+    "cohomology_rc_n8_q": _cohomology(8, "rc", "Q"),
+    "cohomology_left_symmetric_n6_f5": _cohomology(6, "left_symmetric", "Fp:5"),
     "extend_lc_n3_expr": ["extend", "--algebra", "mu0:3", "--variety", "lc",
                           "--cocycle", "expr:nabla_n + 1/2*delta_2_1 - delta_1_1"],
 }

@@ -1,19 +1,18 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from centext import Field, RATIONALS, Subspace, kernel_basis, rref
 from centext.linalg import (
+    _echelon,
     basis_vec,
-    identity_matrix,
     mat_mul,
     mat_vec,
     rref_with_transform,
     solve,
     transpose,
-    vec_add,
-    vec_scale,
 )
 
 from oracles import frac_kernel, frac_rref, modp_rref
@@ -118,7 +117,7 @@ def test_subspace_membership_and_intersection():
     s1 = Subspace(f, 4, [e(0), e(1)])
     s2 = Subspace(f, 4, [e(1), e(2)])
     assert s1.dim == 2 and s2.dim == 2
-    assert s1.contains(vec_add(e(0), vec_scale(f.scalar(3), e(1))))
+    assert s1.contains((f.one, f.scalar(3), f.zero, f.zero))  # e_0 + 3 e_1
     assert not s1.contains(e(2))
 
 
@@ -126,7 +125,7 @@ def test_subspace_canonical_equality():
     f = RATIONALS
     a = [f.scalar(1), f.scalar(2), f.scalar(0)]
     b = [f.scalar(0), f.scalar(1), f.scalar(1)]
-    combo = vec_add(a, vec_scale(f.scalar(-5), b))
+    combo = [f.scalar(1), f.scalar(-3), f.scalar(-5)]  # a - 5 b
     s1 = Subspace(f, 3, [a, b])
     s2 = Subspace(f, 3, [combo, b])
     assert s1 == s2
@@ -135,10 +134,52 @@ def test_subspace_canonical_equality():
 
 def test_matrix_helpers():
     f = Field.prime(5)
-    ident = identity_matrix(f, 3)
+    ident = tuple(basis_vec(f, 3, i) for i in range(3))
     mat = tuple(
         tuple(f.scalar(v) for v in row) for row in ((1, 2, 0), (0, 1, 4), (3, 0, 2))
     )
     assert tuple(mat_mul(ident, mat)) == mat
     assert tuple(mat_mul(mat, ident)) == mat
     assert tuple(transpose(transpose(mat))) == mat
+
+
+def _random_rows(rng, nrows, ncols, value):
+    """Sparse dense-listed rows with zero rows, repeated rows and
+    multiples of earlier rows mixed in."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * ncols)
+        elif kind < 0.35 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.45 and rows:
+            c = value()
+            rows.append([c * x for x in rng.choice(rows)])
+        else:
+            rows.append([value() if rng.random() < 0.4 else 0 for _ in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("p", [None, 5])
+def test_echelon_reports_the_rows_that_open_a_pivot(p):
+    """Row k opens a pivot exactly when the rank of rows[:k+1] exceeds the
+    rank of rows[:k], by the dense oracles; the echelon itself is the one
+    computed without the report."""
+    rng = random.Random(7 if p else 3)
+    if p:
+        value, rank = (lambda: rng.randrange(p)), (lambda rows: len(modp_rref(rows, p)[0]))
+    else:
+        value = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        rank = lambda rows: len(frac_rref(rows)[0])
+    for _ in range(40):
+        ncols = rng.randint(1, 7)
+        rows = _random_rows(rng, rng.randint(0, 10), ncols, value)
+        if p:
+            rows = [[x % p for x in row] for row in rows]
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        opened = []
+        got = _echelon([dict(r) for r in sparse], p, opened)
+        assert got == _echelon([dict(r) for r in sparse], p)
+        want = [k for k in range(len(rows)) if rank(rows[: k + 1]) > rank(rows[:k])]
+        assert opened == want
