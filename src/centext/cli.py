@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import Algebra, null_filiform
 from .automorphisms import act_on_cocycle, automorphism_from_column
 from .cohomology import second_cohomology
-from .errors import CentextError, DimMismatch, FieldMismatch
+from .errors import CentextError, DimMismatch, FieldMismatch, InvalidDim, MalformedInput
 from .extensions import central_extension
 from .fields import Field
 from .forms import BilinearForm, delta, nabla
@@ -28,6 +28,9 @@ from .orbits import (
     orbits_on_T1,
 )
 from .reproduce import run_reproduction
+
+# the most digits `aut --count` prints: CPython's default int-to-str limit
+_MAX_COUNT_DIGITS = 4300
 
 _TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<star>\*)"
                     r"|(?P<atom>(?:nabla|delta)(?:_(?:\d+|n))+))")
@@ -113,6 +116,18 @@ def positive_int(text: str) -> int:
     return value
 
 
+def _parse_list(text: str, flag: str, parse, what: str) -> list:
+    """The comma-separated values of a flag, read by parse before any work
+    starts; a value that parse refuses is a MalformedInput naming the flag."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(parse(item))
+        except (ValueError, ZeroDivisionError, CentextError):
+            raise MalformedInput(f"{flag}: {item!r} is not {what}") from None
+    return values
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -194,6 +209,8 @@ def _cmd_aut(args) -> int:
     out = {"n": args.n, "field": field.spec()}
     if args.count:
         out["count"] = automorphism_count(args.n, field)
+        if out["count"] >= 10**_MAX_COUNT_DIGITS:
+            raise InvalidDim(f"the group order has more than {_MAX_COUNT_DIGITS} digits")
     if args.col is not None:
         phi = automorphism_from_column(args.n, field, args.col.split(","))
         out["column"] = [c.literal() for c in phi.first_col]
@@ -239,7 +256,7 @@ def _cmd_verify_table1(args) -> int:
     field = Field.from_spec(args.field)
     mu = None
     if args.mu is not None:
-        mu = [Fraction(m) for m in args.mu.split(",")]
+        mu = _parse_list(args.mu, "--mu", field.scalar, f"a scalar of {field.spec()}")
     rows = check_table1(args.n, field, mu)
     ok = all(r["ok"] for r in rows)
     _emit({"n": args.n, "field": field.spec(), "rows": rows, "ok": ok})
@@ -247,7 +264,7 @@ def _cmd_verify_table1(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    primes = tuple(int(p) for p in args.primes.split(",")) if args.primes else (3, 5)
+    primes = tuple(_parse_list(args.primes, "--primes", int, "an integer"))
     report = run_reproduction(
         n_max=args.n_max, seed=args.seed, budget=args.budget, orbit_primes=primes
     )
@@ -318,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=positive_int)
-    p.add_argument("--primes", help="comma-separated orbit primes, default 3,5")
+    p.add_argument("--primes", default="3,5", help="comma-separated orbit primes, default 3,5")
     p.set_defaults(fn=_cmd_reproduce)
 
     return parser

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, _identity_terms, is_standard_null_filiform, require_in_variety
 from .errors import DimMismatch, InvariantError, NotACocycle
-from .forms import BilinearForm, delta, nabla
+from .forms import BilinearForm, _tabulated_class
 from .identities import VarietySpec, format_identity
 from .linalg import Subspace, _echelon, _raw_rows, _scalar_row, kernel_basis, rref_with_transform
 
@@ -152,16 +152,13 @@ def _preferred_h_reps(a: Algebra, variety: VarietySpec):
     """The distinguished cohomology representatives for the null-filiform
     algebra in the left-commutative and bicommutative varieties: nabla_n
     first, then delta(i, 1) in ascending i."""
-    if a.dim < 2 or not is_standard_null_filiform(a):
+    n = a.dim
+    deltas = {"left_commutative": range(2, n + 1), "bicommutative": (2,)}.get(variety.name)
+    if n < 2 or deltas is None or not is_standard_null_filiform(a):
         return None
-    n, field = a.dim, a.field
-    if variety.name == "left_commutative":
-        forms = [nabla(n, n, field)] + [delta(i, 1, n, field) for i in range(2, n + 1)]
-        labels = [f"nabla{n}"] + [f"delta{i}_1" for i in range(2, n + 1)]
-        return forms, labels
-    if variety.name == "bicommutative":
-        return [nabla(n, n, field), delta(2, 1, n, field)], [f"nabla{n}", "delta2_1"]
-    return None
+    classes = [_tabulated_class(n, a.field, True, n, 0)]
+    classes += [_tabulated_class(n, a.field, False, i, 1) for i in deltas]
+    return tuple(zip(*classes))  # (forms, labels)
 
 
 class CohomologySpace:

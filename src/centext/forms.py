@@ -164,3 +164,22 @@ def nabla(j: int, n: int, field: Field) -> BilinearForm:
     for k in range(1, j + 1):
         rows[k - 1][j - k] = o
     return BilinearForm(field, rows)
+
+
+def _tabulated_class(n: int, field: Field, with_nabla: bool, i: int, mu):
+    """The form nabla_n + mu*delta(i, 1), or mu*delta(i, 1) without
+    nabla_n, and its label: ``zero``, ``delta<i>_1``, ``nabla<n>``,
+    ``nabla<n>+delta<i>_1``, ``nabla<n>-delta<i>_1`` or
+    ``nabla<n>+<mu>*delta<i>_1``.  The index i is not read when mu is 0."""
+    mu = field.scalar(mu)
+    if mu.is_zero and with_nabla:
+        return nabla(n, n, field), f"nabla{n}"
+    if mu.is_zero:
+        return BilinearForm.zero(field, n), "zero"
+    lit = mu.literal()
+    sign, lit = ("-", lit[1:]) if lit.startswith("-") else ("+", lit)
+    term = f"{sign}{'' if lit == '1' else lit + '*'}delta{i}_1"
+    form = delta(i, 1, n, field) if mu.is_one else mu * delta(i, 1, n, field)
+    if not with_nabla:
+        return form, term.removeprefix("+")
+    return nabla(n, n, field) + form, f"nabla{n}{term}"

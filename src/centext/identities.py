@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CharTooSmall, DegreeError, IdentitySyntaxError, UnknownVariety
-from .fields import Field
+from .fields import Field, _is_prime
 
 # ---------------------------------------------------------------------------
 # monomials and identities
@@ -362,20 +363,23 @@ class VarietySpec:
     identity_texts: tuple
     identities: tuple
     multilinear_identities: tuple
-    char_exclusions: frozenset
+
+    @cached_property
+    def char_exclusions(self) -> frozenset:
+        """The characteristics that char_gate refuses: the primes up to the
+        largest degree of a non-multilinear identity."""
+        top = max((i.degree for i in self.identities if not i.is_multilinear), default=0)
+        return frozenset(p for p in range(2, top + 1) if _is_prime(p))
 
     def char_gate(self, field: Field) -> None:
         """Multilinearized identities replace the originals only when the
         characteristic is 0 or exceeds the identity degree; refuse otherwise."""
         char = field.characteristic
-        if char == 0:
-            return
-        for ident in self.identities:
-            if not ident.is_multilinear and char <= ident.degree:
-                raise CharTooSmall(
-                    f"variety {self.name!r} has a non-multilinear identity of degree "
-                    f"{ident.degree}; characteristic {char} is too small"
-                )
+        if char in self.char_exclusions:
+            raise CharTooSmall(
+                f"variety {self.name!r} has a non-multilinear identity of degree {char} "
+                f"or more; characteristic {char} is too small"
+            )
 
 
 _CATALOG_TEXTS = {
@@ -389,12 +393,6 @@ _CATALOG_TEXTS = {
     "assosymmetric": ("(x*y)*z - x*(y*z) = (y*x)*z - y*(x*z) = (x*z)*y - x*(z*y)",),
     "novikov": ("(x*y)*z = (x*z)*y", "(x*y)*z - x*(y*z) = (y*x)*z - y*(x*z)"),
     "left_symmetric": ("(x*y)*z - x*(y*z) = (y*x)*z - y*(x*z)",),
-}
-
-_CHAR_EXCLUSIONS = {
-    "left_alternative": frozenset({2}),
-    "alternative": frozenset({2}),
-    "jordan": frozenset({2, 3}),
 }
 
 VARIETY_NAMES = tuple(_CATALOG_TEXTS)
@@ -421,6 +419,5 @@ def builtin_variety(name: str) -> VarietySpec:
             identity_texts=texts,
             identities=idents,
             multilinear_identities=multi,
-            char_exclusions=_CHAR_EXCLUSIONS.get(key, frozenset()),
         )
     return _cache[key]

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .extensions import central_extension
 from .fields import Field, Scalar
-from .forms import BilinearForm, delta, nabla
+from .forms import BilinearForm, _tabulated_class
 from .identities import VarietySpec, builtin_variety
 
 def automorphism_count(n: int, field: Field) -> int:
@@ -127,33 +127,69 @@ def coset_representatives(subgroup: RootSubgroup):
 
 @dataclass(frozen=True)
 class NamedClass:
+    """A tabulated class nabla_n + mu*delta(i, 1) (mu*delta(i, 1) when
+    nabla is false): its label and form come from the parameters
+    through ``forms._tabulated_class``."""
+
     label: str
     form: BilinearForm
     family: str
-    trivial: bool = False          # class of the trivial (split-free) tower step
-    t1: bool = True                # lies in the T_1 Grassmannian
-    ann_dim: int | None = None     # annihilator dim of the 1-dim extension
-    mu: Scalar | None = None
+    nabla: bool
+    i: int
+    mu: Scalar
+    t1: bool                       # lies in the T_1 Grassmannian
+    ann_dim: int | None            # annihilator dim of the 1-dim extension
+
+    @property
+    def trivial(self) -> bool:
+        """Whether this is the class of the trivial (split-free) tower step."""
+        return self.nabla and self.mu.is_zero
 
 
-def _mu_values(field: Field, mu_sample):
-    if mu_sample is not None:
-        return [field.scalar(m) for m in mu_sample]
+def _mubar_values(i: int, n: int, field: Field, mus):
+    """The parameters of nabla_n + mubar*delta(i, 1): the representatives
+    of F* / R(i, n) over F_p, the nonzero sample values over Q."""
     if field.is_finite:
-        return field.elements()
-    return [field.scalar(m) for m in (0, 1, -1, 2)]
+        return coset_representatives(roots_of_unity_subgroup(i, n, field))
+    return [m for m in mus if not m.is_zero]
 
 
-def _nabla_mu_label(n: int, i: int, mu: Scalar) -> str:
-    if mu.is_zero:
-        return f"nabla{n}"
-    if mu.is_one:
-        return f"nabla{n}+delta{i}_1"
-    lit = mu.literal()
-    if lit.startswith("-"):
-        head = "-" if lit == "-1" else f"-{lit[1:]}*"
-        return f"nabla{n}{head}delta{i}_1"
-    return f"nabla{n}+{lit}*delta{i}_1"
+def _families(vname: str, level: str, n: int, field: Field, mus):
+    """The tabulated families as parameter tuples (family, nabla, i,
+    mu values, ann_dim).  At level T1, ann_dim 2 marks the classes
+    outside T_1 whose extensions are still non-split; at level H2 it is
+    not tabulated.  For n = 2 the bicommutative classes are the
+    left-commutative ones."""
+    inner = range(2, n)
+    if vname == "left_commutative" or n == 2:
+        if level == "H2":
+            return [
+                ("zero", False, n, [field.zero], None),
+                *[("delta_i_1", False, i, [field.one], None) for i in range(2, n + 1)],
+                ("nabla+mu*delta_n_1", True, n, mus, None),
+                *[
+                    ("nabla+mubar*delta_i_1", True, i, _mubar_values(i, n, field, mus), None)
+                    for i in inner
+                ],
+            ]
+        return [
+            ("delta_n_1", False, n, [field.one], 1),
+            ("nabla+mu*delta_n_1", True, n, mus, 1),
+            *[("nabla+delta_i_1", True, i, [field.one], 1) for i in inner],
+            *[("delta_k_1_wide_annihilator", False, k, [field.one], 2) for k in inner],
+        ]
+    if level == "H2":
+        return [
+            ("zero", False, n, [field.zero], None),
+            ("delta_2_1", False, 2, [field.one], None),
+            ("nabla", True, 2, [field.zero], None),
+            ("nabla+mubar*delta_2_1", True, 2, _mubar_values(2, n, field, mus), None),
+        ]
+    return [
+        ("nabla", True, 2, [field.zero], 1),
+        ("nabla+delta_2_1", True, 2, [field.one], 1),
+        ("delta_2_1_wide_annihilator", False, 2, [field.one], 2),
+    ]
 
 
 def closed_field_representatives(
@@ -169,86 +205,23 @@ def closed_field_representatives(
     Grassmannian-line representatives plus the non-T_1 classes that still
     give non-split one-dimensional extensions (with two-dimensional
     annihilator)."""
-    if isinstance(variety, VarietySpec):
-        vname = variety.name
-    else:
-        vname = builtin_variety(variety).name
+    vname = variety.name if isinstance(variety, VarietySpec) else builtin_variety(variety).name
     if vname not in ("left_commutative", "bicommutative"):
         raise UnsupportedVariety(f"no tabulated representatives for {vname!r}")
     if n < 2:
         raise InvalidDim("representatives are tabulated for n >= 2")
     if level not in ("H2", "T1"):
         raise ValueError(f"level must be 'H2' or 'T1', not {level!r}")
-    mus = _mu_values(field, mu_sample)
-    nab = nabla(n, n, field)
+    # the one-parameter family takes every element of F_p, or a sample over Q
+    default = field.elements() if field.is_finite else (0, 1, -1, 2)
+    mus = [field.scalar(m) for m in (default if mu_sample is None else mu_sample)]
     out = []
-
-    def _add(label, form, family, **kw):
-        out.append(NamedClass(label=label, form=form, family=family, **kw))
-
-    def _nabla_plus(i, values, family, **kw):
-        # nabla_n + mu*delta_i_1, one class per parameter value
+    for family, with_nabla, i, values, ann_dim in _families(vname, level, n, field, mus):
         for mu in values:
-            _add(
-                _nabla_mu_label(n, i, mu),
-                nab + mu * delta(i, 1, n, field),
-                family,
-                trivial=mu.is_zero,
-                mu=mu,
-                **kw,
-            )
-
-    def _mubars(i):
-        # F* / R(i, n): the parameters of nabla_n + mubar*delta_i_1
-        if field.is_finite:
-            return coset_representatives(roots_of_unity_subgroup(i, n, field))
-        return [m for m in mus if not m.is_zero]
-
-    if level == "H2":
-        _add("zero", BilinearForm.zero(field, n), "zero", t1=False)
-    if vname == "left_commutative":
-        if level == "H2":
-            for i in range(2, n + 1):
-                _add(f"delta{i}_1", delta(i, 1, n, field), "delta_i_1")
-            _nabla_plus(n, mus, "nabla+mu*delta_n_1")
-            for i in range(2, n):
-                _nabla_plus(i, _mubars(i), "nabla+mubar*delta_i_1")
-        else:
-            _add(f"delta{n}_1", delta(n, 1, n, field), "delta_n_1", ann_dim=1)
-            _nabla_plus(n, mus, "nabla+mu*delta_n_1", ann_dim=1)
-            for i in range(2, n):
-                _add(
-                    f"nabla{n}+delta{i}_1",
-                    nab + delta(i, 1, n, field),
-                    "nabla+delta_i_1",
-                    ann_dim=1,
-                )
-            for k in range(2, n):
-                _add(
-                    f"delta{k}_1",
-                    delta(k, 1, n, field),
-                    "delta_k_1_wide_annihilator",
-                    t1=False,
-                    ann_dim=2,
-                )
-    elif n == 2:  # bicommutative, both levels
-        line = {"ann_dim": 1} if level == "T1" else {}
-        _add("delta2_1", delta(2, 1, n, field), "delta_2_1", **line)
-        _nabla_plus(2, mus, "nabla+mu*delta_2_1", **line)
-    elif level == "H2":  # bicommutative
-        _add("delta2_1", delta(2, 1, n, field), "delta_2_1")
-        _add(f"nabla{n}", nab, "nabla", trivial=True)
-        _nabla_plus(2, _mubars(2), "nabla+mubar*delta_2_1")
-    else:  # bicommutative
-        _add(f"nabla{n}", nab, "nabla", trivial=True, ann_dim=1)
-        _add(f"nabla{n}+delta2_1", nab + delta(2, 1, n, field), "nabla+delta_2_1", ann_dim=1)
-        _add(
-            "delta2_1",
-            delta(2, 1, n, field),
-            "delta_2_1_wide_annihilator",
-            t1=False,
-            ann_dim=2,
-        )
+            form, label = _tabulated_class(n, field, with_nabla, i, mu)
+            # outside T_1: the zero class and the wide-annihilator classes
+            t1 = ann_dim != 2 and (with_nabla or not mu.is_zero)
+            out.append(NamedClass(label, form, family, with_nabla, i, mu, t1, ann_dim))
     return out
 
 
@@ -389,7 +362,7 @@ class ClassAction:
         return tuple(coords_b) in self.orbit_of_class(coords_a)
 
 
-def _orbit_report(action: ClassAction, kind, domain, image, to_domain, mu_sample):
+def _orbit_report(action: ClassAction, kind, domain, image, to_domain):
     """Split the domain into orbits of the full automorphism group, where
     image(mat, x) is the domain element that the matrix sends x to, and
     label each orbit with the tabulated representatives that
@@ -422,9 +395,7 @@ def _orbit_report(action: ClassAction, kind, domain, image, to_domain, mu_sample
     orbit_index = {x: k for k, group in enumerate(orbit_members) for x in group}
     level = kind[:2]  # "H2" for "H2_points", "T1" for "T1_lines"
     try:
-        reps = closed_field_representatives(
-            action.variety, action.n, action.field, level=level, mu_sample=mu_sample
-        )
+        reps = closed_field_representatives(action.variety, action.n, action.field, level)
     except UnsupportedVariety:
         reps = []
     matched = {}
@@ -462,7 +433,6 @@ def orbits_on_H2(
     variety,
     field: Field,
     budget: int | None = None,
-    mu_sample=None,
 ) -> OrbitReport:
     """Partition all of H^2 (as coordinate tuples over F_p) into orbits
     by applying every automorphism's class action."""
@@ -474,7 +444,6 @@ def orbits_on_H2(
         action.all_points(),
         action.apply,
         lambda named: action.coords_of(named.form),
-        mu_sample,
     )
 
 
@@ -483,7 +452,6 @@ def orbits_on_T1(
     variety,
     field: Field,
     budget: int | None = None,
-    mu_sample=None,
 ) -> OrbitReport:
     """Partition the T_1 Grassmannian lines (normalized class coordinate
     vectors with trivial annihilator overlap) into orbits."""
@@ -505,7 +473,6 @@ def orbits_on_T1(
         [ln for ln in action.all_lines() if action.line_in_t1(ln)],
         lambda mat, ln: action.normalize_line(action.apply(mat, ln)),
         line_of,
-        mu_sample,
     )
 
 
@@ -523,95 +490,46 @@ class TableRow:
     base_h2: CohomologySpace = dataclass_field(compare=False, repr=False)
 
 
-def _pattern_algebra(n: int, field: Field, products) -> Algebra:
-    """Build the expected (n+1)-dimensional algebra from a dict
-    (i, j) -> list of (k, scalar), 1-based, as a sparse raw table."""
-    m = n + 1
-    sparse = [[()] * m for _ in range(m)]
-    for (i, j), terms in products.items():
-        vec = {}
-        for k, c in terms:
-            vec[k - 1] = field.scalar(c).raw
-        sparse[i - 1][j - 1] = tuple(sorted((k, c) for k, c in vec.items() if c))
-    return Algebra._from_sparse(field, tuple(tuple(row) for row in sparse))
+def _expected_extension(named: NamedClass, n: int, field: Field) -> Algebra:
+    """The (n+1)-dimensional algebra that the table states for a class,
+    from its parameters alone (never from its form), as a sparse raw
+    table: e_a e_b = e_{a+b} for a+b <= n, e_a e_b = e_{n+1} for
+    a+b = n+1 when nabla_n is present, and mu e_{n+1} added to e_i e_1."""
+    one = field.one
+    products = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
+    for a in range(1, n + 1):
+        for b in range(1, n + 2 - a):
+            if a + b <= n or named.nabla:
+                products[a - 1][b - 1][a + b - 1] = one
+    out = products[named.i - 1][0]
+    out[n] = out.get(n, field.zero) + named.mu
+    sparse = tuple(
+        tuple(tuple(sorted((k, c.raw) for k, c in vec.items() if not c.is_zero)) for vec in row)
+        for row in products
+    )
+    return Algebra._from_sparse(field, sparse)
 
 
 def classification_table(n: int, field: Field, mu_sample=None):
     """Rows of the classification table of one-dimensional non-split
-    extensions of the n-dimensional null-filiform algebra, with their
-    expected product patterns and the base's H^2, computed once."""
-    if n < 2:
-        raise InvalidDim("the table is defined for n >= 2")
-    rows = []
-    one = field.one
+    extensions of the n-dimensional null-filiform algebra: the
+    left-commutative T_1-level representatives, in the order delta_n_1,
+    the wide delta_k_1, nabla_n + delta_k_1, nabla_n + mu*delta_n_1, with
+    their expected product patterns and the base's H^2, computed once."""
+    reps = closed_field_representatives("left_commutative", n, field, "T1", mu_sample)
+    reps.sort(key=lambda c: (c.nabla, c.ann_dim, c.i == n))
     h = second_cohomology(null_filiform(n, field), builtin_variety("left_commutative"))
-
-    def base_products(limit, skip=()):
-        prods = {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i + j <= limit and (i, j) not in skip:
-                    prods[(i, j)] = [(i + j, one)]
-        return prods
-
-    # e_n e_1 = e_{n+1}, all other products as in the base algebra
-    prods = base_products(n)
-    prods[(n, 1)] = [(n + 1, one)]
-    rows.append(
+    return [
         TableRow(
-            label=f"delta{n}_1",
-            cocycle=delta(n, 1, n, field),
-            expected=_pattern_algebra(n, field, prods),
-            expected_ann_dim=1,
-            expected_t1=True,
+            label=c.label,
+            cocycle=c.form,
+            expected=_expected_extension(c, n, field),
+            expected_ann_dim=c.ann_dim,
+            expected_t1=c.t1,
             base_h2=h,
         )
-    )
-    # e_k e_1 = e_{k+1} + e_{n+1}: annihilator gains a second dimension
-    for k in range(2, n):
-        prods = base_products(n, skip=((k, 1),))
-        prods[(k, 1)] = [(k + 1, one), (n + 1, one)]
-        rows.append(
-            TableRow(
-                label=f"delta{k}_1",
-                cocycle=delta(k, 1, n, field),
-                expected=_pattern_algebra(n, field, prods),
-                expected_ann_dim=2,
-                expected_t1=False,
-                base_h2=h,
-            )
-        )
-    # nabla_n + delta_k_1, 2 <= k <= n-1
-    for k in range(2, n):
-        prods = base_products(n + 1, skip=((k, 1),))
-        prods[(k, 1)] = [(k + 1, one), (n + 1, one)]
-        rows.append(
-            TableRow(
-                label=f"nabla{n}+delta{k}_1",
-                cocycle=nabla(n, n, field) + delta(k, 1, n, field),
-                expected=_pattern_algebra(n, field, prods),
-                expected_ann_dim=1,
-                expected_t1=True,
-                base_h2=h,
-            )
-        )
-    # nabla_n + mu * delta_n_1
-    for mu in _mu_values(field, mu_sample):
-        prods = base_products(n + 1, skip=((n, 1),))
-        coeff = one + mu
-        if not coeff.is_zero:
-            prods[(n, 1)] = [(n + 1, coeff)]
-        rows.append(
-            TableRow(
-                label=_nabla_mu_label(n, n, mu),
-                cocycle=nabla(n, n, field) + mu * delta(n, 1, n, field),
-                expected=_pattern_algebra(n, field, prods),
-                expected_ann_dim=1,
-                expected_t1=True,
-                base_h2=h,
-            )
-        )
-    return rows
+        for c in reps
+    ]
 
 
 def _check_row(row: TableRow, n: int, field: Field) -> dict:

@@ -203,6 +203,8 @@ def run_reproduction(n_max=6, seed=0, budget=None, orbit_primes=(3, 5)) -> dict:
     report.  Identical arguments give an identical report."""
     if n_max < 2:
         raise InvalidDim("n_max must be at least 2")
+    for p in orbit_primes:
+        Field.prime(p)  # a modulus that is not prime is refused before any work
     budget = resolve_budget(budget)
     rng = random.Random(seed)
     claims = []

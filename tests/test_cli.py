@@ -3,13 +3,18 @@ import json
 import pytest
 
 from centext import (
+    VARIETY_NAMES,
+    CharTooSmall,
+    CompositeModulus,
     DimMismatch,
     Field,
     InvalidDim,
     RATIONALS,
     automorphism_count,
     automorphism_from_column,
+    builtin_variety,
     null_filiform,
+    run_reproduction,
 )
 from centext.cli import main, parse_cocycle_expr
 
@@ -176,6 +181,53 @@ def test_aut_count_refuses_a_dimension_below_one(capsys):
         assert err == f"error: dimension {n} must be >= 1\n"
     with pytest.raises(InvalidDim):
         automorphism_count(0, Field.prime(5))
+
+
+def test_aut_count_refuses_a_group_order_too_long_to_print(capsys):
+    code, out, err = run(capsys, "aut", "--n", "100000", "--count", "--field", "Fp:5")
+    assert code == 2 and out == ""
+    assert err == "error: the group order has more than 4300 digits\n"
+    # 4 * 5^6151 has 4300 digits and is printed in full
+    data = run_json(capsys, "aut", "--n", "6152", "--count", "--field", "Fp:5")
+    assert data["count"] == 4 * 5**6151
+
+
+def test_verify_table1_refuses_a_bad_mu_before_any_work(capsys):
+    for field, mu, item in (
+        ("Q", "1,1/0", "1/0"),
+        ("Q", "x", "x"),
+        ("Fp:5", "0,1/5", "1/5"),
+    ):
+        code, out, err = run(capsys, "verify-table1", "--n", "3", "--field", field, "--mu", mu)
+        assert code == 2 and out == ""
+        assert err == f"error: --mu: {item!r} is not a scalar of {field}\n"
+
+
+def test_reproduce_refuses_a_bad_prime_before_any_work(capsys):
+    for primes, message in (
+        ("4", "modulus 4 is not prime"),
+        ("3,1", "modulus 1 is not prime"),
+        ("3,x", "--primes: 'x' is not an integer"),
+    ):
+        code, out, err = run(capsys, "reproduce", "--n-max", "2", "--primes", primes)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+    with pytest.raises(CompositeModulus, match="modulus 9 is not prime"):
+        run_reproduction(n_max=2, orbit_primes=(3, 9))
+
+
+def test_identities_report_the_characteristics_the_gate_refuses(capsys):
+    for name in VARIETY_NAMES:
+        variety = builtin_variety(name)
+        refused = []
+        for p in (2, 3, 5, 7):
+            try:
+                variety.char_gate(Field.prime(p))
+            except CharTooSmall:
+                refused.append(p)
+        data = run_json(capsys, "identities", "--variety", name)
+        assert data["char_exclusions"] == refused, name
+    assert run_json(capsys, "identities", "--variety", "alternative")["char_exclusions"] == [2, 3]
 
 
 def test_act_subcommand(capsys):

@@ -11,8 +11,12 @@ the classify files of (4, lc, F_7), (5, bc, F_5), (4, novikov, F_5) and
 verification reused the stored cocycle equations and membership verdicts,
 and ``cohomology`` of mu0:8 for right-commutative over Q and of mu0:6 for
 left-symmetric over F_5, whose representatives are the greedy pick from
-the cocycle basis, before that pick became one echelon); refactors must
-leave these outputs unchanged.  To add a case, run the command with the
+the cocycle basis, before that pick became one echelon, and the H2-level
+classify files of (4, lc, F_5), with both mubar-coset families, and of
+(3, bc, F_7), with the trivial nabla_3 and the bc cosets, and
+``verify-table1 --n 4 --field Fp:5 --mu 0,1,-1,3``, before the tabulated
+classes and the table rows came from one list of parameters); refactors
+must leave these outputs unchanged.  To add a case, run the command with the
 package as it stands and save its stdout under the case name.
 """
 
@@ -49,7 +53,11 @@ CASES = {
     "classify_bc_n5_f5_t1": _classify(5, 5, "bc", "t1"),
     "classify_novikov_n4_f5_t1": _classify(4, 5, "novikov", "t1"),
     "classify_associative_n4_f7_h2": _classify(4, 7, "associative", "h2"),
+    "classify_lc_n4_f5_h2": _classify(4, 5, "lc", "h2"),
+    "classify_bc_n3_f7_h2": _classify(3, 7, "bc", "h2"),
     "verify_table1_n4": ["verify-table1", "--n", "4"],
+    "verify_table1_n4_f5_mu": ["verify-table1", "--n", "4", "--field", "Fp:5",
+                               "--mu", "0,1,-1,3"],
     "verify_table1_n6": ["verify-table1", "--n", "6"],
     "verify_table1_n5_f7": ["verify-table1", "--n", "5", "--field", "Fp:7"],
     "cohomology_jordan_n5_q": _cohomology(5, "jordan", "Q"),

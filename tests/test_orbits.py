@@ -1,6 +1,10 @@
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from centext import (
+    BilinearForm,
     BudgetExceeded,
     ClassAction,
     Field,
@@ -24,6 +28,7 @@ from centext import (
     orbits_on_T1,
     roots_of_unity_subgroup,
 )
+from centext.cli import parse_cocycle_expr
 from centext.orbits import _check_row, resolve_budget
 
 from oracles import orbit_partition
@@ -259,6 +264,58 @@ def test_unsupported_variety_and_bad_dim():
         closed_field_representatives("lc", 1, RATIONALS)
     with pytest.raises(ValueError):
         closed_field_representatives("lc", 3, RATIONALS, level="T2")
+
+
+FIELDS = [RATIONALS, Field.prime(5), Field.prime(7)]
+MU_SAMPLES = [None, (0, 3, -1, Fraction(-1, 2))]
+
+
+def _label_expr(label: str) -> str:
+    """A tabulated label in the syntax of ``parse_cocycle_expr``."""
+    return label.replace("nabla", "nabla_").replace("delta", "delta_")
+
+
+@pytest.mark.parametrize("sample", MU_SAMPLES, ids=["default-mu", "mu-sample"])
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec())
+def test_every_named_class_is_built_from_its_parameters(field, sample):
+    for vname in ("left_commutative", "bicommutative"):
+        for level in ("H2", "T1"):
+            for n in range(2, 7):
+                for c in closed_field_representatives(vname, n, field, level, sample):
+                    base = nabla(n, n, field) if c.nabla else BilinearForm.zero(field, n)
+                    assert c.form == base + c.mu * delta(c.i, 1, n, field), c.label
+                    assert c.trivial == (c.nabla and c.mu.is_zero)
+                    if c.label == "zero":
+                        assert c.form.is_zero and level == "H2" and not c.t1
+                    else:
+                        assert parse_cocycle_expr(_label_expr(c.label), n, field) == c.form
+                    assert (c.ann_dim is None) == (level == "H2")
+
+
+@pytest.mark.parametrize("sample", MU_SAMPLES, ids=["default-mu", "mu-sample"])
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec())
+def test_table_rows_are_the_lc_t1_representatives_in_family_order(field, sample):
+    if sample is not None:
+        mus = [field.scalar(m) for m in sample]
+    elif field.is_finite:
+        mus = field.elements()
+    else:
+        mus = [field.scalar(m) for m in (0, 1, -1, 2)]
+    for n in range(2, 7):
+        rows = classification_table(n, field, sample)
+        got = [(r.label, r.cocycle, r.expected_ann_dim, r.expected_t1) for r in rows]
+        reps = closed_field_representatives("left_commutative", n, field, "T1", sample)
+        assert Counter(got) == Counter((c.label, c.form, c.ann_dim, c.t1) for c in reps)
+        nab, inner = nabla(n, n, field), range(2, n)
+        want = [(delta(n, 1, n, field), 1, True)]
+        want += [(delta(k, 1, n, field), 2, False) for k in inner]
+        want += [(nab + delta(k, 1, n, field), 1, True) for k in inner]
+        want += [(nab + mu * delta(n, 1, n, field), 1, True) for mu in mus]
+        assert [g[1:] for g in got] == want
+        for label, form, _, _ in got:
+            assert parse_cocycle_expr(_label_expr(label), n, field) == form
+        # nabla_n alone extends mu0:n to mu0:(n+1)
+        assert rows[len(rows) - len(mus)].expected == null_filiform(n + 1, field)
 
 
 def test_classification_table_rows():

@@ -1,4 +1,7 @@
+import ast
+import re
 import types
+from pathlib import Path
 
 import centext
 
@@ -11,3 +14,60 @@ def test_all_lists_every_public_name():
     }
     assert len(set(centext.__all__)) == len(centext.__all__)
     assert set(centext.__all__) == public
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "centext"
+
+
+def _trees(paths):
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+
+
+def _names_used(tree, strings=False) -> set:
+    """Every identifier read in a module: names and attribute names, and
+    with strings=True the parts of every string that is a dotted name
+    (monkeypatch targets, the patch table of perfbench/spans.py)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                used.update(node.value.split("."))
+    return used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(ROOT.glob("tests/*.py"))
+    unused = []
+    for path, tree in _trees(paths).items():
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(ROOT)}: {name}")
+    assert unused == []
+
+
+def test_every_private_definition_in_src_is_referenced():
+    src = _trees(sorted(SRC.glob("*.py")))
+    others = _trees(sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("perfbench/*.py")))
+    # a definition is not a read, so any name read here is a reference
+    used = set().union(*(_names_used(t, strings=True) for t in [*src.values(), *others.values()]))
+    unreferenced = [
+        f"{path.relative_to(ROOT)}: {node.name}"
+        for path, tree in src.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert unreferenced == []
