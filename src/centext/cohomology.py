@@ -11,8 +11,8 @@ are taken modulo coboundaries.
 
 from __future__ import annotations
 
-from .algebra import Algebra, _identity_terms, is_standard_null_filiform, require_in_variety
-from .errors import DimMismatch, InvariantError, NotACocycle
+from .algebra import Algebra, _identity_terms, is_standard_null_filiform
+from .errors import DimMismatch, InvariantError, NotACocycle, NotInVariety
 from .forms import BilinearForm, _tabulated_class
 from .identities import VarietySpec, format_identity
 from .linalg import Subspace, _echelon, _raw_rows, _scalar_row, kernel_basis, rref_with_transform
@@ -54,15 +54,33 @@ def cocycle_space(a: Algebra, variety: VarietySpec, equations=None):
     """Canonical echelonized basis of the cocycle space Z^2(A, F) for the
     variety, as a list of BilinearForm.  ``equations``, when given, are
     the (row, identity, tuple) triples of ``_cocycle_equations(a,
-    variety)``, already built by the caller."""
-    require_in_variety(a, variety)
+    variety)``, already built by the caller.  Membership in the variety
+    is read off the same equations, so the identities are walked once."""
     if equations is None:
-        rows = _equation_rows(a, variety)
-    else:
-        rows = [row for row, _, _ in equations]
+        equations = tuple(_cocycle_equations(a, variety))
+    _require_member(a, variety, equations)
     n = a.dim
-    basis = kernel_basis(rows, n * n, a.field)
+    basis = kernel_basis([row for row, _, _ in equations], n * n, a.field)
     return [BilinearForm.from_vector(a.field, n, v) for v in basis]
+
+
+def _require_member(a: Algebra, variety: VarietySpec, equations) -> None:
+    """Raise NotInVariety unless the algebra satisfies the variety.  The
+    row {i*n + j: r} of an (identity, tuple) gives the identity's value
+    sum r * e_i e_j there, so the algebra is in the variety exactly when
+    every distinct row vanishes on the sparse table.  Verdicts are kept
+    as ``satisfies_variety`` keeps them: every identity on success, only
+    the failing row's identity on failure."""
+    n, p, table = a.dim, a.field.p, a._sparse
+    for row, ident, _ in equations:
+        acc = {}
+        for pos, r in row.items():
+            for k, c in table[pos // n][pos % n]:
+                acc[k] = acc.get(k, 0) + r * c
+        if any(v % p if p else v for v in acc.values()):
+            a._verdicts[ident] = False
+            raise NotInVariety(f"algebra does not satisfy {variety.name}")
+    a._verdicts.update(dict.fromkeys(variety.multilinear_identities, True))
 
 
 def check_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> None:
@@ -167,7 +185,8 @@ class CohomologySpace:
     the cocycle equations the cocycle basis solves.
 
     The equations are the deduplicated (row, identity, tuple) triples of
-    the identity walk, in first-seen order, kept from the solve so that
+    the one identity walk, in first-seen order, which also decided that
+    the algebra is in the variety.  They are kept from the solve so that
     ``check_cocycle`` tests a form against them without walking the
     identities again, and names the same failing equation as the
     module-level ``check_cocycle``.
@@ -288,7 +307,9 @@ def _new_directions(b_rows, forms, p) -> list:
 
 
 def second_cohomology(a: Algebra, variety: VarietySpec) -> CohomologySpace:
-    """H^2 = Z^2 / B^2.  The representatives are the forms of
+    """H^2 = Z^2 / B^2, from one walk of the identities: membership in
+    the variety is read off the cocycle equations (NotInVariety
+    otherwise).  The representatives are the forms of
     ``_preferred_h_reps`` when they complete B to a basis of Z, and
     otherwise the cocycle basis vectors z<k> (1-based) outside the span of
     B and the vectors before them; each choice is one echelon."""

@@ -219,8 +219,9 @@ def closed_field_representatives(
     for family, with_nabla, i, values, ann_dim in _families(vname, level, n, field, mus):
         for mu in values:
             form, label = _tabulated_class(n, field, with_nabla, i, mu)
-            # outside T_1: the zero class and the wide-annihilator classes
-            t1 = ann_dim != 2 and (with_nabla or not mu.is_zero)
+            # in T_1 exactly when e_n does not annihilate the class: through
+            # nabla_n, or through a nonzero delta(n, 1)
+            t1 = with_nabla or (i == n and not mu.is_zero)
             out.append(NamedClass(label, form, family, with_nabla, i, mu, t1, ann_dim))
     return out
 

@@ -4,6 +4,7 @@ import pytest
 
 from centext import (
     VARIETY_NAMES,
+    Algebra,
     CharTooSmall,
     CompositeModulus,
     DimMismatch,
@@ -147,6 +148,17 @@ def test_algebra_json_file(capsys, tmp_path):
     via_file = run_json(capsys, "cohomology", "--algebra", str(path), "--variety", "bc")
     via_name = run_json(capsys, "cohomology", "--algebra", "mu0:3", "--variety", "bc")
     assert via_file == via_name
+
+
+def test_cohomology_of_an_algebra_outside_the_variety_exits_2(capsys, tmp_path):
+    o, z = RATIONALS.one, RATIONALS.zero
+    not_lc = Algebra(RATIONALS, [[[o, z], [z, o]], [[z, z], [z, z]]]).opposite()
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(not_lc.to_json()))
+    code, out, err = run(capsys, "cohomology", "--algebra", str(path), "--variety", "lc")
+    assert (code, out, err) == (2, "", "error: algebra does not satisfy left_commutative\n")
+    data = run_json(capsys, "cohomology", "--algebra", str(path), "--variety", "rc")
+    assert data["dim_h"] == data["dim_z"] - data["dim_b"]  # it is right-commutative
 
 
 def test_aut_subcommand(capsys):

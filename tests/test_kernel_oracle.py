@@ -6,6 +6,7 @@ reduction, on random sparse structure constants, forms and matrices
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,18 +19,23 @@ from centext import (
     CharTooSmall,
     Field,
     NotACocycle,
+    NotInVariety,
     VARIETY_NAMES,
     annihilator_intersection,
+    build_extension,
     builtin_variety,
     check_cocycle,
     cocycle_annihilator,
+    cocycle_space,
     format_identity,
     kernel_basis,
     null_filiform,
     rref,
     satisfies_variety,
+    second_cohomology,
 )
 import centext.algebra as algebra_mod
+import centext.cohomology as cohomology_mod
 from centext.cohomology import _equation_rows
 from centext.linalg import mat_mul, rref_with_transform, solve
 
@@ -176,6 +182,87 @@ def test_stored_verdicts_keep_the_char_gate_and_the_budget(monkeypatch):
         satisfies_variety(a, lc)
     with pytest.raises(BudgetExceeded):
         satisfies_variety(a, linear)
+
+
+def test_second_cohomology_walks_each_identity_once(monkeypatch):
+    # membership is read off the cocycle equations: one walk of every
+    # identity over every basis tuple, and the verdicts it leaves on the
+    # algebra answer satisfies_variety without another walk
+    calls, walked = [], Counter()
+    real = algebra_mod._identity_terms
+
+    def recording(a, variety):
+        calls.append(variety.multilinear_identities)
+        for ident, combo, terms in real(a, variety):
+            walked[ident, combo] += 1
+            yield ident, combo, terms
+
+    monkeypatch.setattr(algebra_mod, "_identity_terms", recording)
+    monkeypatch.setattr(cohomology_mod, "_identity_terms", recording)
+    a = null_filiform(5, RATIONALS)
+    jordan = builtin_variety("jordan")
+    second_cohomology(a, jordan)
+    assert calls == [jordan.multilinear_identities]
+    assert set(walked.values()) == {1}
+    assert len(walked) == sum(5 ** len(i.variables) for i in jordan.multilinear_identities)
+    calls.clear()
+    assert satisfies_variety(a, jordan)
+    assert calls == []
+
+
+def membership_inputs():
+    """The opposite of a left-commutative algebra, random 2- and
+    3-dimensional tables over Q, F_3 and F_5, and extensions of mu0:n by
+    random forms."""
+    o, z = RATIONALS.one, RATIONALS.zero
+    yield Algebra(RATIONALS, [[[o, z], [z, o]], [[z, z], [z, z]]]).opposite()
+    rng = random.Random(41)
+    for field in (RATIONALS, Field.prime(3), Field.prime(5)):
+        p = field.p
+        for n in (2, 3):
+            for graded in (True, False):
+                for _ in range(2):
+                    yield Algebra(field, random_table(rng, n, p, graded))
+            for _ in range(2):
+                form = [[_value(rng, p) if rng.random() < 1 / 3 else 0 for _ in range(n)]
+                        for _ in range(n)]
+                yield build_extension(null_filiform(n, field), [BilinearForm(field, form)])
+
+
+@pytest.mark.parametrize("vname", VARIETY_NAMES)
+def test_cohomology_refuses_exactly_the_non_members(vname):
+    variety = builtin_variety(vname)
+    outcomes = set()
+    for a in membership_inputs():
+
+        def fresh():
+            return Algebra(a.field, a.table)
+
+        def answer(v):
+            try:
+                return satisfies_variety(fresh(), v)
+            except CharTooSmall:
+                return CharTooSmall
+
+        others = {v: answer(v) for v in map(builtin_variety, VARIETY_NAMES)}
+        want = others[variety]
+        outcomes.add(want)
+        for solve in (cocycle_space, second_cohomology):
+            b = fresh()
+            if want is CharTooSmall:
+                with pytest.raises(CharTooSmall):
+                    solve(b, variety)
+                continue
+            if want:
+                solve(b, variety)
+            else:
+                with pytest.raises(NotInVariety, match=f"^algebra does not satisfy {vname}$"):
+                    solve(b, variety)
+            # the verdicts the solve kept on b agree with fresh answers
+            for other, expected in others.items():
+                if expected is not CharTooSmall:
+                    assert satisfies_variety(b, other) == expected, (vname, other.name)
+    assert {True, False} <= outcomes
 
 
 @pytest.mark.parametrize("vname", ["left_commutative", "jordan", "assosymmetric", "alternative"])

@@ -257,6 +257,21 @@ def test_closed_field_representatives_bc():
     ]
 
 
+@pytest.mark.parametrize("level", ["H2", "T1"])
+@pytest.mark.parametrize("variety", ["lc", "bc"])
+def test_every_tabulated_t1_flag_matches_the_class_action(variety, level):
+    # one rule at both levels: a class is in T_1 exactly when its line is
+    # (the zero class spans no line and is outside T_1)
+    for p in (5, 7):
+        field = Field.prime(p)
+        for n in (3, 4, 5):
+            action = ClassAction(n, variety, field)
+            for named in closed_field_representatives(variety, n, field, level=level):
+                coords = action.coords_of(named.form)
+                want = any(coords) and action.line_in_t1(action.normalize_line(coords))
+                assert named.t1 == want, (p, n, named.label)
+
+
 def test_unsupported_variety_and_bad_dim():
     with pytest.raises(UnsupportedVariety):
         closed_field_representatives("associative", 3, RATIONALS)
