@@ -1,0 +1,8 @@
+"""``python -m centext <command> ...``: the ``centext`` command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

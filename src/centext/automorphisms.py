@@ -11,9 +11,10 @@ One kernel on raw values (residues mod p over F_p, ints or Fractions
 over Q; see ``Scalar.raw``) does this work: the lower-triangular matrix
 from a first column, M^T C M on a form given by its nonzero (i, j, c)
 triples, and the class coordinates of the image from
-``CohomologySpace._reduce_raw``.  ``Automorphism.matrix``,
-``act_on_cocycle`` and ``class_action_matrix`` convert its results to
-Scalars; the orbit enumeration uses it directly.
+``CohomologySpace._reduce_raw``, which walks only the image's nonzero
+entries, each through its sparse column of the reduction map.
+``Automorphism.matrix``, ``act_on_cocycle`` and ``class_action_matrix``
+convert its results to Scalars; the orbit enumeration uses it directly.
 """
 
 from __future__ import annotations

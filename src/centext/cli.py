@@ -90,7 +90,13 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
 
 def _load_algebra(spec: str, field: Field) -> Algebra:
     if spec.startswith("mu0:"):
-        return null_filiform(int(spec[4:]), field)
+        try:
+            n = int(spec[4:])
+        except ValueError:
+            raise MalformedInput(
+                f"--algebra {spec!r}: expected mu0:<dimension> or a JSON file"
+            ) from None
+        return null_filiform(n, field)
     with open(spec) as fh:
         alg = Algebra.from_json(json.load(fh))
     return alg

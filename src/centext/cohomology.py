@@ -196,8 +196,9 @@ class CohomologySpace:
     representatives, so T theta holds the coordinates of theta in that
     basis followed by entries that vanish exactly when theta is in their
     span, the cocycle space.  The rows of T for the class coordinates and
-    for those checks are kept as sparse raw rows, built on the first
-    reduction."""
+    for those checks are kept as sparse raw columns, built on the first
+    reduction: {form position k: ((row, raw value), ...)}, so a reduction
+    touches only the form's nonzero entries."""
 
     __slots__ = (
         "algebra",
@@ -208,7 +209,7 @@ class CohomologySpace:
         "h_labels",
         "preferred_basis_used",
         "_transform",
-        "_raw_rows",
+        "_columns",
         "_equations",
     )
 
@@ -228,7 +229,7 @@ class CohomologySpace:
         if rank != len(cols) or pivots != list(range(len(cols))):
             raise InvariantError("coboundary/representative columns are not independent")
         self._transform = transform
-        self._raw_rows = None
+        self._columns = None
 
     @property
     def dim_z(self) -> int:
@@ -245,17 +246,21 @@ class CohomologySpace:
     def _reduce_raw(self, entries: dict):
         """Raw coordinates of the class of the form whose nonzero entries
         are {i*n + j: raw value}; NotACocycle when the form is outside
-        the cocycle span."""
-        if self._raw_rows is None:
-            self._raw_rows = [
-                {c: x.raw for c, x in enumerate(row) if not x.is_zero}
-                for row in self._transform[self.dim_b :]
-            ]
+        the cocycle span.  Each entry adds its value times its column of
+        the reduction map; over F_p the sums are reduced once at the end."""
+        if self._columns is None:
+            columns = {}
+            for r, row in enumerate(self._transform[self.dim_b :]):
+                for k, x in enumerate(row):
+                    if not x.is_zero:
+                        columns.setdefault(k, []).append((r, x.raw))
+            self._columns = {k: tuple(col) for k, col in columns.items()}
+        columns = self._columns
+        values = [0] * (len(self._transform) - self.dim_b)
+        for k, x in entries.items():
+            for r, v in columns.get(k, ()):
+                values[r] += x * v
         p = self.algebra.field.p
-        values = [
-            sum(x * entries[k] for k, x in row.items() if k in entries)
-            for row in self._raw_rows
-        ]
         if p:
             values = [v % p for v in values]
         if any(values[self.dim_h :]):

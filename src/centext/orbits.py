@@ -395,10 +395,12 @@ def _orbit_report(action: ClassAction, kind, domain, image, to_domain):
     orbit_members.sort(key=lambda g: g[0])
     orbit_index = {x: k for k, group in enumerate(orbit_members) for x in group}
     level = kind[:2]  # "H2" for "H2_points", "T1" for "T1_lines"
-    try:
-        reps = closed_field_representatives(action.variety, action.n, action.field, level)
-    except UnsupportedVariety:
-        reps = []
+    reps = []
+    if action.n >= 2:  # nothing is tabulated below n = 2
+        try:
+            reps = closed_field_representatives(action.variety, action.n, action.field, level)
+        except UnsupportedVariety:
+            pass
     matched = {}
     for named in reps:
         k = orbit_index.get(to_domain(named))

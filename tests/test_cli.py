@@ -290,6 +290,14 @@ def test_classify_h2_level(capsys):
     assert all("members" in o for o in data["orbits"])
 
 
+@pytest.mark.parametrize("variety", ["lc", "bc", "jordan"])
+def test_classify_n1_reports_its_one_unlabelled_orbit(capsys, variety):
+    data = run_json(capsys, "classify", "--n", "1", "--field", "Fp:5", "--variety", variety)
+    assert data["domain_size"] == data["orbit_count"] == 1
+    assert data["matched_labels"] == {}
+    assert data["orbits"][0]["labels"] == []
+
+
 def test_verify_table1_exit_codes(capsys):
     code, out, _ = run(capsys, "verify-table1", "--n", "4")
     assert code == 0
@@ -391,6 +399,14 @@ def test_malformed_algebra_file_exits_2(capsys, tmp_path, doc):
     code, _, err = run(capsys, "cohomology", "--algebra", str(path), "--variety", "lc")
     assert code == 2, err
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", ["mu0:x", "mu0:3.5"])
+def test_malformed_mu0_spec_exits_2(capsys, spec):
+    code, out, err = run(capsys, "cohomology", "--algebra", spec, "--variety", "lc")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and repr(spec) in err
+    assert "invalid literal" not in err
 
 
 def test_budget_must_be_positive(capsys):

@@ -1,9 +1,13 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import centext
+from centext.cli import main
 
 
 def test_all_lists_every_public_name():
@@ -71,3 +75,19 @@ def test_every_private_definition_in_src_is_referenced():
         and node.name not in used
     ]
     assert unreferenced == []
+
+
+def test_python_m_centext_runs_the_cli(capsys):
+    src = str(Path(centext.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["identities", "--variety", "lc"]
+    done = subprocess.run(
+        [sys.executable, "-m", "centext", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
