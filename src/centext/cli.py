@@ -18,7 +18,7 @@ from .automorphisms import act_on_cocycle, automorphism_from_column
 from .cohomology import second_cohomology
 from .errors import CentextError, DimMismatch, FieldMismatch, InvalidDim, MalformedInput
 from .extensions import central_extension
-from .fields import Field
+from .fields import RATIONALS, Field
 from .forms import BilinearForm, delta, nabla
 from .identities import builtin_variety, format_identity, VARIETY_NAMES
 from .orbits import (
@@ -57,6 +57,7 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
     expect_term = True
     sign = 1
     coeff = None
+    starred = False
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
@@ -75,14 +76,17 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
         elif m.group("num"):
             if coeff is not None:
                 raise ValueError("two coefficients in a row")
-            coeff = Fraction(m.group("num"))
+            coeff = RATIONALS.scalar(m.group("num")).value
         elif m.group("star"):
             if coeff is None:
                 raise ValueError("'*' without a coefficient")
+            if starred:
+                raise ValueError("two '*' in a row")
+            starred = True
         else:
             c = field.scalar(Fraction(sign) * (coeff if coeff is not None else 1))
             total = total + c * _atom_form(m.group("atom"), n, field)
-            sign, coeff, expect_term = 1, None, False
+            sign, coeff, starred, expect_term = 1, None, False, False
     if expect_term or coeff is not None:
         raise ValueError(f"incomplete cocycle expression {text!r}")
     return total

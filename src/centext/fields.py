@@ -103,7 +103,10 @@ class Field:
                 raise FieldMismatch(f"scalar of {value.field} used in {self}")
             return value
         if isinstance(value, str):
-            value = Fraction(value)
+            try:
+                value = Fraction(value)
+            except ZeroDivisionError:
+                raise DivisionByZero(f"literal {value!r} has a zero denominator") from None
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(f"cannot build a scalar from {value!r}")
         if self.p is None:

@@ -27,9 +27,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
-from .algebra import Algebra, null_filiform, satisfies_variety
+from .algebra import Algebra, _check_size, null_filiform, satisfies_variety
 from .automorphisms import Automorphism, _class_matrix, _lower_triangular, _triples
-from .budget import check_budget, resolve_budget
+from .budget import budget_scope, check_budget, resolve_budget
 from .cohomology import CohomologySpace, second_cohomology
 from .errors import (
     FieldMismatch,
@@ -204,12 +204,14 @@ def closed_field_representatives(
     given field. level="H2" lists class representatives; level="T1" lists
     Grassmannian-line representatives plus the non-T_1 classes that still
     give non-split one-dimensional extensions (with two-dimensional
-    annihilator)."""
+    annihilator).  A dimension whose n^3 structure constants exceed the
+    budget is refused before any form is built."""
     vname = variety.name if isinstance(variety, VarietySpec) else builtin_variety(variety).name
     if vname not in ("left_commutative", "bicommutative"):
         raise UnsupportedVariety(f"no tabulated representatives for {vname!r}")
     if n < 2:
         raise InvalidDim("representatives are tabulated for n >= 2")
+    _check_size(n)
     if level not in ("H2", "T1"):
         raise ValueError(f"level must be 'H2' or 'T1', not {level!r}")
     # the one-parameter family takes every element of F_p, or a sample over Q
@@ -286,8 +288,9 @@ class ClassAction:
         self.field = field
         self.p = field.p
         self.budget = resolve_budget(budget)
-        self.algebra = null_filiform(n, field)
-        self.h = second_cohomology(self.algebra, variety)
+        with budget_scope(self.budget):
+            self.algebra = null_filiform(n, field)
+            self.h = second_cohomology(self.algebra, variety)
         self.dim_h = self.h.dim_h
         self._matrices = None
         # c -> theta_c(e_n, e_j) and c -> theta_c(e_j, e_n), j = 1..n, as
@@ -439,15 +442,16 @@ def orbits_on_H2(
 ) -> OrbitReport:
     """Partition all of H^2 (as coordinate tuples over F_p) into orbits
     by applying every automorphism's class action."""
-    action = ClassAction(n, variety, field, budget)
-    check_budget(action.p ** action.dim_h, "points", action.budget)
-    return _orbit_report(
-        action,
-        "H2_points",
-        action.all_points(),
-        action.apply,
-        lambda named: action.coords_of(named.form),
-    )
+    with budget_scope(budget):
+        action = ClassAction(n, variety, field)
+        check_budget(action.p ** action.dim_h, "points")
+        return _orbit_report(
+            action,
+            "H2_points",
+            action.all_points(),
+            action.apply,
+            lambda named: action.coords_of(named.form),
+        )
 
 
 def orbits_on_T1(
@@ -458,9 +462,6 @@ def orbits_on_T1(
 ) -> OrbitReport:
     """Partition the T_1 Grassmannian lines (normalized class coordinate
     vectors with trivial annihilator overlap) into orbits."""
-    action = ClassAction(n, variety, field, budget)
-    p, d = action.p, action.dim_h
-    check_budget((p**d - 1) // (p - 1), "lines", action.budget)
 
     def line_of(named: NamedClass):
         if not named.t1:
@@ -470,13 +471,17 @@ def orbits_on_T1(
             return None
         return action.normalize_line(coords)
 
-    return _orbit_report(
-        action,
-        "T1_lines",
-        [ln for ln in action.all_lines() if action.line_in_t1(ln)],
-        lambda mat, ln: action.normalize_line(action.apply(mat, ln)),
-        line_of,
-    )
+    with budget_scope(budget):
+        action = ClassAction(n, variety, field)
+        p, d = action.p, action.dim_h
+        check_budget((p**d - 1) // (p - 1), "lines")
+        return _orbit_report(
+            action,
+            "T1_lines",
+            [ln for ln in action.all_lines() if action.line_in_t1(ln)],
+            lambda mat, ln: action.normalize_line(action.apply(mat, ln)),
+            line_of,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -9,23 +9,20 @@ the run; it is recorded and reflected in the overall flag.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
-from .algebra import null_filiform, satisfies_variety
+from .algebra import _check_size, null_filiform, satisfies_variety
 from .automorphisms import Automorphism, act_on_cocycle
-from .budget import resolve_budget
-from .cohomology import cocycle_space, is_cocycle, second_cohomology
+from .budget import budget_scope, resolve_budget
+from .cohomology import is_cocycle, second_cohomology
 from .errors import InvalidDim, NotACocycle
 from .extensions import build_extension, central_extension
 from .fields import RATIONALS, Field
 from .forms import BilinearForm, delta, nabla
 from .identities import builtin_variety
-from .orbits import (
-    check_table1,
-    closed_field_representatives,
-    orbits_on_T1,
-)
+from .orbits import check_table1, closed_field_representatives, orbits_on_T1
 
 EXPECTED_DIMS = {
     "associative": lambda n: (n, n - 1, 1),
@@ -45,11 +42,6 @@ SAME_COCYCLES_AS = {
 }
 
 
-def _z_vectors(algebra, variety_name):
-    basis = cocycle_space(algebra, builtin_variety(variety_name))
-    return [theta.as_vector() for theta in basis]
-
-
 def _random_fraction(rng, nonzero=False):
     num = rng.randint(1, 9) if nonzero else rng.randint(-9, 9)
     if nonzero and rng.random() < 0.5:
@@ -57,200 +49,170 @@ def _random_fraction(rng, nonzero=False):
     return Fraction(num, rng.randint(1, 9))
 
 
-def _claim(claims, cid, fn):
+def _claim(claims, cid, fn, *args):
     try:
-        ok, detail = fn()
+        ok, detail = fn(*args)
     except Exception as exc:  # record, never abort
         ok, detail = False, f"error: {exc!r}"
     claims.append({"id": cid, "ok": bool(ok), "detail": detail})
 
 
-def _dims_claim(algebra, vname, n):
-    def run():
-        h = second_cohomology(algebra, builtin_variety(vname))
-        got = (h.dim_z, h.dim_b, h.dim_h)
-        want = EXPECTED_DIMS[vname](n)
-        return got == want, f"dim Z={got[0]}, dim B={got[1]}, dim H={got[2]}, expected {want}"
+# Each claim below is a plain function returning (ok, detail).  The
+# argument h maps a variety name to H^2 of mu0:n over Q for it, built on
+# the first call, so a failing solve fails only the claim that made it.
 
-    return run
-
-
-def _same_space_claim(algebra, vname, target):
-    def run():
-        got = _z_vectors(algebra, vname)
-        want = _z_vectors(algebra, target)
-        return got == want, (
-            f"cocycle space of {vname} {'equals' if got == want else 'differs from'} "
-            f"that of {target} (dim {len(got)} vs {len(want)})"
-        )
-
-    return run
+def _power_dims(a, n):
+    return (
+        a.power_dims() == tuple(range(n, -1, -1)) and a.annihilator().dim == 1,
+        f"descending power dims {a.power_dims()}, annihilator dim {a.annihilator().dim}",
+    )
 
 
-def _tower_claim(algebra, n, field):
-    def run():
-        ext = central_extension(
-            algebra, [nabla(n, n, field)], builtin_variety("associative")
-        )
-        out = ext.extended
-        ok = (
-            out.is_null_filiform()
-            and ext.non_split
-            and out.annihilator().dim == 1
-            and satisfies_variety(out, builtin_variety("associative"))
-        )
-        return ok, f"extension by the full antidiagonal form is null-filiform of dim {out.dim}"
-
-    return run
+def _dims(h, vname, n):
+    space = h(vname)
+    got = (space.dim_z, space.dim_b, space.dim_h)
+    want = EXPECTED_DIMS[vname](n)
+    return got == want, f"dim Z={got[0]}, dim B={got[1]}, dim H={got[2]}, expected {want}"
 
 
-def _scaling_claim(algebra, n, field, h, cols):
-    def run():
-        base = h.reduce_class(nabla(n, n, field))
-        for col in cols:
-            phi = Automorphism(field, col)
-            moved = h.reduce_class(act_on_cocycle(phi, nabla(n, n, field)))
-            factor = phi.phi11 ** (n + 1)
-            if moved != tuple(factor * c for c in base):
-                return False, f"scaling failed for column {[str(c) for c in col]}"
-        return True, f"class of the antidiagonal form scales by phi11^{n + 1} ({len(cols)} automorphisms)"
-
-    return run
+def _same_space(h, vname, target):
+    got, want = h(vname).z_basis, h(target).z_basis
+    return got == want, (
+        f"cocycle space of {vname} {'equals' if got == want else 'differs from'} "
+        f"that of {target} (dim {len(got)} vs {len(want)})"
+    )
 
 
-def _split_claim(algebra, n, field):
-    def run():
-        theta = nabla(n - 1, n, field)  # a coboundary
-        ext = central_extension(algebra, [theta], builtin_variety("associative"))
-        h = second_cohomology(algebra, builtin_variety("associative"))
-        ok = (not ext.non_split) and h.class_is_zero(theta)
-        return ok, "coboundary extension is split and its class vanishes"
-
-    return run
+def _split(a, n, h):
+    theta = nabla(n - 1, n, a.field)  # a coboundary
+    assoc = h("associative")
+    ext = central_extension(a, [theta], assoc.variety, h=assoc)
+    ok = (not ext.non_split) and assoc.class_is_zero(theta)
+    return ok, "coboundary extension is split and its class vanishes"
 
 
-def _cocycle_detection_claim(algebra, n, field, weights):
-    def run():
-        lc = builtin_variety("left_commutative")
-        basis = cocycle_space(algebra, lc)
-        combo = BilinearForm.zero(field, n)
-        for w, theta in zip(weights, basis):
-            combo = combo + field.scalar(w) * theta
-        if not is_cocycle(algebra, lc, combo):
-            return False, "a combination of basis cocycles failed the cocycle check"
-        ext = central_extension(algebra, [combo], lc)
-        if not satisfies_variety(ext.extended, lc):
-            return False, "extension by a cocycle left the variety"
-        # first elementary form outside the cocycle space, row-major scan
-        bad = None
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                cand = delta(i, j, n, field)
-                if not is_cocycle(algebra, lc, cand):
-                    bad = cand
-                    break
-            if bad is not None:
-                break
-        if bad is None:
-            return False, "every elementary form is a cocycle, cannot test rejection"
-        try:
-            central_extension(algebra, [bad], lc)
-        except NotACocycle:
-            pass
-        else:
-            return False, "non-cocycle was accepted"
-        if satisfies_variety(build_extension(algebra, [bad]), lc):
-            return False, "extension by a non-cocycle stayed in the variety"
-        return True, "cocycles extend inside the variety, non-cocycles are rejected"
-
-    return run
+def _tower(a, n, h):
+    assoc = h("associative")
+    ext = central_extension(a, [nabla(n, n, a.field)], assoc.variety, h=assoc)
+    out = ext.extended
+    ok = (
+        out.is_null_filiform()
+        and ext.non_split
+        and out.annihilator().dim == 1
+        and satisfies_variety(out, assoc.variety)
+    )
+    return ok, f"extension by the full antidiagonal form is null-filiform of dim {out.dim}"
 
 
-def _table_claim(n, field):
-    def run():
-        rows = check_table1(n, field)
-        bad = [r["label"] for r in rows if not r["ok"]]
-        if bad:
-            return False, f"rows failed: {bad}"
-        return True, f"all {len(rows)} table rows verified"
+def _scaling(a, n, h, cols):
+    assoc = h("associative")
+    base = assoc.reduce_class(nabla(n, n, a.field))
+    for col in cols:
+        phi = Automorphism(a.field, col)
+        moved = assoc.reduce_class(act_on_cocycle(phi, nabla(n, n, a.field)))
+        factor = phi.phi11 ** (n + 1)
+        if moved != tuple(factor * c for c in base):
+            return False, f"scaling failed for column {[str(c) for c in col]}"
+    return True, f"class of the antidiagonal form scales by phi11^{n + 1} ({len(cols)} automorphisms)"
 
-    return run
+
+def _cocycle_detection(a, n, h, weights):
+    field, hlc = a.field, h("left_commutative")
+    lc = hlc.variety
+    combo = BilinearForm.zero(field, n)
+    for w, theta in zip(weights, hlc.z_basis):
+        combo = combo + field.scalar(w) * theta
+    if not is_cocycle(a, lc, combo):
+        return False, "a combination of basis cocycles failed the cocycle check"
+    ext = central_extension(a, [combo], lc, h=hlc)
+    if not satisfies_variety(ext.extended, lc):
+        return False, "extension by a cocycle left the variety"
+    # first elementary form outside the cocycle space, row-major scan
+    forms = (delta(i, j, n, field) for i in range(1, n + 1) for j in range(1, n + 1))
+    bad = next((f for f in forms if not is_cocycle(a, lc, f)), None)
+    if bad is None:
+        return False, "every elementary form is a cocycle, cannot test rejection"
+    try:
+        central_extension(a, [bad], lc, h=hlc)
+    except NotACocycle:
+        pass
+    else:
+        return False, "non-cocycle was accepted"
+    if satisfies_variety(build_extension(a, [bad]), lc):
+        return False, "extension by a non-cocycle stayed in the variety"
+    return True, "cocycles extend inside the variety, non-cocycles are rejected"
 
 
-def _orbit_claim(n, vname, p, budget):
-    def run():
-        report = orbits_on_T1(n, vname, Field.prime(p), budget=budget)
-        reps = closed_field_representatives(vname, n, Field.prime(p), level="T1")
-        t1_labels = [named.label for named in reps if named.t1]
-        missing = [lab for lab in t1_labels if lab not in report.matched_labels]
-        if missing:
-            return False, f"unmatched representatives: {missing}"
-        hit = [report.matched_labels[lab] for lab in t1_labels]
-        if len(set(hit)) != len(hit):
-            return False, "distinct representatives landed in the same orbit"
-        if sum(o.size for o in report.orbits) != report.domain_size:
-            return False, "orbit sizes do not partition the domain"
-        return True, (
-            f"{len(report.orbits)} orbits on {report.domain_size} lines; "
-            f"{len(t1_labels)} representatives pairwise inequivalent"
-        )
+def _table(n, field):
+    rows = check_table1(n, field)
+    bad = [r["label"] for r in rows if not r["ok"]]
+    if bad:
+        return False, f"rows failed: {bad}"
+    return True, f"all {len(rows)} table rows verified"
 
-    return run
+
+def _orbits(n, vname, p):
+    report = orbits_on_T1(n, vname, Field.prime(p))
+    reps = closed_field_representatives(vname, n, Field.prime(p), level="T1")
+    t1_labels = [named.label for named in reps if named.t1]
+    missing = [lab for lab in t1_labels if lab not in report.matched_labels]
+    if missing:
+        return False, f"unmatched representatives: {missing}"
+    hit = [report.matched_labels[lab] for lab in t1_labels]
+    if len(set(hit)) != len(hit):
+        return False, "distinct representatives landed in the same orbit"
+    if sum(o.size for o in report.orbits) != report.domain_size:
+        return False, "orbit sizes do not partition the domain"
+    return True, (
+        f"{len(report.orbits)} orbits on {report.domain_size} lines; "
+        f"{len(t1_labels)} representatives pairwise inequivalent"
+    )
+
+
+def _battery(n_max, rng, orbit_primes) -> list:
+    claims = []
+    for n in range(2, n_max + 1):
+        algebra = null_filiform(n, RATIONALS)
+        h = functools.cache(lambda v, a=algebra: second_cohomology(a, builtin_variety(v)))
+        # draw all randomness for this n upfront so failures don't shift it
+        cols = [
+            [_random_fraction(rng, nonzero=True)] + [_random_fraction(rng) for _ in range(n - 1)]
+            for _ in range(10)
+        ]
+        weights = [rng.randint(-5, 5) for _ in range(2 * n - 1)]
+        _claim(claims, f"power-dims-n{n}", _power_dims, algebra, n)
+        for vname in EXPECTED_DIMS:
+            _claim(claims, f"dims-{vname.replace('_', '-')}-n{n}", _dims, h, vname, n)
+        for vname, target in SAME_COCYCLES_AS.items():
+            kind = "triviality" if target == "associative" else "reduction"
+            cid = f"{kind}-{vname.replace('_', '-')}-n{n}"
+            _claim(claims, cid, _same_space, h, vname, target)
+        _claim(claims, f"trivial-extension-n{n}", _split, algebra, n, h)
+        _claim(claims, f"unique-associative-extension-n{n}", _tower, algebra, n, h)
+        _claim(claims, f"nabla-class-scaling-n{n}", _scaling, algebra, n, h, cols)
+        _claim(claims, f"cocycle-detection-n{n}", _cocycle_detection, algebra, n, h, weights)
+        _claim(claims, f"table-rows-n{n}", _table, n, RATIONALS)
+    for p in orbit_primes:
+        for n in range(2, min(n_max, 3) + 1):
+            for vname in ("left_commutative", "bicommutative"):
+                cid = f"orbits-t1-{vname.replace('_', '-')}-n{n}-p{p}"
+                _claim(claims, cid, _orbits, n, vname, p)
+    return claims
 
 
 def run_reproduction(n_max=6, seed=0, budget=None, orbit_primes=(3, 5)) -> dict:
     """Run every claim check up to dimension n_max and return a JSON-ready
-    report.  Identical arguments give an identical report."""
+    report.  Identical arguments give an identical report.  The budget
+    bounds every enumeration of every claim, and mu0:n_max over budget is
+    refused before any claim runs."""
     if n_max < 2:
         raise InvalidDim("n_max must be at least 2")
     for p in orbit_primes:
         Field.prime(p)  # a modulus that is not prime is refused before any work
     budget = resolve_budget(budget)
-    rng = random.Random(seed)
-    claims = []
-    for n in range(2, n_max + 1):
-        field = RATIONALS
-        algebra = null_filiform(n, field)
-        h_assoc = second_cohomology(algebra, builtin_variety("associative"))
-        # draw all randomness for this n upfront so failures don't shift it
-        cols = []
-        for _ in range(10):
-            col = [_random_fraction(rng, nonzero=True)]
-            col.extend(_random_fraction(rng) for _ in range(n - 1))
-            cols.append(col)
-        weights = [rng.randint(-5, 5) for _ in range(2 * n - 1)]
-
-        def add(cid, fn):
-            _claim(claims, cid, fn)
-
-        add(
-            f"power-dims-n{n}",
-            lambda a=algebra, n=n: (
-                a.power_dims() == tuple(range(n, -1, -1)) and a.annihilator().dim == 1,
-                f"descending power dims {a.power_dims()}, annihilator dim {a.annihilator().dim}",
-            ),
-        )
-        for vname in EXPECTED_DIMS:
-            add(f"dims-{vname.replace('_', '-')}-n{n}", _dims_claim(algebra, vname, n))
-        for vname, target in SAME_COCYCLES_AS.items():
-            kind = "triviality" if target == "associative" else "reduction"
-            add(
-                f"{kind}-{vname.replace('_', '-')}-n{n}",
-                _same_space_claim(algebra, vname, target),
-            )
-        add(f"trivial-extension-n{n}", _split_claim(algebra, n, field))
-        add(f"unique-associative-extension-n{n}", _tower_claim(algebra, n, field))
-        add(f"nabla-class-scaling-n{n}", _scaling_claim(algebra, n, field, h_assoc, cols))
-        add(f"cocycle-detection-n{n}", _cocycle_detection_claim(algebra, n, field, weights))
-        add(f"table-rows-n{n}", _table_claim(n, field))
-    for p in orbit_primes:
-        for n in range(2, min(n_max, 3) + 1):
-            for vname in ("left_commutative", "bicommutative"):
-                _claim(
-                    claims,
-                    f"orbits-t1-{vname.replace('_', '-')}-n{n}-p{p}",
-                    _orbit_claim(n, vname, p, budget),
-                )
+    with budget_scope(budget):
+        _check_size(n_max)
+        claims = _battery(n_max, random.Random(seed), orbit_primes)
     return {
         "config": {
             "n_max": n_max,

@@ -446,3 +446,79 @@ def test_huge_modulus_is_refused(capsys):
                        "--field", f"Fp:{2**89 - 1}")
     assert code == 2
     assert "too large to certify as prime" in err
+
+
+_ALGEBRA_ZERO_DEN = {"dim": 2, "field": "Q",
+                     "products": [{"i": 1, "j": 1, "out": [{"k": 2, "c": "1/0"}]}]}
+_COCYCLE_ZERO_DEN = {"n": 3, "field": "Q", "entries": [{"i": 3, "j": 1, "c": "1/0"}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("aut", "--n", "3", "--col", "1/0,0,0"),
+    ("act", "--n", "3", "--col", "1,0,0", "--cocycle", "expr:3/0*delta_1_1"),
+    ("extend", "--algebra", "mu0:3", "--variety", "lc", "--cocycle", "expr:1/0*nabla_3"),
+    ("cohomology", "--algebra", "ALGEBRA", "--variety", "lc"),
+    ("extend", "--algebra", "mu0:3", "--variety", "lc", "--cocycle", "COCYCLE"),
+])
+def test_zero_denominators_exit_2(capsys, tmp_path, argv):
+    files = {"ALGEBRA": _ALGEBRA_ZERO_DEN, "COCYCLE": _COCYCLE_ZERO_DEN}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "zero denominator" in err
+    assert "Traceback" not in err
+
+
+def test_expression_parser_refuses_a_second_star():
+    for bad in ("2**nabla_3", "2 * * delta_1_1", "nabla_3 + 1/2**delta_2_1"):
+        with pytest.raises(ValueError, match="two '\\*' in a row"):
+            parse_cocycle_expr(bad, 3, RATIONALS)
+    assert parse_cocycle_expr("2*nabla_3 + 3*delta_1_1", 3, RATIONALS).entry(1, 1) == 3
+
+
+def test_budget_bounds_every_enumeration_of_the_command(capsys, monkeypatch):
+    # mu0:3 has 27 structure constants and 27 lc identity tuples, both
+    # over a budget of 10; the env budget would admit them
+    monkeypatch.setenv("CENTEXT_BUDGET", "1000")
+    code, out, err = run(capsys, "classify", "--n", "3", "--field", "Fp:2",
+                         "--variety", "lc", "--budget", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: 27 structure constants exceed budget 10\n"
+    code, out, err = run(capsys, "reproduce", "--n-max", "3", "--budget", "10",
+                         "--primes", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: 27 structure constants exceed budget 10\n"
+    # within the table budget, the claims over it fail, and the env budget
+    # stays unread when --budget is given
+    code, out, _ = run(capsys, "reproduce", "--n-max", "2", "--budget", "10", "--primes", "3")
+    data = json.loads(out)
+    assert code == 1 and data["config"]["budget"] == 10
+    failed = {c["id"]: c["detail"] for c in data["claims"] if not c["ok"]}
+    assert "triviality-jordan-n2" in failed and "orbits-t1-bicommutative-n2-p3" in failed
+    assert all("exceed budget 10" in d for d in failed.values())
+    # the explicit budget also covers the tabulated representatives that
+    # label the orbits, under an env budget that would refuse them
+    monkeypatch.setenv("CENTEXT_BUDGET", "8")
+    data = run_json(capsys, "classify", "--n", "3", "--field", "Fp:3", "--variety", "lc",
+                    "--budget", "100")
+    assert data["matched_labels"]
+
+
+def test_verify_table1_refuses_an_over_budget_n_before_building_a_row(capsys, monkeypatch):
+    import centext.orbits as orbits_mod
+    from centext import BudgetExceeded, closed_field_representatives
+
+    def no_form(*args):
+        raise AssertionError("a tabulated form was built")
+
+    monkeypatch.setattr(orbits_mod, "_tabulated_class", no_form)
+    code, out, err = run(capsys, "verify-table1", "--n", "120")
+    assert (code, out) == (2, "")
+    assert err == "error: 1728000 structure constants exceed budget 500000\n"
+    monkeypatch.setenv("CENTEXT_BUDGET", "26")
+    for vname in ("lc", "bc"):
+        for level in ("T1", "H2"):
+            with pytest.raises(BudgetExceeded, match="^27 structure constants exceed budget 26$"):
+                closed_field_representatives(vname, 3, RATIONALS, level)

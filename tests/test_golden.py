@@ -15,7 +15,9 @@ the cocycle basis, before that pick became one echelon, and the H2-level
 classify files of (4, lc, F_5), with both mubar-coset families, and of
 (3, bc, F_7), with the trivial nabla_3 and the bc cosets, and
 ``verify-table1 --n 4 --field Fp:5 --mu 0,1,-1,3``, before the tabulated
-classes and the table rows came from one list of parameters); refactors
+classes and the table rows came from one list of parameters, and
+``reproduce --n-max 4 --seed 5 --primes 3`` before the claims shared one
+H2 per dimension and variety); refactors
 must leave these outputs unchanged.  To add a case, run the command with the
 package as it stands and save its stdout under the case name.
 """
@@ -69,6 +71,7 @@ CASES = {
     "cohomology_left_symmetric_n6_f5": _cohomology(6, "left_symmetric", "Fp:5"),
     "extend_lc_n3_expr": ["extend", "--algebra", "mu0:3", "--variety", "lc",
                           "--cocycle", "expr:nabla_n + 1/2*delta_2_1 - delta_1_1"],
+    "reproduce_n4_seed5_p3": ["reproduce", "--n-max", "4", "--seed", "5", "--primes", "3"],
 }
 
 

@@ -1,5 +1,9 @@
 import json
+import sys
+from collections import Counter
 
+import centext.cohomology as coh
+import centext.reproduce as rep
 from centext import run_reproduction
 from centext.reproduce import _claim
 
@@ -48,3 +52,47 @@ def test_expected_claim_families_present():
         "orbits-t1-bicommutative-n2-p3",
     ):
         assert needle in ids
+
+
+def test_each_cohomology_space_is_solved_once(monkeypatch):
+    # the claims share one H^2 per (n, field, variety); check_table1 solves
+    # its own, and no claim solves a cocycle space on its own
+    solves, in_table, table_solves, inside_h2, z_only = Counter(), [False], [], [0], []
+    second_cohomology, cocycle_space = coh.second_cohomology, coh.cocycle_space
+    check_table1 = rep.check_table1
+
+    def counted_h2(a, variety):
+        key = (a.dim, a.field.spec(), variety.name)
+        if in_table[0]:
+            table_solves.append(key)
+        else:
+            solves[key] += 1
+        inside_h2[0] += 1  # the cocycle_space call inside is not Z-only
+        try:
+            return second_cohomology(a, variety)
+        finally:
+            inside_h2[0] -= 1
+
+    def counted_z(a, variety, equations=None):
+        z_only.append(inside_h2[0] == 0)
+        return cocycle_space(a, variety, equations)
+
+    def counted_table(n, field, mu_sample=None):
+        in_table[0] = True
+        try:
+            return check_table1(n, field, mu_sample)
+        finally:
+            in_table[0] = False
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("centext"):
+            for attr, fn in (("second_cohomology", counted_h2), ("cocycle_space", counted_z)):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, fn)
+    monkeypatch.setattr(rep, "check_table1", counted_table)
+    report = run_reproduction(n_max=6, orbit_primes=(3, 5))
+    assert report["ok"]
+    assert z_only and not any(z_only)
+    assert max(solves.values()) == 1
+    assert len(solves) == 9 * 5 + 2 * 2 * 2  # nine varieties over Q, n = 2..6; lc, bc over F_p
+    assert table_solves == [(n, "Q", "left_commutative") for n in range(2, 7)]
