@@ -24,7 +24,7 @@ from .cohomology import CohomologySpace
 from .errors import DimMismatch, NotInvertible
 from .fields import Field
 from .forms import BilinearForm
-from .linalg import _scalar_row, rref, transpose
+from .linalg import _scalar_row, mat_vec, rref, transpose
 
 
 def _lower_triangular(col, p):
@@ -117,11 +117,7 @@ class Automorphism:
         """Image of a coordinate vector."""
         if len(x) != self.n:
             raise DimMismatch("vector length does not match")
-        return tuple(
-            sum((self.matrix[i][j] * x[j] for j in range(self.n) if not x[j].is_zero),
-                self.field.zero)
-            for i in range(self.n)
-        )
+        return mat_vec(self.matrix, x)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: (self . other)(x) = self(other(x))."""
@@ -164,12 +160,7 @@ def is_automorphism(a: Algebra, matrix) -> bool:
     cols = transpose(rows)
     for i in range(n):
         for j in range(n):
-            lhs = tuple(
-                sum((rows[k][m] * a.table[i][j][m] for m in range(n)), a.field.zero)
-                for k in range(n)
-            )
-            rhs = a.multiply(cols[i], cols[j])
-            if lhs != rhs:
+            if mat_vec(rows, a.table[i][j]) != a.multiply(cols[i], cols[j]):
                 return False
     return True
 

@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .algebra import Algebra, null_filiform
 from .automorphisms import act_on_cocycle, automorphism_from_column
@@ -31,65 +30,54 @@ from .reproduce import run_reproduction
 
 # the most digits `aut --count` prints: CPython's default int-to-str limit
 _MAX_COUNT_DIGITS = 4300
+_COUNT_LIMIT = 10**_MAX_COUNT_DIGITS
 
-_TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<star>\*)"
-                    r"|(?P<atom>(?:nabla|delta)(?:_(?:\d+|n))+))")
-
-
-def _atom_form(token: str, n: int, field: Field) -> BilinearForm:
-    parts = token.split("_")
-    idx = [n if p == "n" else int(p) for p in parts[1:]]
-    if parts[0] == "nabla":
-        if len(idx) != 1:
-            raise ValueError(f"nabla takes one index, got {token!r}")
-        return nabla(idx[0], n, field)
-    if len(idx) != 2:
-        raise ValueError(f"delta takes two indices, got {token!r}")
-    return delta(idx[0], idx[1], n, field)
+# One term of a cocycle expression: signs, a coefficient with or without
+# '*', then nabla_<j> or delta_<i>_<k>.  Every part is optional, so a match
+# always succeeds, and where it stops short of an atom tells what is wrong.
+_TERM = re.compile(
+    r"(?P<signs>(?:\s*[+-])*)"
+    r"(?:\s*(?P<coeff>\d+(?:/\d+)?)(?:\s*(?P<star>\*))?)?"
+    r"(?:\s*(?P<atom>(?P<name>nabla|delta)(?P<idx>(?:_(?:\d+|n))+)))?"
+)
+_ATOMS = {"nabla": (nabla, 1, "one index"), "delta": (delta, 2, "two indices")}
 
 
 def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
     """Parse a form expression such as 'nabla_n + 3*delta_2_1' or
-    '1/2*delta_1_1 - delta_n_1'.  The letter n in an index stands for
-    the algebra dimension."""
-    pos = 0
+    '1/2*delta_1_1 - delta_n_1': terms nabla_<j> and delta_<i>_<k>, each
+    after optional signs and a coefficient ('2 nabla_3' is 2*nabla_3),
+    with a sign before every term after the first.  The letter n in an
+    index stands for the algebra dimension."""
     total = BilinearForm.zero(field, n)
-    expect_term = True
-    sign = 1
-    coeff = None
-    starred = False
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValueError(f"cannot read cocycle expression at {text[pos:]!r}")
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        if pos and m.end() > pos and not m["signs"]:
+            raise ValueError(f"no '+' or '-' before the term at {text[pos:].lstrip()!r}")
+        coeff = RATIONALS.scalar(m["coeff"]).value if m["coeff"] else 1
+        if not m["atom"]:
             break
+        c = field.scalar((-1) ** m["signs"].count("-") * coeff)
+        idx = [n if g == "n" else int(g) for g in m["idx"][1:].split("_")]
+        build, arity, what = _ATOMS[m["name"]]
+        if len(idx) != arity:
+            raise ValueError(f"{m['name']} takes {what}, got {m['atom']!r}")
+        total = total + c * build(*idx, n, field)
         pos = m.end()
-        if m.group("sign"):
-            if coeff is not None:
-                raise ValueError("dangling coefficient in cocycle expression")
-            if not expect_term:
-                expect_term = True
-                sign = 1 if m.group("sign") == "+" else -1
-            else:
-                sign *= 1 if m.group("sign") == "+" else -1
-        elif m.group("num"):
-            if coeff is not None:
-                raise ValueError("two coefficients in a row")
-            coeff = RATIONALS.scalar(m.group("num")).value
-        elif m.group("star"):
-            if coeff is None:
-                raise ValueError("'*' without a coefficient")
-            if starred:
-                raise ValueError("two '*' in a row")
-            starred = True
-        else:
-            c = field.scalar(Fraction(sign) * (coeff if coeff is not None else 1))
-            total = total + c * _atom_form(m.group("atom"), n, field)
-            sign, coeff, starred, expect_term = 1, None, False, False
-    if expect_term or coeff is not None:
-        raise ValueError(f"incomplete cocycle expression {text!r}")
-    return total
+    rest = text[m.end():]
+    head = rest.lstrip()[:1]
+    if not head and pos and m.end() == pos:
+        return total
+    if head.isdecimal():
+        raise ValueError("two coefficients in a row")
+    if head == "*":
+        raise ValueError("two '*' in a row" if m["star"] else "'*' without a coefficient")
+    if head in ("+", "-"):
+        raise ValueError("dangling coefficient in cocycle expression")
+    if head:
+        raise ValueError(f"cannot read cocycle expression at {rest!r}")
+    raise ValueError(f"incomplete cocycle expression {text!r}")
 
 
 def _load_algebra(spec: str, field: Field) -> Algebra:
@@ -218,9 +206,13 @@ def _cmd_aut(args) -> int:
     field = Field.from_spec(args.field)
     out = {"n": args.n, "field": field.spec()}
     if args.count:
-        out["count"] = automorphism_count(args.n, field)
-        if out["count"] >= 10**_MAX_COUNT_DIGITS:
+        # (p-1) p^(n-1) >= 2^((n-1)(b-1)) for a p of b bits: when that bound
+        # is already too long, refuse before computing the order
+        p = field.p
+        if (p and (args.n - 1) * (p.bit_length() - 1) >= _COUNT_LIMIT.bit_length()
+                or (count := automorphism_count(args.n, field)) >= _COUNT_LIMIT):
             raise InvalidDim(f"the group order has more than {_MAX_COUNT_DIGITS} digits")
+        out["count"] = count
     if args.col is not None:
         phi = automorphism_from_column(args.n, field, args.col.split(","))
         out["column"] = [c.literal() for c in phi.first_col]

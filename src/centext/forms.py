@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import DimMismatch, FieldMismatch, IndexOutOfRange, InvalidDim
 from .fields import Field, Scalar, json_scalar, json_value
-from .linalg import vec_is_zero
+from .linalg import mat_vec, vec_is_zero
 
 
 class BilinearForm:
@@ -55,16 +55,7 @@ class BilinearForm:
     def evaluate(self, x, y) -> Scalar:
         if len(x) != self.n or len(y) != self.n:
             raise DimMismatch("vector length does not match form size")
-        acc = self.field.zero
-        for i, xi in enumerate(x):
-            if xi.is_zero:
-                continue
-            row = self.rows[i]
-            for j, yj in enumerate(y):
-                if yj.is_zero or row[j].is_zero:
-                    continue
-                acc = acc + xi * row[j] * yj
-        return acc
+        return sum((a * b for a, b in zip(x, mat_vec(self.rows, y))), self.field.zero)
 
     @property
     def is_zero(self) -> bool:

@@ -13,6 +13,7 @@ identity is written "lhs = rhs" or "expr = 0", and chains
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,37 +117,27 @@ def _make_schema(monomials):
 # ---------------------------------------------------------------------------
 # parsing
 
-_OPS = set("*+-()=")
+# One token after optional whitespace.  [^\W\d_] also takes numeric
+# characters such as '²', so _tokenize checks that an identifier starts
+# with a letter (str.isalpha).
+_TOKEN = re.compile(
+    r"\s*(?:(?P<INT>\d+)|(?P<IDENT>[^\W\d_][\w']*)|(?P<OP>[-*+()=])|(?P<END>\Z)|(?P<BAD>.))",
+    re.S,
+)
 
 
 def _tokenize(text: str):
+    """(kind, value, position) triples: an operator is its own kind,
+    INT carries its int, IDENT its name; the last token is END."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise IdentitySyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("END", None, len(text)))
+    pos = 0
+    while not tokens or tokens[-1][0] != "END":
+        m = _TOKEN.match(text, pos)
+        kind, value, pos = m.lastgroup, m[m.lastgroup], m.end()
+        if kind == "BAD" or (kind == "IDENT" and not value[0].isalpha()):
+            raise IdentitySyntaxError(f"unexpected character {value[0]!r}", m.start(kind))
+        tokens.append((value if kind == "OP" else kind,
+                       int(value) if kind == "INT" else value or None, m.start(kind)))
     return tokens
 
 
@@ -336,20 +327,12 @@ def multilinearize(schema: IdentitySchema):
             continue
         taken = set(schema.variables)
         copies = {v: _fresh_names(v, mult, taken) for v, mult in multi.items()}
-        expanded = []
-        for m in monos:
-            perm_spaces = [
-                [dict(zip(range(mult), perm)) for perm in itertools.permutations(copies[v])]
-                for v, mult in multi.items()
-            ]
-            var_order = list(multi)
-            for combo in itertools.product(*perm_spaces):
-                chosen = {
-                    v: [assignment[k] for k in range(multi[v])]
-                    for v, assignment in zip(var_order, combo)
-                }
-                counters = {v: 0 for v in multi}
-                expanded.append(Monomial(m.coeff, _relabel(m.tree, chosen, counters)))
+        perms = [list(itertools.permutations(copies[v])) for v in multi]
+        expanded = [
+            Monomial(m.coeff, _relabel(m.tree, dict(zip(multi, combo)), dict.fromkeys(multi, 0)))
+            for m in monos
+            for combo in itertools.product(*perms)
+        ]
         out.append(_make_schema(expanded))
     return out
 

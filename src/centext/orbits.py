@@ -205,7 +205,8 @@ def closed_field_representatives(
     Grassmannian-line representatives plus the non-T_1 classes that still
     give non-split one-dimensional extensions (with two-dimensional
     annihilator).  A dimension whose n^3 structure constants exceed the
-    budget is refused before any form is built."""
+    budget, or a mu family (every element of F_p, or mu_sample) longer
+    than the budget, is refused before any form is built."""
     vname = variety.name if isinstance(variety, VarietySpec) else builtin_variety(variety).name
     if vname not in ("left_commutative", "bicommutative"):
         raise UnsupportedVariety(f"no tabulated representatives for {vname!r}")
@@ -215,8 +216,10 @@ def closed_field_representatives(
     if level not in ("H2", "T1"):
         raise ValueError(f"level must be 'H2' or 'T1', not {level!r}")
     # the one-parameter family takes every element of F_p, or a sample over Q
-    default = field.elements() if field.is_finite else (0, 1, -1, 2)
-    mus = [field.scalar(m) for m in (default if mu_sample is None else mu_sample)]
+    if mu_sample is None:
+        mu_sample = range(field.p) if field.is_finite else (0, 1, -1, 2)
+    check_budget(len(mu_sample), "values of the mu family")
+    mus = [field.scalar(m) for m in mu_sample]
     out = []
     for family, with_nabla, i, values, ann_dim in _families(vname, level, n, field, mus):
         for mu in values:

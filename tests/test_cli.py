@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
 from centext import (
     VARIETY_NAMES,
     Algebra,
+    BilinearForm,
+    CentextError,
     CharTooSmall,
     CompositeModulus,
     DimMismatch,
@@ -14,6 +17,8 @@ from centext import (
     automorphism_count,
     automorphism_from_column,
     builtin_variety,
+    delta,
+    nabla,
     null_filiform,
     run_reproduction,
 )
@@ -522,3 +527,66 @@ def test_verify_table1_refuses_an_over_budget_n_before_building_a_row(capsys, mo
         for level in ("T1", "H2"):
             with pytest.raises(BudgetExceeded, match="^27 structure constants exceed budget 26$"):
                 closed_field_representatives(vname, 3, RATIONALS, level)
+
+
+@pytest.mark.parametrize("text", ["nabla_3 delta_1_1", "nabla_3delta_1_1", "delta_2_1 2*nabla_3"])
+def test_expression_parser_needs_a_sign_between_terms(capsys, text):
+    with pytest.raises(ValueError, match="no '\\+' or '-' before the term"):
+        parse_cocycle_expr(text, 3, RATIONALS)
+    code, out, err = run(capsys, "extend", "--algebra", "mu0:3", "--variety", "lc",
+                         "--cocycle", f"expr:{text}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no '+' or '-' before the term")
+
+
+def test_expression_parser_keeps_the_values_it_read():
+    f = RATIONALS
+    n3, d11, d21 = nabla(3, 3, f), delta(1, 1, 3, f), delta(2, 1, 3, f)
+    assert parse_cocycle_expr("2 nabla_3", 3, f) == 2 * n3
+    assert parse_cocycle_expr("- -nabla_3", 3, f) == n3
+    assert parse_cocycle_expr("nabla_3 + -delta_1_1", 3, f) == n3 - d11
+    # the README's examples
+    assert parse_cocycle_expr("nabla_n + delta_2_1", 3, f) == n3 + d21
+    want = n3 - 2 * d21 + f.scalar("1/2") * d11
+    assert parse_cocycle_expr("nabla_n - 2*delta_2_1 + 1/2*delta_1_1", 3, f) == want
+
+
+def test_expression_parser_returns_a_form_or_a_typed_error():
+    pieces = ["nabla_3", "nabla_n", "nabla_9", "delta_1_1", "delta_2_1", "delta_n_1", "delta_2",
+              "nabla_1_2", "nabla_", "_", "n", "+", "-", " - ", "*", "2", "1/2", "1/0", "/", " ",
+              "x", "\u00b2", "\u0663", "2*"]
+    rng = random.Random(12)
+    for _ in range(2000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 6)))
+        for field in (RATIONALS, Field.prime(5)):
+            try:
+                form = parse_cocycle_expr(text, 3, field)
+            except (ValueError, CentextError):
+                continue
+            assert isinstance(form, BilinearForm) and (form.field, form.n) == (field, 3)
+
+
+def test_aut_count_refuses_a_long_order_before_computing_it(capsys, monkeypatch):
+    import centext.cli as cli_mod
+
+    data = run_json(capsys, "aut", "--n", "6152", "--field", "Fp:5", "--count")
+    assert len(str(data["count"])) == 4300
+    code, out, err = run(capsys, "aut", "--n", "6153", "--field", "Fp:5", "--count")
+    assert (code, out, err) == (2, "", "error: the group order has more than 4300 digits\n")
+
+    def no_count(n, field):
+        raise AssertionError("the group order was computed")
+
+    monkeypatch.setattr(cli_mod, "automorphism_count", no_count)
+    code, out, err = run(capsys, "aut", "--n", "10000000", "--field", "Fp:5", "--count")
+    assert (code, out, err) == (2, "", "error: the group order has more than 4300 digits\n")
+
+
+def test_the_mu_family_counts_against_the_budget(capsys, monkeypatch):
+    monkeypatch.setenv("CENTEXT_BUDGET", "1000")
+    code, out, err = run(capsys, "verify-table1", "--n", "3", "--field", "Fp:1009")
+    assert (code, out) == (2, "")
+    assert err == "error: 1009 values of the mu family exceed budget 1000\n"
+    code, out, err = run(capsys, "verify-table1", "--n", "3", "--mu", ",".join(["1"] * 1001))
+    assert (code, out) == (2, "")
+    assert err == "error: 1001 values of the mu family exceed budget 1000\n"

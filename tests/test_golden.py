@@ -17,7 +17,8 @@ classify files of (4, lc, F_5), with both mubar-coset families, and of
 ``verify-table1 --n 4 --field Fp:5 --mu 0,1,-1,3``, before the tabulated
 classes and the table rows came from one list of parameters, and
 ``reproduce --n-max 4 --seed 5 --primes 3`` before the claims shared one
-H2 per dimension and variety); refactors
+H2 per dimension and variety, and ``identities`` of every catalog variety
+before the identity tokenizer became one regular expression); refactors
 must leave these outputs unchanged.  To add a case, run the command with the
 package as it stands and save its stdout under the case name.
 """
@@ -27,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from centext.cli import main
+from centext.identities import VARIETY_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -72,6 +74,7 @@ CASES = {
     "extend_lc_n3_expr": ["extend", "--algebra", "mu0:3", "--variety", "lc",
                           "--cocycle", "expr:nabla_n + 1/2*delta_2_1 - delta_1_1"],
     "reproduce_n4_seed5_p3": ["reproduce", "--n-max", "4", "--seed", "5", "--primes", "3"],
+    **{f"identities_{v}": ["identities", "--variety", v] for v in VARIETY_NAMES},
 }
 
 

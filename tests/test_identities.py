@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -177,3 +178,24 @@ def test_char_gate():
     # fully multilinear varieties work in any characteristic
     for name in ("left_commutative", "bicommutative", "associative", "novikov"):
         builtin_variety(name).char_gate(Field.prime(2))
+
+
+def test_non_decimal_digits_are_syntax_errors():
+    for text, position in (("\u00b2*x = 0", 0), ("2\u00b2*x = 0", 1), ("x*y = 3 \u00b2", 8)):
+        with pytest.raises(IdentitySyntaxError, match="unexpected character '\u00b2'") as err:
+            parse_identity(text)
+        assert err.value.position == position
+
+
+def test_identity_reader_returns_identities_or_a_typed_error():
+    pieces = ["x", "y", "z", "x1", "y'", "a_b", "*", "(", ")", "+", "-", "=", " = ", " ", "0",
+              "2", "12", "\u00b2", "\u0663", "\u00e9", "_", "'", "/", "(x*y)", "*z",
+              "x*(y*z)", "(x*x)*y", "3*"]
+    rng = random.Random(13)
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 9)))
+        try:
+            schemas = parse_identities(text)
+        except (IdentitySyntaxError, DegreeError):
+            continue
+        assert schemas and all(s.degree >= 2 for s in schemas)
