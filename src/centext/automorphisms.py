@@ -9,12 +9,13 @@ itself, truncated to n entries. The action on a form is
 
 One kernel on raw values (residues mod p over F_p, ints or Fractions
 over Q; see ``Scalar.raw``) does this work: the lower-triangular matrix
-from a first column, M^T C M on a form given by its nonzero (i, j, c)
-triples, and the class coordinates of the image from
-``CohomologySpace._reduce_raw``, which walks only the image's nonzero
-entries, each through its sparse column of the reduction map.
-``Automorphism.matrix``, ``act_on_cocycle`` and ``class_action_matrix``
-convert its results to Scalars; the orbit enumeration uses it directly.
+from a first column, M^T C M on a form given by its sparse raw view
+{i*n + j: c} (``BilinearForm._sparse``), and the class coordinates of
+the image from ``CohomologySpace._reduce_raw``, which walks only the
+image's nonzero entries, each through its sparse column of the reduction
+map.  ``Automorphism.matrix``, ``act_on_cocycle`` and
+``class_action_matrix`` convert its results to Scalars; the orbit
+enumeration uses it directly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .cohomology import CohomologySpace
 from .errors import DimMismatch, NotInvertible
 from .fields import Field
 from .forms import BilinearForm
-from .linalg import _scalar_row, mat_vec, rref, transpose
+from .linalg import mat_vec, rref, transpose
 
 
 def _lower_triangular(col, p):
@@ -44,23 +45,14 @@ def _lower_triangular(col, p):
     return tuple(zip(*cols))
 
 
-def _triples(theta: BilinearForm):
-    """The nonzero entries of a form as raw (i, j, c) triples, 0-based."""
-    return [
-        (i, j, x.raw)
-        for i, row in enumerate(theta.rows)
-        for j, x in enumerate(row)
-        if not x.is_zero
-    ]
-
-
-def _act_raw(m, triples, p) -> dict:
+def _act_raw(m, entries, p) -> dict:
     """M^T C M for the raw lower-triangular matrix m (rows) and the form
-    C given by raw triples, as sparse {a*n + b: raw value}:
+    C given by its raw view {i*n + j: c}, as sparse {a*n + b: raw value}:
     entry (a, b) is the sum of m[i][a] c m[j][b], where a <= i, b <= j."""
     n = len(m)
     out = {}
-    for i, j, c in triples:
+    for k, c in entries.items():
+        i, j = divmod(k, n)
         row_j = m[j]
         for a, x in enumerate(m[i][: i + 1]):
             if not x:
@@ -75,12 +67,12 @@ def _act_raw(m, triples, p) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _class_matrix(h: CohomologySpace, m, rep_triples):
+def _class_matrix(h: CohomologySpace, m, reps):
     """Raw class-action matrix (rows) of the automorphism with raw matrix
     m: column k holds the class coordinates of m acting on the k-th
-    representative, given by its raw triples."""
+    representative, given by its raw view."""
     p = h.algebra.field.p
-    cols = [h._reduce_raw(_act_raw(m, t, p)) for t in rep_triples]
+    cols = [h._reduce_raw(_act_raw(m, rep, p)) for rep in reps]
     return tuple(zip(*cols))
 
 
@@ -169,9 +161,8 @@ def act_on_cocycle(phi: Automorphism, theta: BilinearForm) -> BilinearForm:
     """(phi . theta)(x, y) = theta(phi x, phi y), i.e. M^T C M."""
     if theta.n != phi.n or theta.field != phi.field:
         raise DimMismatch("form and automorphism sizes differ")
-    n = phi.n
-    image = _act_raw(phi._raw, _triples(theta), phi.field.p)
-    return BilinearForm.from_vector(phi.field, n, _scalar_row(phi.field, image, n * n))
+    image = _act_raw(phi._raw, theta._sparse, phi.field.p)
+    return BilinearForm._from_sparse(phi.field, phi.n, image)
 
 
 def act_on_class(h: CohomologySpace, phi: Automorphism, coords):
@@ -185,5 +176,5 @@ def class_action_matrix(h: CohomologySpace, phi: Automorphism):
     the reduced class of phi acting on the k-th representative."""
     if phi.n != h.algebra.dim or phi.field != h.algebra.field:
         raise DimMismatch("automorphism does not match the cohomology space")
-    raw = _class_matrix(h, phi._raw, [_triples(rep) for rep in h.h_reps])
+    raw = _class_matrix(h, phi._raw, [rep._sparse for rep in h.h_reps])
     return tuple(tuple(phi.field.from_raw(x) for x in row) for row in raw)

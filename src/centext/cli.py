@@ -33,12 +33,13 @@ _MAX_COUNT_DIGITS = 4300
 _COUNT_LIMIT = 10**_MAX_COUNT_DIGITS
 
 # One term of a cocycle expression: signs, a coefficient with or without
-# '*', then nabla_<j> or delta_<i>_<k>.  Every part is optional, so a match
-# always succeeds, and where it stops short of an atom tells what is wrong.
+# '*', then nabla_<j> or delta_<i>_<k>, with ASCII digits 0-9.  Every part
+# is optional, so a match always succeeds, and where it stops short of an
+# atom tells what is wrong.
 _TERM = re.compile(
     r"(?P<signs>(?:\s*[+-])*)"
-    r"(?:\s*(?P<coeff>\d+(?:/\d+)?)(?:\s*(?P<star>\*))?)?"
-    r"(?:\s*(?P<atom>(?P<name>nabla|delta)(?P<idx>(?:_(?:\d+|n))+)))?"
+    r"(?:\s*(?P<coeff>[0-9]+(?:/[0-9]+)?)(?:\s*(?P<star>\*))?)?"
+    r"(?:\s*(?P<atom>(?P<name>nabla|delta)(?P<idx>(?:_(?:[0-9]+|n))+)))?"
 )
 _ATOMS = {"nabla": (nabla, 1, "one index"), "delta": (delta, 2, "two indices")}
 
@@ -69,7 +70,7 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
     head = rest.lstrip()[:1]
     if not head and pos and m.end() == pos:
         return total
-    if head.isdecimal():
+    if "0" <= head <= "9":
         raise ValueError("two coefficients in a row")
     if head == "*":
         raise ValueError("two '*' in a row" if m["star"] else "'*' without a coefficient")

@@ -15,7 +15,7 @@ from .algebra import Algebra, _identity_terms, is_standard_null_filiform
 from .errors import DimMismatch, InvariantError, NotACocycle, NotInVariety
 from .forms import BilinearForm, _tabulated_class
 from .identities import VarietySpec, format_identity
-from .linalg import Subspace, _echelon, _raw_rows, _scalar_row, kernel_basis, rref_with_transform
+from .linalg import Subspace, _echelon, _raw_rows, kernel_basis, rref_with_transform
 
 
 def _cocycle_equations(a: Algebra, variety: VarietySpec):
@@ -94,10 +94,9 @@ def check_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> None
 def _check_equations(equations, theta: BilinearForm) -> None:
     """Raise NotACocycle naming the first (row, identity, tuple) of
     ``equations`` whose row does not vanish on theta."""
-    p = theta.field.p
-    entries = [x.raw for x in theta.as_vector()]
+    p, entries = theta.field.p, theta._sparse
     for row, ident, combo in equations:
-        value = sum(v * entries[k] for k, v in row.items())
+        value = sum(v * entries.get(k, 0) for k, v in row.items())
         if value % p if p else value:
             args = ", ".join(f"{v}=e_{i + 1}" for v, i in zip(ident.variables, combo))
             raise NotACocycle(
@@ -126,29 +125,24 @@ def _coboundary_rows(a: Algebra) -> list:
     return _echelon(rows, a.field.p)[1]
 
 
-def _forms(a: Algebra, rows) -> list:
-    """The bilinear forms of sparse raw rows over the algebra's entries."""
-    n = a.dim
-    return [BilinearForm.from_vector(a.field, n, _scalar_row(a.field, r, n * n)) for r in rows]
-
-
 def coboundary_space(a: Algebra):
     """Canonical echelonized basis of the coboundary space: forms
     (x, y) -> f(x*y) for the dual basis functionals f."""
-    return _forms(a, _coboundary_rows(a))
+    return [BilinearForm._from_sparse(a.field, a.dim, r) for r in _coboundary_rows(a)]
 
 
 def _form_annihilator_rows(a: Algebra, theta: BilinearForm) -> list:
     """The equations theta(x, e_j) = 0 and theta(e_j, x) = 0 on the
-    coordinates of x."""
+    coordinates of x, as sparse raw rows {i: coefficient of x_i}, read
+    from the form's raw view; the zero rows are left out."""
     if theta.n != a.dim or theta.field != a.field:
         raise DimMismatch("form does not match the algebra")
-    n = a.dim
-    rows = []
-    for j in range(n):
-        rows.append(tuple(theta.rows[i][j] for i in range(n)))  # theta(x, e_j)
-        rows.append(theta.rows[j])  # theta(e_j, x)
-    return rows
+    rows = {}
+    for k, c in theta._sparse.items():
+        i, j = divmod(k, a.dim)
+        rows.setdefault((0, j), {})[i] = c  # theta(e_i, e_j) in theta(x, e_j)
+        rows.setdefault((1, i), {})[j] = c  # theta(e_i, e_j) in theta(e_i, x)
+    return list(rows.values())
 
 
 def cocycle_annihilator(a: Algebra, theta: BilinearForm) -> Subspace:
@@ -279,8 +273,7 @@ class CohomologySpace:
         Raises NotACocycle when theta is outside the cocycle span."""
         if theta.n != self.algebra.dim or theta.field != self.algebra.field:
             raise DimMismatch("form does not match the cohomology space")
-        entries = {k: x.raw for k, x in enumerate(theta.as_vector()) if not x.is_zero}
-        return tuple(self.algebra.field.from_raw(v) for v in self._reduce_raw(entries))
+        return tuple(self.algebra.field.from_raw(v) for v in self._reduce_raw(theta._sparse))
 
     def rep_from_coords(self, coords) -> BilinearForm:
         if len(coords) != self.dim_h:
@@ -307,7 +300,7 @@ def _new_directions(b_rows, forms, p) -> list:
     forms before them: the rows that open a pivot in one echelon of the
     coboundary rows followed by the forms."""
     opened = []
-    _echelon(_raw_rows(b_rows + [f.as_vector() for f in forms]), p, opened)
+    _echelon(_raw_rows(b_rows + [f._sparse for f in forms]), p, opened)
     return [i - len(b_rows) for i in opened if i >= len(b_rows)]
 
 
@@ -321,8 +314,8 @@ def second_cohomology(a: Algebra, variety: VarietySpec) -> CohomologySpace:
     equations = tuple(_cocycle_equations(a, variety))
     z_forms = cocycle_space(a, variety, equations)
     b_rows = _coboundary_rows(a)
-    b_forms = _forms(a, b_rows)
-    z_sub = Subspace(a.field, a.dim * a.dim, [f.as_vector() for f in z_forms])
+    b_forms = [BilinearForm._from_sparse(a.field, a.dim, r) for r in b_rows]
+    z_sub = Subspace(a.field, a.dim * a.dim, [f._sparse for f in z_forms])
     if not all(z_sub.contains(b.as_vector()) for b in b_forms):
         raise InvariantError("coboundary outside the cocycle space")
     preferred = _preferred_h_reps(a, variety)

@@ -35,7 +35,8 @@ class ExtensionResult:
 def build_extension(a: Algebra, thetas) -> Algebra:
     """The product table of the extension; no cocycle checking.  It is
     built as a sparse raw table: e_i * e_j of A followed by the nonzero
-    theta_t(e_i, e_j) at f_t, and zero products for every f_t."""
+    theta_t(e_i, e_j) at f_t, read from the forms' raw views, and zero
+    products for every f_t."""
     n, s = a.dim, len(thetas)
     for theta in thetas:
         if theta.n != n or theta.field != a.field:
@@ -44,8 +45,8 @@ def build_extension(a: Algebra, thetas) -> Algebra:
     for i, row in enumerate(a._sparse):
         out = []
         for j, vec in enumerate(row):
-            values = [theta.rows[i][j] for theta in thetas]
-            out.append(vec + tuple((n + t, x.raw) for t, x in enumerate(values) if not x.is_zero))
+            k = i * n + j
+            out.append(vec + tuple((n + t, th._sparse[k]) for t, th in enumerate(thetas) if k in th._sparse))
         sparse.append(tuple(out) + ((),) * s)
     sparse += [((),) * (n + s)] * s
     return Algebra._from_sparse(a.field, tuple(sparse))

@@ -3,19 +3,23 @@ throughout: delta(i, j) is the form picking out the (e_i, e_j) pair, and
 nabla(j) = sum of delta(k, j+1-k) for k = 1..j.
 
 Indices in the public constructors are 1-based, matching the basis
-labels e_1..e_n; internal storage is a 0-based matrix of entries."""
+labels e_1..e_n; internal storage is a 0-based matrix of entries.
+
+Raw values inside, Scalar at the boundary: beside its Scalar rows a form
+keeps the raw view ``_sparse`` of its nonzero entries, {i*n + j: raw value}
+in row-major order (see ``Scalar.raw``), which inner loops read, never change."""
 
 from __future__ import annotations
 
 from .errors import DimMismatch, FieldMismatch, IndexOutOfRange, InvalidDim
 from .fields import Field, Scalar, json_scalar, json_value
-from .linalg import mat_vec, vec_is_zero
+from .linalg import mat_vec
 
 
 class BilinearForm:
     """An n-by-n matrix of scalars, acting as theta(x, y) = x^T C y."""
 
-    __slots__ = ("field", "n", "rows")
+    __slots__ = ("field", "n", "rows", "_sparse")
 
     def __init__(self, field: Field, rows):
         rows = tuple(tuple(field.scalar(x) for x in row) for row in rows)
@@ -23,17 +27,32 @@ class BilinearForm:
         for row in rows:
             if len(row) != n:
                 raise DimMismatch("bilinear form matrix must be square")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        flat = (x for row in rows for x in row)
+        self._set(field, rows, {k: x.raw for k, x in enumerate(flat) if not x.is_zero})
+
+    def _set(self, field, rows, sparse):
+        for name, value in zip(self.__slots__, (field, len(rows), rows, sparse)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_sparse(cls, field: Field, n: int, entries: dict) -> "BilinearForm":
+        """The n-by-n form with the entries {i*n + j: raw value}, any
+        representatives (``Field.from_raw``); zero values drop out."""
+        flat, sparse = [field.zero] * (n * n), {}
+        for k in sorted(entries):
+            x = field.from_raw(entries[k])
+            if not x.is_zero:
+                flat[k], sparse[k] = x, x.raw
+        form = object.__new__(cls)
+        form._set(field, tuple(tuple(flat[i * n : i * n + n]) for i in range(n)), sparse)
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError("BilinearForm is immutable")
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "BilinearForm":
-        z = field.zero
-        return cls(field, tuple(tuple(z for _ in range(n)) for _ in range(n)))
+        return cls._from_sparse(field, n, {})
 
     @classmethod
     def from_vector(cls, field: Field, n: int, vec) -> "BilinearForm":
@@ -59,7 +78,7 @@ class BilinearForm:
 
     @property
     def is_zero(self) -> bool:
-        return all(vec_is_zero(row) for row in self.rows)
+        return not self._sparse
 
     def transpose(self) -> "BilinearForm":
         return BilinearForm(self.field, tuple(zip(*self.rows)))
@@ -71,10 +90,10 @@ class BilinearForm:
             raise FieldMismatch("cannot add forms over different fields")
         if other.n != self.n:
             raise DimMismatch("cannot add forms of different size")
-        return BilinearForm(
-            self.field,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-        )
+        entries = dict(self._sparse)
+        for k, v in other._sparse.items():
+            entries[k] = entries.get(k, 0) + v
+        return BilinearForm._from_sparse(self.field, self.n, entries)
 
     def __sub__(self, other):
         if not isinstance(other, BilinearForm):
@@ -82,8 +101,8 @@ class BilinearForm:
         return self + (-1) * other
 
     def __rmul__(self, c):
-        c = self.field.scalar(c)
-        return BilinearForm(self.field, tuple(tuple(c * x for x in row) for row in self.rows))
+        c = self.field.scalar(c).raw
+        return BilinearForm._from_sparse(self.field, self.n, {k: c * v for k, v in self._sparse.items()})
 
     def __neg__(self):
         return (-1) * self
@@ -111,12 +130,12 @@ class BilinearForm:
         with 1-based indices and absent entries zero, or the
         {"dim", "field", "matrix"} document that to_json writes."""
         field = Field.from_spec(json_value(data, "field", str))
-        if "entries" not in data:
-            vec = [json_scalar(field, x) for x in json_value(data, "matrix", list)]
-            return cls.from_vector(field, json_value(data, "dim", int), vec)
-        n = json_value(data, "n", int)
+        n = json_value(data, "n" if "entries" in data else "dim", int)
         if n < 1:
             raise InvalidDim(f"dimension {n} must be >= 1")
+        if "entries" not in data:
+            vec = [json_scalar(field, x) for x in json_value(data, "matrix", list)]
+            return cls.from_vector(field, n, vec)
         rows = [[field.zero] * n for _ in range(n)]
         for entry in json_value(data, "entries", list):
             i, j = json_value(entry, "i", int), json_value(entry, "j", int)
@@ -126,35 +145,23 @@ class BilinearForm:
         return cls(field, rows)
 
     def __repr__(self):
-        entries = [
-            f"({i + 1},{j + 1})={x.literal()}"
-            for i, row in enumerate(self.rows)
-            for j, x in enumerate(row)
-            if not x.is_zero
-        ]
-        body = ", ".join(entries) if entries else "0"
-        return f"BilinearForm[{self.n}; {body}]"
+        n = self.n
+        body = ", ".join(f"({k // n + 1},{k % n + 1})={v}" for k, v in self._sparse.items())
+        return f"BilinearForm[{n}; {body or 0}]"
 
 
 def delta(i: int, j: int, n: int, field: Field) -> BilinearForm:
     """The form with a single 1 in entry (i, j), 1-based."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"delta({i},{j}) does not fit in size {n}")
-    z, o = field.zero, field.one
-    rows = [[z] * n for _ in range(n)]
-    rows[i - 1][j - 1] = o
-    return BilinearForm(field, rows)
+    return BilinearForm._from_sparse(field, n, {(i - 1) * n + j - 1: 1})
 
 
 def nabla(j: int, n: int, field: Field) -> BilinearForm:
     """Sum of delta(k, j+1-k) over k = 1..j: ones along the j-th antidiagonal."""
     if not (1 <= j <= n):
         raise IndexOutOfRange(f"nabla({j}) does not fit in size {n}")
-    z, o = field.zero, field.one
-    rows = [[z] * n for _ in range(n)]
-    for k in range(1, j + 1):
-        rows[k - 1][j - k] = o
-    return BilinearForm(field, rows)
+    return BilinearForm._from_sparse(field, n, {(k - 1) * n + j - k: 1 for k in range(1, j + 1)})
 
 
 def _tabulated_class(n: int, field: Field, with_nabla: bool, i: int, mu):

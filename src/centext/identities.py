@@ -117,11 +117,11 @@ def _make_schema(monomials):
 # ---------------------------------------------------------------------------
 # parsing
 
-# One token after optional whitespace.  [^\W\d_] also takes numeric
-# characters such as '²', so _tokenize checks that an identifier starts
-# with a letter (str.isalpha).
+# One token after optional whitespace; an integer is ASCII digits 0-9.
+# [^\W\d_] also takes numeric characters such as '²', so _tokenize checks
+# that an identifier starts with a letter (str.isalpha).
 _TOKEN = re.compile(
-    r"\s*(?:(?P<INT>\d+)|(?P<IDENT>[^\W\d_][\w']*)|(?P<OP>[-*+()=])|(?P<END>\Z)|(?P<BAD>.))",
+    r"\s*(?:(?P<INT>[0-9]+)|(?P<IDENT>[^\W\d_][\w']*)|(?P<OP>[-*+()=])|(?P<END>\Z)|(?P<BAD>.))",
     re.S,
 )
 

@@ -113,8 +113,8 @@ def _echelon(rows, p, opened=None):
 
 
 def _raw_rows(rows):
-    """Sparse raw copies of rows given as Scalar vectors or, as the
-    cocycle equations come, as sparse {column: raw value} dicts."""
+    """Sparse raw copies of rows given as Scalar vectors or, as the cocycle
+    equations and the raw views of forms come, as {column: raw value} dicts."""
     return [
         dict(row) if isinstance(row, dict)
         else {c: x.raw for c, x in enumerate(row) if not x.is_zero}

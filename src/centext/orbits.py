@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import Algebra, _check_size, null_filiform, satisfies_variety
-from .automorphisms import Automorphism, _class_matrix, _lower_triangular, _triples
+from .automorphisms import Automorphism, _class_matrix, _lower_triangular
 from .budget import budget_scope, check_budget, resolve_budget
 from .cohomology import CohomologySpace, second_cohomology
 from .errors import (
@@ -299,7 +299,7 @@ class ClassAction:
         # c -> theta_c(e_n, e_j) and c -> theta_c(e_j, e_n), j = 1..n, as
         # integer forms on class coordinates; the zero forms are dropped
         forms = {
-            tuple(rep.rows[a][b].value for rep in self.h.h_reps)
+            tuple(rep._sparse.get(a * n + b, 0) for rep in self.h.h_reps)
             for j in range(n)
             for a, b in ((n - 1, j), (j, n - 1))
         }
@@ -312,7 +312,7 @@ class ClassAction:
         first columns.  The budget counts the whole group."""
         if self._matrices is None:
             check_budget(automorphism_count(self.n, self.field), "automorphisms", self.budget)
-            reps = [_triples(rep) for rep in self.h.h_reps]
+            reps = [rep._sparse for rep in self.h.h_reps]
             self._matrices = list(
                 dict.fromkeys(
                     _class_matrix(self.h, _lower_triangular(col, self.p), reps)
@@ -526,8 +526,13 @@ def classification_table(n: int, field: Field, mu_sample=None):
     extensions of the n-dimensional null-filiform algebra: the
     left-commutative T_1-level representatives, in the order delta_n_1,
     the wide delta_k_1, nabla_n + delta_k_1, nabla_n + mu*delta_n_1, with
-    their expected product patterns and the base's H^2, computed once."""
+    their expected product patterns and the base's H^2, computed once.
+    A row's check walks the left- and right-commutative identities on its
+    extension; the tuples of all rows are checked against the budget first."""
     reps = closed_field_representatives("left_commutative", n, field, "T1", mu_sample)
+    idents = builtin_variety("bicommutative").multilinear_identities
+    tuples = sum((n + 1) ** len(ident.variables) for ident in idents)
+    check_budget(len(reps) * tuples, "identity tuples of the table rows")
     reps.sort(key=lambda c: (c.nabla, c.ann_dim, c.i == n))
     h = second_cohomology(null_filiform(n, field), builtin_variety("left_commutative"))
     return [

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -590,3 +591,47 @@ def test_the_mu_family_counts_against_the_budget(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-table1", "--n", "3", "--mu", ",".join(["1"] * 1001))
     assert (code, out) == (2, "")
     assert err == "error: 1001 values of the mu family exceed budget 1000\n"
+
+
+def test_a_cocycle_file_of_dimension_below_1_exits_2(capsys, tmp_path):
+    for dim, matrix in ((0, []), (-1, ["5"])):
+        path = tmp_path / f"dim{dim}.json"
+        path.write_text(json.dumps({"dim": dim, "field": "Q", "matrix": matrix}))
+        code, out, err = run(capsys, "extend", "--algebra", "mu0:3", "--variety", "lc",
+                             "--cocycle", str(path))
+        assert (code, out, err) == (2, "", f"error: dimension {dim} must be >= 1\n")
+
+
+@pytest.mark.parametrize("text", ["nabla_\u0663", "\u0663*nabla_3"])
+def test_expression_digits_are_ascii(capsys, text):
+    with pytest.raises(ValueError, match=f"^cannot read cocycle expression at {re.escape(repr(text))}$"):
+        parse_cocycle_expr(text, 3, RATIONALS)
+    code, out, err = run(capsys, "extend", "--algebra", "mu0:3", "--variety", "lc",
+                         "--cocycle", f"expr:{text}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read cocycle expression at")
+
+
+def test_the_table_rows_count_their_identity_tuples_against_the_budget(capsys, monkeypatch):
+    import centext.orbits as orbits_mod
+
+    # n = 6 over Q: 13 rows, each walking x*(y*z) = y*(x*z) and
+    # (x*y)*z = (x*z)*y on 7^3 tuples of the 7-dimensional extension
+    monkeypatch.setenv("CENTEXT_BUDGET", str(13 * 686))
+    data = run_json(capsys, "verify-table1", "--n", "6")
+    assert data["ok"] and len(data["rows"]) == 13
+    monkeypatch.setenv("CENTEXT_BUDGET", str(13 * 686 - 1))
+    code, out, err = run(capsys, "verify-table1", "--n", "6")
+    assert (code, out) == (2, "")
+    assert err == "error: 8918 identity tuples of the table rows exceed budget 8917\n"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the base's H2 or a row was computed")
+
+    # Fp:10007 under the default budget: 10010 rows of 4^3 + 4^3 tuples
+    monkeypatch.delenv("CENTEXT_BUDGET")
+    monkeypatch.setattr(orbits_mod, "second_cohomology", no_work)
+    monkeypatch.setattr(orbits_mod, "_check_row", no_work)
+    code, out, err = run(capsys, "verify-table1", "--n", "3", "--field", "Fp:10007")
+    assert (code, out) == (2, "")
+    assert err == "error: 1281280 identity tuples of the table rows exceed budget 500000\n"

@@ -8,10 +8,16 @@ from centext import (
     Field,
     FieldMismatch,
     IndexOutOfRange,
+    InvalidDim,
     RATIONALS,
+    act_on_cocycle,
+    automorphism_from_column,
+    coboundary_space,
     delta,
     nabla,
+    null_filiform,
 )
+from centext.cli import parse_cocycle_expr
 
 
 def test_delta_entries_exhaustive():
@@ -110,3 +116,46 @@ def test_repr_names_nonzero_entries():
     form = delta(2, 3, 3, RATIONALS)
     assert "2" in repr(form) and "3" in repr(form)
     assert repr(BilinearForm.zero(RATIONALS, 2))
+
+
+def _built_every_way(f):
+    """Forms over f from each public way of building one, and a few that
+    the package builds from raw values."""
+    half = f.scalar("1/2")
+    rows = [[1, 0, "-1/2"], [0, 0, 0], [3, 5, 0]]
+    form = BilinearForm(f, rows)
+    yield "constructor", form
+    yield "from_vector", BilinearForm.from_vector(f, 3, [f.scalar(x) for r in rows for x in r])
+    yield "zero", BilinearForm.zero(f, 3)
+    yield "delta", delta(3, 2, 4, f)
+    yield "nabla", nabla(4, 4, f)
+    yield "+", nabla(3, 3, f) + half * delta(3, 1, 3, f)
+    yield "cancelling +", form + (-1) * form
+    yield "-", form - nabla(3, 3, f)
+    yield "scalar *", half * form
+    yield "* 0", 0 * form
+    yield "* p", 5 * form
+    yield "transpose", form.transpose()
+    yield "from_json matrix", BilinearForm.from_json(form.to_json())
+    entries = [{"i": 3, "j": 1, "c": "7"}, {"i": 2, "j": 2, "c": "-1/2"}, {"i": 1, "j": 1, "c": 0}]
+    yield "from_json entries", BilinearForm.from_json({"n": 3, "field": f.spec(), "entries": entries})
+    yield "parse_cocycle_expr", parse_cocycle_expr("nabla_n - 2*delta_2_1 + 1/2*delta_1_1", 3, f)
+    yield "act_on_cocycle", act_on_cocycle(automorphism_from_column(3, f, [2, "1/2", 1]), form)
+    yield "coboundary_space", coboundary_space(null_filiform(3, f))[-1]
+    yield "_from_sparse", BilinearForm._from_sparse(f, 2, {3: 7, 0: half.raw * 4, 1: 0})
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field.prime(5)], ids=["Q", "F5"])
+def test_the_raw_view_holds_the_nonzero_entries_in_row_major_order(field):
+    for how, form in _built_every_way(field):
+        want = [(k, x.raw) for k, x in enumerate(form.as_vector()) if not x.is_zero]
+        got = list(form._sparse.items())
+        assert got == want, how
+        # the values are Scalar.raw's: residues over F_p, ints when integral over Q
+        assert [type(v) for _, v in got] == [type(v) for _, v in want], how
+
+
+def test_a_matrix_document_of_dimension_below_1_is_refused():
+    for data in ({"dim": 0, "field": "Q", "matrix": []}, {"dim": -1, "field": "Q", "matrix": ["5"]}):
+        with pytest.raises(InvalidDim, match=f"^dimension {data['dim']} must be >= 1$"):
+            BilinearForm.from_json(data)

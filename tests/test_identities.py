@@ -187,6 +187,12 @@ def test_non_decimal_digits_are_syntax_errors():
         assert err.value.position == position
 
 
+def test_identity_integers_are_ascii():
+    with pytest.raises(IdentitySyntaxError, match="unexpected character '\u0663'") as err:
+        parse_identity("\u0663*(x*y) = 0")
+    assert err.value.position == 0
+
+
 def test_identity_reader_returns_identities_or_a_typed_error():
     pieces = ["x", "y", "z", "x1", "y'", "a_b", "*", "(", ")", "+", "-", "=", " = ", " ", "0",
               "2", "12", "\u00b2", "\u0663", "\u00e9", "_", "'", "/", "(x*y)", "*z",
