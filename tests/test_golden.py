@@ -21,12 +21,19 @@ H2 per dimension and variety, and ``identities`` of every catalog variety
 before the identity tokenizer became one regular expression); refactors
 must leave these outputs unchanged.  To add a case, run the command with the
 package as it stands and save its stdout under the case name.
+
+``tabulated_classes.json`` is no command's stdout: it holds the parameters
+of every tabulated class of ``closed_field_representatives`` (lc and bc,
+both levels, n = 2..5, over Q, F_5 and F_7), captured before the family
+lists became one formula, so a class that no orbit matches is pinned too.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from centext import RATIONALS, Field, closed_field_representatives
 from centext.cli import main
 from centext.identities import VARIETY_NAMES
 
@@ -84,3 +91,22 @@ def test_cli_output_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def _tabulated_classes() -> str:
+    """One JSON line per tabulated class, in list order."""
+    records = [
+        {"variety": variety, "level": level, "n": n, "field": field.spec(),
+         "label": c.label, "nabla": c.nabla, "i": c.i, "mu": c.mu.literal(),
+         "t1": c.t1, "ann_dim": c.ann_dim}
+        for variety in ("left_commutative", "bicommutative")
+        for level in ("H2", "T1")
+        for n in range(2, 6)
+        for field in (RATIONALS, Field.prime(5), Field.prime(7))
+        for c in closed_field_representatives(variety, n, field, level)
+    ]
+    return "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n"
+
+
+def test_tabulated_classes_match_golden():
+    assert _tabulated_classes() == (GOLDEN / "tabulated_classes.json").read_text()
