@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, _identity_terms, is_standard_null_filiform
 from .errors import DimMismatch, InvariantError, NotACocycle, NotInVariety
-from .forms import BilinearForm, _tabulated_class
+from .forms import BilinearForm, _tabulated_class, _tabulated_deltas
 from .identities import VarietySpec, format_identity
 from .linalg import Subspace, _echelon, _raw_rows, kernel_basis, rref_with_transform
 
@@ -162,11 +162,11 @@ def annihilator_intersection(a: Algebra, thetas) -> Subspace:
 
 def _preferred_h_reps(a: Algebra, variety: VarietySpec):
     """The distinguished cohomology representatives for the null-filiform
-    algebra in the left-commutative and bicommutative varieties: nabla_n
-    first, then delta(i, 1) in ascending i."""
+    algebra in a variety with tabulated classes: nabla_n first, then
+    delta(i, 1) for i in ``forms._tabulated_deltas``, ascending."""
     n = a.dim
-    deltas = {"left_commutative": range(2, n + 1), "bicommutative": (2,)}.get(variety.name)
-    if n < 2 or deltas is None or not is_standard_null_filiform(a):
+    deltas = _tabulated_deltas(variety.name, n)
+    if not deltas or not is_standard_null_filiform(a):
         return None
     classes = [_tabulated_class(n, a.field, True, n, 0)]
     classes += [_tabulated_class(n, a.field, False, i, 1) for i in deltas]

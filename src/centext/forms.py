@@ -28,10 +28,12 @@ class BilinearForm:
             if len(row) != n:
                 raise DimMismatch("bilinear form matrix must be square")
         flat = (x for row in rows for x in row)
-        self._set(field, rows, {k: x.raw for k, x in enumerate(flat) if not x.is_zero})
+        self._set(field, n, rows, {k: x.raw for k, x in enumerate(flat) if not x.is_zero})
 
-    def _set(self, field, rows, sparse):
-        for name, value in zip(self.__slots__, (field, len(rows), rows, sparse)):
+    def _set(self, field, n, rows, sparse):
+        if n < 1:
+            raise InvalidDim(f"dimension {n} must be >= 1")
+        for name, value in zip(self.__slots__, (field, n, rows, sparse)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -44,7 +46,7 @@ class BilinearForm:
             if not x.is_zero:
                 flat[k], sparse[k] = x, x.raw
         form = object.__new__(cls)
-        form._set(field, tuple(tuple(flat[i * n : i * n + n]) for i in range(n)), sparse)
+        form._set(field, n, tuple(tuple(flat[i * n : i * n + n]) for i in range(n)), sparse)
         return form
 
     def __setattr__(self, name, value):
@@ -162,6 +164,14 @@ def nabla(j: int, n: int, field: Field) -> BilinearForm:
     if not (1 <= j <= n):
         raise IndexOutOfRange(f"nabla({j}) does not fit in size {n}")
     return BilinearForm._from_sparse(field, n, {(k - 1) * n + j - k: 1 for k in range(1, j + 1)})
+
+
+def _tabulated_deltas(variety_name: str, n: int):
+    """The indices i of the delta(i, 1) after nabla_n in the tabulated H^2
+    basis of mu0:n: 2..n for left-commutative, 2 for bicommutative (none
+    below n = 2), None for a variety with no tabulated classes."""
+    top = {"left_commutative": n, "bicommutative": min(n, 2)}.get(variety_name)
+    return None if top is None else range(2, top + 1)
 
 
 def _tabulated_class(n: int, field: Field, with_nabla: bool, i: int, mu):

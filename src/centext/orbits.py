@@ -40,7 +40,7 @@ from .errors import (
 )
 from .extensions import central_extension
 from .fields import Field, Scalar
-from .forms import BilinearForm, _tabulated_class
+from .forms import BilinearForm, _tabulated_class, _tabulated_deltas
 from .identities import VarietySpec, builtin_variety
 
 def automorphism_count(n: int, field: Field) -> int:
@@ -133,7 +133,6 @@ class NamedClass:
 
     label: str
     form: BilinearForm
-    family: str
     nabla: bool
     i: int
     mu: Scalar
@@ -146,50 +145,62 @@ class NamedClass:
         return self.nabla and self.mu.is_zero
 
 
-def _mubar_values(i: int, n: int, field: Field, mus):
-    """The parameters of nabla_n + mubar*delta(i, 1): the representatives
-    of F* / R(i, n) over F_p, the nonzero sample values over Q."""
-    if field.is_finite:
-        return coset_representatives(roots_of_unity_subgroup(i, n, field))
-    return [m for m in mus if not m.is_zero]
-
-
-def _families(vname: str, level: str, n: int, field: Field, mus):
-    """The tabulated families as parameter tuples (family, nabla, i,
-    mu values, ann_dim).  At level T1, ann_dim 2 marks the classes
-    outside T_1 whose extensions are still non-split; at level H2 it is
-    not tabulated.  For n = 2 the bicommutative classes are the
-    left-commutative ones."""
-    inner = range(2, n)
-    if vname == "left_commutative" or n == 2:
-        if level == "H2":
-            return [
-                ("zero", False, n, [field.zero], None),
-                *[("delta_i_1", False, i, [field.one], None) for i in range(2, n + 1)],
-                ("nabla+mu*delta_n_1", True, n, mus, None),
-                *[
-                    ("nabla+mubar*delta_i_1", True, i, _mubar_values(i, n, field, mus), None)
-                    for i in inner
-                ],
-            ]
-        return [
-            ("delta_n_1", False, n, [field.one], 1),
-            ("nabla+mu*delta_n_1", True, n, mus, 1),
-            *[("nabla+delta_i_1", True, i, [field.one], 1) for i in inner],
-            *[("delta_k_1_wide_annihilator", False, k, [field.one], 2) for k in inner],
-        ]
+def _families(variety, n: int, field: Field, level: str, mu_sample):
+    """The tabulated families as parameter tuples (nabla, i, mu values,
+    ann_dim), checked as ``closed_field_representatives`` states, before
+    any form is built: one formula over the indices D of
+    ``forms._tabulated_deltas``, where nabla_n + mu*delta(max D, 1) takes
+    every mu when max D = n and mu = 0 alone otherwise.  At level T1,
+    ann_dim 2 marks the classes outside T_1 whose extensions are still
+    non-split; at level H2 it is not tabulated."""
+    vname = variety.name if isinstance(variety, VarietySpec) else builtin_variety(variety).name
+    deltas = _tabulated_deltas(vname, n)
+    if deltas is None:
+        raise UnsupportedVariety(f"no tabulated representatives for {vname!r}")
+    if not deltas:
+        raise InvalidDim("representatives are tabulated for n >= 2")
+    _check_size(n)
+    if level not in ("H2", "T1"):
+        raise ValueError(f"level must be 'H2' or 'T1', not {level!r}")
+    # the one-parameter family takes every element of F_p, or a sample over Q
+    if mu_sample is None:
+        mu_sample = range(field.p) if field.is_finite else (0, 1, -1, 2)
+    check_budget(len(mu_sample), "values of the mu family")
+    mus = [field.scalar(m) for m in mu_sample]
+    top, inner = deltas[-1], [i for i in deltas if i < n]
+    top_mus = mus if top == n else [field.zero]
     if level == "H2":
+        # mubar takes the representatives of F* / R(i, n) over F_p, the
+        # nonzero sample values over Q
         return [
-            ("zero", False, n, [field.zero], None),
-            ("delta_2_1", False, 2, [field.one], None),
-            ("nabla", True, 2, [field.zero], None),
-            ("nabla+mubar*delta_2_1", True, 2, _mubar_values(2, n, field, mus), None),
+            (False, n, [field.zero], None),
+            *[(False, i, [field.one], None) for i in deltas],
+            (True, top, top_mus, None),
+            *[
+                (True, i, coset_representatives(roots_of_unity_subgroup(i, n, field))
+                 if field.is_finite else [m for m in mus if not m.is_zero], None)
+                for i in inner
+            ],
         ]
     return [
-        ("nabla", True, 2, [field.zero], 1),
-        ("nabla+delta_2_1", True, 2, [field.one], 1),
-        ("delta_2_1_wide_annihilator", False, 2, [field.one], 2),
+        *([(False, n, [field.one], 1)] if top == n else []),
+        (True, top, top_mus, 1),
+        *[(True, i, [field.one], 1) for i in inner],
+        *[(False, i, [field.one], 2) for i in inner],
     ]
+
+
+def _named_classes(n: int, field: Field, families):
+    """The NamedClass of every mu value of every family, in order."""
+    out = []
+    for with_nabla, i, values, ann_dim in families:
+        for mu in values:
+            form, label = _tabulated_class(n, field, with_nabla, i, mu)
+            # in T_1 exactly when e_n does not annihilate the class: through
+            # nabla_n, or through a nonzero delta(n, 1)
+            t1 = with_nabla or (i == n and not mu.is_zero)
+            out.append(NamedClass(label, form, with_nabla, i, mu, t1, ann_dim))
+    return out
 
 
 def closed_field_representatives(
@@ -207,28 +218,7 @@ def closed_field_representatives(
     annihilator).  A dimension whose n^3 structure constants exceed the
     budget, or a mu family (every element of F_p, or mu_sample) longer
     than the budget, is refused before any form is built."""
-    vname = variety.name if isinstance(variety, VarietySpec) else builtin_variety(variety).name
-    if vname not in ("left_commutative", "bicommutative"):
-        raise UnsupportedVariety(f"no tabulated representatives for {vname!r}")
-    if n < 2:
-        raise InvalidDim("representatives are tabulated for n >= 2")
-    _check_size(n)
-    if level not in ("H2", "T1"):
-        raise ValueError(f"level must be 'H2' or 'T1', not {level!r}")
-    # the one-parameter family takes every element of F_p, or a sample over Q
-    if mu_sample is None:
-        mu_sample = range(field.p) if field.is_finite else (0, 1, -1, 2)
-    check_budget(len(mu_sample), "values of the mu family")
-    mus = [field.scalar(m) for m in mu_sample]
-    out = []
-    for family, with_nabla, i, values, ann_dim in _families(vname, level, n, field, mus):
-        for mu in values:
-            form, label = _tabulated_class(n, field, with_nabla, i, mu)
-            # in T_1 exactly when e_n does not annihilate the class: through
-            # nabla_n, or through a nonzero delta(n, 1)
-            t1 = with_nabla or (i == n and not mu.is_zero)
-            out.append(NamedClass(label, form, family, with_nabla, i, mu, t1, ann_dim))
-    return out
+    return _named_classes(n, field, _families(variety, n, field, level, mu_sample))
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +390,9 @@ def _orbit_report(action: ClassAction, kind, domain, image, to_domain):
         orbit_members.append(sorted(orbit))
     orbit_members.sort(key=lambda g: g[0])
     orbit_index = {x: k for k, group in enumerate(orbit_members) for x in group}
-    level = kind[:2]  # "H2" for "H2_points", "T1" for "T1_lines"
     reps = []
-    if action.n >= 2:  # nothing is tabulated below n = 2
-        try:
-            reps = closed_field_representatives(action.variety, action.n, action.field, level)
-        except UnsupportedVariety:
-            pass
+    if _tabulated_deltas(action.variety.name, action.n):  # level "H2" or "T1" from the kind
+        reps = closed_field_representatives(action.variety, action.n, action.field, kind[:2])
     matched = {}
     for named in reps:
         k = orbit_index.get(to_domain(named))
@@ -529,10 +515,12 @@ def classification_table(n: int, field: Field, mu_sample=None):
     their expected product patterns and the base's H^2, computed once.
     A row's check walks the left- and right-commutative identities on its
     extension; the tuples of all rows are checked against the budget first."""
-    reps = closed_field_representatives("left_commutative", n, field, "T1", mu_sample)
+    families = _families("left_commutative", n, field, "T1", mu_sample)
     idents = builtin_variety("bicommutative").multilinear_identities
     tuples = sum((n + 1) ** len(ident.variables) for ident in idents)
-    check_budget(len(reps) * tuples, "identity tuples of the table rows")
+    rows = sum(len(values) for _, _, values, _ in families)
+    check_budget(rows * tuples, "identity tuples of the table rows")
+    reps = _named_classes(n, field, families)
     reps.sort(key=lambda c: (c.nabla, c.ann_dim, c.i == n))
     h = second_cohomology(null_filiform(n, field), builtin_variety("left_commutative"))
     return [

@@ -530,6 +530,18 @@ def test_verify_table1_refuses_an_over_budget_n_before_building_a_row(capsys, mo
                 closed_field_representatives(vname, 3, RATIONALS, level)
 
 
+def test_verify_table1_counts_its_rows_before_building_a_form(capsys, monkeypatch):
+    import centext.orbits as orbits_mod
+
+    def no_form(*args):
+        raise AssertionError("a tabulated form was built")
+
+    monkeypatch.setattr(orbits_mod, "_tabulated_class", no_form)
+    code, out, err = run(capsys, "verify-table1", "--n", "3", "--field", "Fp:10007")
+    assert (code, out) == (2, "")
+    assert err == "error: 1281280 identity tuples of the table rows exceed budget 500000\n"
+
+
 @pytest.mark.parametrize("text", ["nabla_3 delta_1_1", "nabla_3delta_1_1", "delta_2_1 2*nabla_3"])
 def test_expression_parser_needs_a_sign_between_terms(capsys, text):
     with pytest.raises(ValueError, match="no '\\+' or '-' before the term"):

@@ -159,3 +159,18 @@ def test_a_matrix_document_of_dimension_below_1_is_refused():
     for data in ({"dim": 0, "field": "Q", "matrix": []}, {"dim": -1, "field": "Q", "matrix": ["5"]}):
         with pytest.raises(InvalidDim, match=f"^dimension {data['dim']} must be >= 1$"):
             BilinearForm.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (lambda: BilinearForm(RATIONALS, []), 0),
+        (lambda: BilinearForm.zero(RATIONALS, -1), -1),
+        (lambda: BilinearForm.zero(Field.prime(5), 0), 0),
+        (lambda: BilinearForm.from_vector(RATIONALS, 0, []), 0),
+    ],
+    ids=["constructor", "zero(-1)", "zero(0)", "from_vector"],
+)
+def test_a_form_of_dimension_below_1_is_refused(build, n):
+    with pytest.raises(InvalidDim, match=f"^dimension {n} must be >= 1$"):
+        build()
