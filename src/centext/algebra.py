@@ -249,9 +249,12 @@ def _identity_terms(a: Algebra, variety: VarietySpec):
     every tuple of 0-based basis indices bound to its variables, where
     terms lists (coeff, u, w) for each monomial u*w whose factors u and w
     (sparse raw vectors) are both nonzero; a monomial is dropped as soon
-    as a product inside it vanishes.  Raises CharTooSmall when the
-    multilinear identities do not replace the originals, and
-    BudgetExceeded when the tuples are over the enumeration budget.
+    as a product inside it vanishes.  Terms are lazy: the tuple's
+    bindings are made and its monomials evaluated only when terms is
+    iterated, so a consumer that passes over a tuple pays nothing for it.
+    Raises CharTooSmall when the multilinear identities do not replace
+    the originals, and BudgetExceeded when the tuples are over the
+    enumeration budget.
     """
     variety.char_gate(a.field)
     n = a.dim
@@ -261,23 +264,38 @@ def _identity_terms(a: Algebra, variety: VarietySpec):
     mul = a._product
     for ident in idents:
         split = [(m.coeff, *m.split_root()) for m in ident.monomials]
-        for combo in itertools.product(range(n), repeat=len(ident.variables)):
-            env = dict(zip(ident.variables, [basis[i] for i in combo]))
-            terms = []
-            for coeff, left, right in split:
-                u = evaluate_tree(left, env, mul)
-                w = evaluate_tree(right, env, mul) if u else None
-                if w:
-                    terms.append((coeff, u, w))
-            yield ident, combo, terms
+        variables = ident.variables
+        for combo in itertools.product(range(n), repeat=len(variables)):
+            yield ident, combo, _terms(split, variables, combo, basis, mul)
+
+
+def _terms(split, variables, combo, basis, mul):
+    """The (coeff, u, w) terms of one tuple of ``_identity_terms``."""
+    env = dict(zip(variables, [basis[i] for i in combo]))
+    for coeff, left, right in split:
+        u = evaluate_tree(left, env, mul)
+        w = evaluate_tree(right, env, mul) if u else None
+        if w:
+            yield coeff, u, w
 
 
 def satisfies_variety(a: Algebra, variety: VarietySpec) -> bool:
     """Whether the algebra satisfies all identities of the variety,
-    checked via the multilinearized identities on all basis tuples.
+    checked via the multilinearized identities on the basis tuples.
     Raises CharTooSmall when that replacement is not valid, and
     BudgetExceeded when the tuples are over the enumeration budget; both
-    are checked on every call.
+    are checked on every call, and the budget counts all N^k tuples.
+
+    Only the tuples that can decide the verdict are evaluated.  A tuple
+    that binds a basis vector with an empty row and column in the table
+    is passed over: every variable of a multilinear identity is a factor
+    of a product in every monomial, so each monomial vanishes there.  So
+    is a tuple that is not sorted within a symmetry block of the
+    identity (``IdentitySchema.symmetry_blocks``): sorting the block
+    maps the identity to plus or minus itself, so the tuple's value is
+    plus or minus that of its sorted tuple, which is evaluated.  Tuples
+    with equal indices in a block are kept, so an antisymmetric identity
+    is still checked on them in characteristic 2.
 
     The verdict of each multilinear identity is kept on the algebra, so
     each identity is walked at most once per Algebra object: another
@@ -297,9 +315,19 @@ def satisfies_variety(a: Algebra, variety: VarietySpec) -> bool:
 
 def _holds(a: Algebra, variety: VarietySpec) -> bool:
     """Whether every multilinear identity of the variety vanishes on
-    every tuple of basis elements."""
-    p = a.field.p
-    for _, _, terms in _identity_terms(a, variety):
+    every tuple of basis elements, evaluated on the tuples that can
+    decide it (see ``satisfies_variety``)."""
+    p, table = a.field.p, a._sparse
+    null = {i for i, row in enumerate(table) if not any(row) and not any(r[i] for r in table)}
+    current = None
+    for ident, combo, terms in _identity_terms(a, variety):
+        if ident is not current:
+            current, at = ident, ident.variables.index
+            # sorted within every block: each pair of neighbours in order
+            order = [(at(u), at(v)) for block in ident.symmetry_blocks
+                     for u, v in zip(block, block[1:])]
+        if not null.isdisjoint(combo) or any(combo[i] > combo[j] for i, j in order):
+            continue
         acc = {}
         for coeff, u, w in terms:
             for k, v in a._product(u, w):

@@ -59,6 +59,8 @@ class BilinearForm:
     @classmethod
     def from_vector(cls, field: Field, n: int, vec) -> "BilinearForm":
         """Rebuild from a row-major vector of length n*n."""
+        if n < 1:
+            raise InvalidDim(f"dimension {n} must be >= 1")
         if len(vec) != n * n:
             raise DimMismatch(f"expected {n * n} entries, got {len(vec)}")
         return cls(field, tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n)))

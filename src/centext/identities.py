@@ -54,6 +54,13 @@ def evaluate_tree(tree, env, mul):
     return mul(left, right) if right else right
 
 
+def _swap(tree, u, v):
+    """The tree with the variables u and v exchanged."""
+    if isinstance(tree, str):
+        return v if tree == u else u if tree == v else tree
+    return (_swap(tree[0], u, v), _swap(tree[1], u, v))
+
+
 @dataclass(frozen=True)
 class Monomial:
     coeff: int
@@ -93,6 +100,27 @@ class IdentitySchema:
             if set(counts) != want or any(c != 1 for c in counts.values()):
                 return False
         return True
+
+    @cached_property
+    def symmetry_blocks(self) -> tuple:
+        """The classes, of two or more variables each in the order of
+        ``variables``, of variables whose swap maps the identity (its
+        combined monomials) to itself or to its negative.  Two such swaps
+        sharing a variable give the third by conjugation, so the classes
+        are well defined and every permutation of a class maps the
+        identity to plus or minus itself."""
+        combined = {m.tree: m.coeff for m in _make_schema(self.monomials).monomials}
+        negated = {t: -c for t, c in combined.items()}
+        classes: list = []
+        for v in self.variables:
+            for cls in classes:
+                swapped = {_swap(t, cls[0], v): c for t, c in combined.items()}
+                if swapped == combined or swapped == negated:
+                    cls.append(v)
+                    break
+            else:
+                classes.append([v])
+        return tuple(tuple(cls) for cls in classes if len(cls) > 1)
 
 
 def _make_schema(monomials):

@@ -241,6 +241,8 @@ class OrbitReport:
     domain_size: int
     orbits: tuple
     matched_labels: dict
+    # labels of the T_1-flagged tabulated classes, in order; not printed
+    t1_labels: tuple
 
     def to_json(self, include_members: bool = False) -> dict:
         orbits = []
@@ -420,6 +422,7 @@ def _orbit_report(action: ClassAction, kind, domain, image, to_domain):
         domain_size=len(domain),
         orbits=orbits,
         matched_labels=matched,
+        t1_labels=tuple(named.label for named in reps if named.t1),
     )
 
 

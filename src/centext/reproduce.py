@@ -22,7 +22,7 @@ from .extensions import build_extension, central_extension
 from .fields import RATIONALS, Field
 from .forms import BilinearForm, delta, nabla
 from .identities import builtin_variety
-from .orbits import check_table1, closed_field_representatives, orbits_on_T1
+from .orbits import check_table1, orbits_on_T1
 
 EXPECTED_DIMS = {
     "associative": lambda n: (n, n - 1, 1),
@@ -153,8 +153,7 @@ def _table(n, field):
 
 def _orbits(n, vname, p):
     report = orbits_on_T1(n, vname, Field.prime(p))
-    reps = closed_field_representatives(vname, n, Field.prime(p), level="T1")
-    t1_labels = [named.label for named in reps if named.t1]
+    t1_labels = report.t1_labels
     missing = [lab for lab in t1_labels if lab not in report.matched_labels]
     if missing:
         return False, f"unmatched representatives: {missing}"

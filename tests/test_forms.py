@@ -168,8 +168,10 @@ def test_a_matrix_document_of_dimension_below_1_is_refused():
         (lambda: BilinearForm.zero(RATIONALS, -1), -1),
         (lambda: BilinearForm.zero(Field.prime(5), 0), 0),
         (lambda: BilinearForm.from_vector(RATIONALS, 0, []), 0),
+        # n*n matches the length, so only a dimension check made first names -1
+        (lambda: BilinearForm.from_vector(RATIONALS, -1, [5]), -1),
     ],
-    ids=["constructor", "zero(-1)", "zero(0)", "from_vector"],
+    ids=["constructor", "zero(-1)", "zero(0)", "from_vector", "from_vector(-1)"],
 )
 def test_a_form_of_dimension_below_1_is_refused(build, n):
     with pytest.raises(InvalidDim, match=f"^dimension {n} must be >= 1$"):

@@ -110,6 +110,31 @@ def test_jordan_multilinearization_has_twelve_terms():
     assert quartic[0].is_multilinear
 
 
+def test_symmetry_blocks_of_the_catalog_identities():
+    # each catalog multilinear identity, in order, and the variables whose
+    # swaps map it to plus or minus itself
+    want = {
+        "associative": [()],
+        "left_alternative": [(("x1", "x2"),)],
+        "alternative": [(("x1", "x2"),), (("y1", "y2"),)],
+        "jordan": [(("x", "y"),), (("x1", "x2", "x3"),)],
+        "left_commutative": [(("x", "y"),)],
+        "right_commutative": [(("y", "z"),)],
+        "bicommutative": [(("x", "y"),), (("y", "z"),)],
+        "assosymmetric": [(("x", "y"),), (("y", "z"),)],
+        "novikov": [(("y", "z"),), (("x", "y"),)],
+        "left_symmetric": [(("x", "y"),)],
+    }
+    assert set(want) == set(VARIETY_NAMES)
+    for name in VARIETY_NAMES:
+        got = [s.symmetry_blocks for s in builtin_variety(name).multilinear_identities]
+        assert got == want[name], name
+    assert parse_identity("(x*y)*z = x*(y*z)").symmetry_blocks == ()
+    # a swap that maps a monomial to one with another coefficient is no symmetry
+    assert parse_identity("x*(y*z) = 2*(y*(x*z))").symmetry_blocks == ()
+    assert parse_identity("x*(y*z) + y*(x*z) = z*(x*y) + z*(y*x)").symmetry_blocks == (("x", "y"),)
+
+
 def test_mixed_degrees_split_into_components():
     s = parse_identity("(x*x)*y - x*y = 0")
     out = multilinearize(s)

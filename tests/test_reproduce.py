@@ -3,6 +3,7 @@ import sys
 from collections import Counter
 
 import centext.cohomology as coh
+import centext.orbits as orbits
 import centext.reproduce as rep
 from centext import run_reproduction
 from centext.reproduce import _claim
@@ -96,3 +97,20 @@ def test_each_cohomology_space_is_solved_once(monkeypatch):
     assert max(solves.values()) == 1
     assert len(solves) == 9 * 5 + 2 * 2 * 2  # nine varieties over Q, n = 2..6; lc, bc over F_p
     assert table_solves == [(n, "Q", "left_commutative") for n in range(2, 7)]
+
+
+def test_orbit_claims_build_the_tabulated_classes_once(monkeypatch):
+    # the T1 orbit report keeps the labels of its T1-flagged classes, so the
+    # claim reads them from the report instead of building the classes again
+    calls = []
+    named_classes = orbits._named_classes
+
+    def counted(*args):
+        calls.append(args)
+        return named_classes(*args)
+
+    monkeypatch.setattr(orbits, "_named_classes", counted)
+    ok, detail = rep._orbits(4, "left_commutative", 7)
+    assert ok, detail
+    assert len(calls) == 1
+    assert detail.endswith("representatives pairwise inequivalent")
