@@ -1,18 +1,18 @@
 """Finite-dimensional nonassociative algebras given by structure constants.
 
-An Algebra stores the product table table[i][j] = e_i * e_j as a vector
-of scalars (0-based indices internally; JSON and printed labels are
-1-based). The n-dimensional null-filiform algebra has e_i * e_j =
-e_{i+j} when i + j <= n and 0 otherwise; that zero convention is baked
-into the constructor only, not into any later computation.
+An Algebra holds the product table e_i * e_j (0-based indices internally;
+JSON, printed labels and ``basis_vector`` are 1-based). The n-dimensional
+null-filiform algebra has e_i * e_j = e_{i+j} when i + j <= n and 0
+otherwise; that zero convention is baked into the constructor only, not
+into any later computation.
 
-Raw values inside, Scalar at the boundary: next to the public table each
-algebra keeps a sparse table of (k, raw value) pairs (see
-``Scalar.raw``), and products, identity evaluation and cocycle equations
-run on sparse vectors of such pairs.  ``Algebra.multiply`` converts
-Scalar vectors on entry and on exit.  Algebras built inside the package
-from raw values (extensions, expected table patterns) start from the
-sparse table, and their Scalar table is built only when it is read.
+Raw values inside, Scalar at the boundary: each algebra keeps a sparse
+table of (k, raw value) pairs (see ``Scalar.raw``), which products,
+identity evaluation, cocycle equations, annihilators, ``to_json`` and
+``opposite`` read.  ``Algebra.multiply`` converts Scalar vectors on entry
+and on exit.  Algebras built inside the package from raw values
+(extensions, expected table patterns) start from the sparse table, and
+their Scalar ``table`` is built only when it is read.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import itertools
 from dataclasses import replace
 
 from .budget import check_budget
-from .errors import DimMismatch, InvalidDim, NotInVariety
+from .errors import DimMismatch, IndexOutOfRange, InvalidDim, NotInVariety
 from .fields import Field, json_value
 from .identities import VarietySpec, evaluate_tree
-from .linalg import Subspace, basis_vec, kernel_basis, vec_is_zero
+from .linalg import Subspace, _kernel, _scalar_row, basis_vec
 
 
 class Algebra:
@@ -67,15 +67,8 @@ class Algebra:
     def table(self):
         """table[i][j] = e_i * e_j as a tuple of scalars, 0-based."""
         if self._table is None:
-            zero, from_raw = self.field.zero, self.field.from_raw
-
-            def vector(pairs):
-                out = [zero] * self.dim
-                for k, c in pairs:
-                    out[k] = from_raw(c)
-                return tuple(out)
-
-            table = tuple(tuple(map(vector, row)) for row in self._sparse)
+            field, n = self.field, self.dim
+            table = tuple(tuple(_scalar_row(field, dict(v), n) for v in row) for row in self._sparse)
             object.__setattr__(self, "_table", table)
         return self._table
 
@@ -83,7 +76,9 @@ class Algebra:
         raise AttributeError("Algebra is immutable")
 
     def basis_vector(self, i: int):
-        """Basis vector e_i, 1-based."""
+        """Basis vector e_i, 1-based; IndexOutOfRange outside 1..dim."""
+        if not (1 <= i <= self.dim):
+            raise IndexOutOfRange(f"basis vector e_{i} outside 1..{self.dim}")
         return basis_vec(self.field, self.dim, i - 1)
 
     def multiply(self, x, y):
@@ -94,10 +89,7 @@ class Algebra:
             tuple((i, field.scalar(c).raw) for i, c in enumerate(v) if not c.is_zero)
             for v in (x, y)
         )
-        out = [field.zero] * self.dim
-        for k, c in self._product(u, w):
-            out[k] = field.from_raw(c)
-        return tuple(out)
+        return _scalar_row(field, dict(self._product(u, w)), self.dim)
 
     def _product(self, u, w):
         """Product of sparse raw vectors, tuples of (index, nonzero raw
@@ -129,26 +121,24 @@ class Algebra:
 
     def annihilator(self) -> Subspace:
         """Elements x with x*A = 0 and A*x = 0."""
-        basis = kernel_basis(self._annihilator_rows(), self.dim, self.field)
-        return Subspace(self.field, self.dim, basis)
-
-    def _subspace_product(self, u_space: Subspace, v_space: Subspace) -> list:
-        return [
-            self.multiply(u, v) for u in u_space.basis for v in v_space.basis
-        ]
+        kernel = _kernel(self._annihilator_rows(), self.dim, self.field.p)
+        return Subspace(self.field, self.dim, kernel)
 
     def power_dims(self):
         """Dimensions of the descending power series A, A^2, A^3, ...
         where A^k = sum over i+j=k of A^i * A^j; the sequence is reported
         up to (and including) its first repeated value."""
-        full = Subspace(self.field, self.dim, [basis_vec(self.field, self.dim, i) for i in range(self.dim)])
+        full = Subspace(self.field, self.dim, [{i: 1} for i in range(self.dim)])
         powers = [full]
         dims = [full.dim]
         while True:
             k = len(powers) + 1
-            vectors = []
-            for a in range(1, k):
-                vectors.extend(self._subspace_product(powers[a - 1], powers[k - a - 1]))
+            vectors = [  # products of the sparse basis rows of A^a and A^(k-a)
+                dict(self._product(tuple(u.items()), tuple(v.items())))
+                for a in range(1, k)
+                for u in powers[a - 1]._pivot_rows.values()
+                for v in powers[k - a - 1]._pivot_rows.values()
+            ]
             nxt = Subspace(self.field, self.dim, vectors)
             if nxt.dim == dims[-1]:
                 break
@@ -163,11 +153,7 @@ class Algebra:
         return self.power_dims() == tuple(range(n, -1, -1))
 
     def opposite(self) -> "Algebra":
-        n = self.dim
-        return Algebra(
-            self.field,
-            tuple(tuple(self.table[j][i] for j in range(n)) for i in range(n)),
-        )
+        return Algebra._from_sparse(self.field, tuple(zip(*self._sparse)))
 
     def __eq__(self, other):
         return (
@@ -181,17 +167,11 @@ class Algebra:
 
     def to_json(self) -> dict:
         products = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                vec = self.table[i][j]
-                if vec_is_zero(vec):
-                    continue
-                out = [
-                    {"k": k + 1, "c": x.literal()}
-                    for k, x in enumerate(vec)
-                    if not x.is_zero
-                ]
-                products.append({"i": i + 1, "j": j + 1, "out": out})
+        for i, row in enumerate(self._sparse):
+            for j, vec in enumerate(row):
+                if vec:
+                    out = [{"k": k + 1, "c": self.field.from_raw(c).literal()} for k, c in vec]
+                    products.append({"i": i + 1, "j": j + 1, "out": out})
         return {"dim": self.dim, "field": self.field.spec(), "products": products}
 
     @classmethod

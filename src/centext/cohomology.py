@@ -15,7 +15,7 @@ from .algebra import Algebra, _identity_terms, is_standard_null_filiform
 from .errors import DimMismatch, InvariantError, NotACocycle, NotInVariety
 from .forms import BilinearForm, _tabulated_class, _tabulated_deltas
 from .identities import VarietySpec, format_identity
-from .linalg import Subspace, _echelon, _raw_rows, kernel_basis, rref_with_transform
+from .linalg import Subspace, _echelon, _kernel, _raw_rows, rref_with_transform
 
 
 def _cocycle_equations(a: Algebra, variety: VarietySpec):
@@ -60,8 +60,8 @@ def cocycle_space(a: Algebra, variety: VarietySpec, equations=None):
         equations = tuple(_cocycle_equations(a, variety))
     _require_member(a, variety, equations)
     n = a.dim
-    basis = kernel_basis([row for row, _, _ in equations], n * n, a.field)
-    return [BilinearForm.from_vector(a.field, n, v) for v in basis]
+    basis = _kernel([dict(row) for row, _, _ in equations], n * n, a.field.p)
+    return [BilinearForm._from_sparse(a.field, n, v) for v in basis]
 
 
 def _require_member(a: Algebra, variety: VarietySpec, equations) -> None:
@@ -148,7 +148,7 @@ def _form_annihilator_rows(a: Algebra, theta: BilinearForm) -> list:
 def cocycle_annihilator(a: Algebra, theta: BilinearForm) -> Subspace:
     """Elements x with theta(x, A) = 0 and theta(A, x) = 0."""
     rows = _form_annihilator_rows(a, theta)
-    return Subspace(a.field, a.dim, kernel_basis(rows, a.dim, a.field))
+    return Subspace(a.field, a.dim, _kernel(rows, a.dim, a.field.p))
 
 
 def annihilator_intersection(a: Algebra, thetas) -> Subspace:
@@ -157,7 +157,7 @@ def annihilator_intersection(a: Algebra, thetas) -> Subspace:
     rows = a._annihilator_rows()
     for theta in thetas:
         rows += _form_annihilator_rows(a, theta)
-    return Subspace(a.field, a.dim, kernel_basis(rows, a.dim, a.field))
+    return Subspace(a.field, a.dim, _kernel(rows, a.dim, a.field.p))
 
 
 def _preferred_h_reps(a: Algebra, variety: VarietySpec):
@@ -316,7 +316,7 @@ def second_cohomology(a: Algebra, variety: VarietySpec) -> CohomologySpace:
     b_rows = _coboundary_rows(a)
     b_forms = [BilinearForm._from_sparse(a.field, a.dim, r) for r in b_rows]
     z_sub = Subspace(a.field, a.dim * a.dim, [f._sparse for f in z_forms])
-    if not all(z_sub.contains(b.as_vector()) for b in b_forms):
+    if not all(z_sub._contains(dict(b._sparse)) for b in b_forms):
         raise InvariantError("coboundary outside the cocycle space")
     preferred = _preferred_h_reps(a, variety)
     if preferred is not None:
@@ -324,7 +324,7 @@ def second_cohomology(a: Algebra, variety: VarietySpec) -> CohomologySpace:
         if (
             len(b_rows) + len(forms) == len(z_forms)
             and len(_new_directions(b_rows, forms, a.field.p)) == len(forms)
-            and all(z_sub.contains(f.as_vector()) for f in forms)
+            and all(z_sub._contains(dict(f._sparse)) for f in forms)
         ):
             return CohomologySpace(a, variety, z_forms, b_forms, forms, labels, True, equations)
     picked = _new_directions(b_rows, z_forms, a.field.p)

@@ -2,51 +2,51 @@
 throughout: delta(i, j) is the form picking out the (e_i, e_j) pair, and
 nabla(j) = sum of delta(k, j+1-k) for k = 1..j.
 
-Indices in the public constructors are 1-based, matching the basis
-labels e_1..e_n; internal storage is a 0-based matrix of entries.
+Indices in the public constructors and ``entry`` are 1-based, matching the
+basis labels e_1..e_n; an index outside 1..n raises IndexOutOfRange.
 
-Raw values inside, Scalar at the boundary: beside its Scalar rows a form
-keeps the raw view ``_sparse`` of its nonzero entries, {i*n + j: raw value}
-in row-major order (see ``Scalar.raw``), which inner loops read, never change."""
+Raw values inside, Scalar at the boundary: a form stores only the raw view
+``_sparse`` of its nonzero entries, {i*n + j: raw value} in row-major order
+(see ``Scalar.raw``), which inner loops read, never change; its Scalar
+views are built from it when read."""
 
 from __future__ import annotations
 
 from .errors import DimMismatch, FieldMismatch, IndexOutOfRange, InvalidDim
 from .fields import Field, Scalar, json_scalar, json_value
-from .linalg import mat_vec
+from .linalg import _scalar_row
 
 
 class BilinearForm:
     """An n-by-n matrix of scalars, acting as theta(x, y) = x^T C y."""
 
-    __slots__ = ("field", "n", "rows", "_sparse")
+    __slots__ = ("field", "n", "_sparse")
 
     def __init__(self, field: Field, rows):
-        rows = tuple(tuple(field.scalar(x) for x in row) for row in rows)
+        rows = [[field.scalar(x).raw for x in row] for row in rows]
         n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise DimMismatch("bilinear form matrix must be square")
+        if any(len(row) != n for row in rows):
+            raise DimMismatch("bilinear form matrix must be square")
         flat = (x for row in rows for x in row)
-        self._set(field, n, rows, {k: x.raw for k, x in enumerate(flat) if not x.is_zero})
+        self._set(field, n, {k: x for k, x in enumerate(flat) if x})
 
-    def _set(self, field, n, rows, sparse):
+    def _set(self, field, n, sparse):
         if n < 1:
             raise InvalidDim(f"dimension {n} must be >= 1")
-        for name, value in zip(self.__slots__, (field, n, rows, sparse)):
+        for name, value in zip(self.__slots__, (field, n, sparse)):
             object.__setattr__(self, name, value)
 
     @classmethod
     def _from_sparse(cls, field: Field, n: int, entries: dict) -> "BilinearForm":
         """The n-by-n form with the entries {i*n + j: raw value}, any
-        representatives (``Field.from_raw``); zero values drop out."""
-        flat, sparse = [field.zero] * (n * n), {}
+        representatives, kept as ``Scalar.raw`` keeps them; zeros drop out."""
+        p, sparse = field.p, {}
         for k in sorted(entries):
-            x = field.from_raw(entries[k])
-            if not x.is_zero:
-                flat[k], sparse[k] = x, x.raw
+            x = entries[k] % p if p else entries[k]
+            if x:
+                sparse[k] = x.numerator if x.denominator == 1 else x
         form = object.__new__(cls)
-        form._set(field, n, tuple(tuple(flat[i * n : i * n + n]) for i in range(n)), sparse)
+        form._set(field, n, sparse)
         return form
 
     def __setattr__(self, name, value):
@@ -63,29 +63,41 @@ class BilinearForm:
             raise InvalidDim(f"dimension {n} must be >= 1")
         if len(vec) != n * n:
             raise DimMismatch(f"expected {n * n} entries, got {len(vec)}")
-        return cls(field, tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n)))
+        return cls._from_sparse(field, n, {k: field.scalar(x).raw for k, x in enumerate(vec)})
+
+    @property
+    def rows(self):
+        """The n rows of scalars, 0-based."""
+        vec, n = self.as_vector(), self.n
+        return tuple(vec[i * n : i * n + n] for i in range(n))
 
     def as_vector(self):
         """Row-major flattening; entry (i, j) sits at position i*n + j.
         This fixes the variable order c_11, c_12, ..., c_nn used by all
         echelon computations."""
-        return tuple(x for row in self.rows for x in row)
+        return _scalar_row(self.field, self._sparse, self.n * self.n)
 
     def entry(self, i: int, j: int) -> Scalar:
         """Entry at 1-based indices (i, j)."""
-        return self.rows[i - 1][j - 1]
+        n = self.n
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise IndexOutOfRange(f"entry ({i},{j}) outside 1..{n}")
+        return self.field.from_raw(self._sparse.get((i - 1) * n + j - 1, 0))
 
     def evaluate(self, x, y) -> Scalar:
-        if len(x) != self.n or len(y) != self.n:
+        n = self.n
+        if len(x) != n or len(y) != n:
             raise DimMismatch("vector length does not match form size")
-        return sum((a * b for a, b in zip(x, mat_vec(self.rows, y))), self.field.zero)
+        return sum((x[k // n] * y[k % n] * v for k, v in self._sparse.items()), self.field.zero)
 
     @property
     def is_zero(self) -> bool:
         return not self._sparse
 
     def transpose(self) -> "BilinearForm":
-        return BilinearForm(self.field, tuple(zip(*self.rows)))
+        n = self.n
+        entries = {k % n * n + k // n: v for k, v in self._sparse.items()}
+        return BilinearForm._from_sparse(self.field, n, entries)
 
     def __add__(self, other):
         if not isinstance(other, BilinearForm):
@@ -115,11 +127,12 @@ class BilinearForm:
         return (
             isinstance(other, BilinearForm)
             and self.field == other.field
-            and self.rows == other.rows
+            and self.n == other.n
+            and self._sparse == other._sparse
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.n, frozenset(self._sparse.items())))
 
     def to_json(self) -> dict:
         return {
@@ -140,13 +153,13 @@ class BilinearForm:
         if "entries" not in data:
             vec = [json_scalar(field, x) for x in json_value(data, "matrix", list)]
             return cls.from_vector(field, n, vec)
-        rows = [[field.zero] * n for _ in range(n)]
+        entries = {}
         for entry in json_value(data, "entries", list):
             i, j = json_value(entry, "i", int), json_value(entry, "j", int)
             if not (1 <= i <= n and 1 <= j <= n):
                 raise DimMismatch(f"entry index ({i},{j}) outside 1..{n}")
-            rows[i - 1][j - 1] = field.scalar(json_value(entry, "c", (str, int)))
-        return cls(field, rows)
+            entries[(i - 1) * n + j - 1] = field.scalar(json_value(entry, "c", (str, int))).raw
+        return cls._from_sparse(field, n, entries)
 
     def __repr__(self):
         n = self.n

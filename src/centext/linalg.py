@@ -7,8 +7,9 @@ value is a residue mod p over F_p and an int or Fraction over Q (see
 ``Scalar.raw``); ``rref_with_transform`` still eliminates on dense
 Scalar rows.  The public functions take and return vectors as tuples of
 Scalar and matrices as lists or tuples of row vectors, converting on
-entry and on exit.  Pivots are leftmost and normalized to 1, so echelon
-forms are canonical for a given row span.
+entry and on exit; ``_kernel``, ``Subspace._contains`` and the stored
+basis of a Subspace are sparse rows.  Pivots are leftmost and normalized
+to 1, so echelon forms are canonical for a given row span.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ def basis_vec(field: Field, m: int, k: int):
     """Standard basis vector with a 1 in position k (0-based)."""
     z, o = field.zero, field.one
     return tuple(o if i == k else z for i in range(m))
-
-
-def vec_is_zero(u) -> bool:
-    return all(a.is_zero for a in u)
 
 
 def mat_vec(rows, v):
@@ -113,8 +110,8 @@ def _echelon(rows, p, opened=None):
 
 
 def _raw_rows(rows):
-    """Sparse raw copies of rows given as Scalar vectors or, as the cocycle
-    equations and the raw views of forms come, as {column: raw value} dicts."""
+    """Sparse raw copies of rows given as Scalar vectors or, as the package
+    passes them, as {column: raw value} dicts."""
     return [
         dict(row) if isinstance(row, dict)
         else {c: x.raw for c, x in enumerate(row) if not x.is_zero}
@@ -177,15 +174,16 @@ def rref_with_transform(rows, field: Field):
 
 
 def kernel_basis(rows, ncols: int, field: Field):
-    """Canonical basis of the solution space of rows @ x = 0.
+    """Canonical basis of the kernel of rows (Scalar vectors or sparse dicts)."""
+    return [_scalar_row(field, v, ncols) for v in _kernel(_raw_rows(rows), ncols, field.p)]
 
-    Rows are Scalar vectors or sparse {column: raw value} dicts.  The
-    standard basis (one free variable set to 1 at a time, in ascending
-    column order) is computed from the RREF and then re-echelonized, so
-    the result depends only on the solution space.
-    """
-    p = field.p
-    pivots, reduced = _echelon(_raw_rows(rows), p)
+
+def _kernel(rows, ncols: int, p):
+    """``kernel_basis`` from and to sparse raw rows; the rows are consumed.
+    The standard basis (one free variable set to 1 at a time, ascending)
+    is computed from the RREF and then re-echelonized, so the result
+    depends only on the solution space."""
+    pivots, reduced = _echelon(rows, p)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -197,14 +195,14 @@ def kernel_basis(rows, ncols: int, field: Field):
             if x:
                 v[c] = -x % p if p else -x
         basis.append(v)
-    return [_scalar_row(field, v, ncols) for v in _echelon(basis, p)[1]]
+    return _echelon(basis, p)[1]
 
 
 def solve(rows, target, field: Field):
     """One exact solution x of A x = target for A given by rows, or None
     when the system is inconsistent. Free variables are set to zero."""
     if not rows:
-        return () if vec_is_zero(target) else None
+        return () if all(b.is_zero for b in target) else None
     ncols = len(rows[0])
     augmented = _raw_rows(rows)
     for row, b in zip(augmented, target):
@@ -218,30 +216,35 @@ def solve(rows, target, field: Field):
 
 
 class Subspace:
-    """A linear subspace of F^m, stored by its canonical RREF basis."""
+    """A linear subspace of F^m, stored by its canonical RREF basis as
+    sparse raw rows {pivot column: row}, in ascending pivot order."""
 
-    __slots__ = ("field", "ambient", "basis", "_pivot_rows")
+    __slots__ = ("field", "ambient", "_pivot_rows")
 
     def __init__(self, field: Field, ambient: int, vectors=()):
         pivots, reduced = _echelon(_raw_rows(vectors), field.p)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(
-            self, "basis", tuple(_scalar_row(field, row, ambient) for row in reduced)
-        )
-        object.__setattr__(self, "_pivot_rows", dict(zip(pivots, reduced)))
+        for name, value in zip(self.__slots__, (field, ambient, dict(zip(pivots, reduced)))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @property
+    def basis(self):
+        """The canonical RREF basis as Scalar vectors."""
+        return tuple(_scalar_row(self.field, r, self.ambient) for r in self._pivot_rows.values())
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._pivot_rows)
 
     def contains(self, v) -> bool:
         if len(v) != self.ambient:
             raise DimMismatch(f"vector length {len(v)} in ambient {self.ambient}")
-        residue = _raw_rows([v])[0]
+        return self._contains(_raw_rows([v])[0])
+
+    def _contains(self, residue: dict) -> bool:
+        """``contains`` for a sparse raw row, which is consumed."""
         for c in [c for c in residue if c in self._pivot_rows]:
             _axpy(residue, -residue[c], self._pivot_rows[c], self.field.p)
         return not residue
@@ -251,11 +254,11 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self._pivot_rows == other._pivot_rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
+        return hash((self.field, self.ambient, tuple(self._pivot_rows)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"

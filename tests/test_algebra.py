@@ -6,12 +6,16 @@ import pytest
 from centext import (
     Algebra,
     Field,
+    IndexOutOfRange,
     InvalidDim,
     NotInVariety,
     RATIONALS,
     VARIETY_NAMES,
+    build_extension,
     builtin_variety,
+    delta,
     is_standard_null_filiform,
+    nabla,
     null_filiform,
     require_in_variety,
     satisfies_variety,
@@ -201,3 +205,23 @@ def test_table_shape_validation():
     f = RATIONALS
     with pytest.raises(Exception):
         Algebra(f, [[[f.zero]], [[f.zero]]])  # ragged
+
+
+def test_basis_vector_refuses_an_index_outside_1_to_dim():
+    a = null_filiform(3, RATIONALS)
+    assert a.basis_vector(1) == (1, 0, 0) and a.basis_vector(3) == (0, 0, 1)
+    for i in (0, 4, -1):
+        with pytest.raises(IndexOutOfRange):
+            a.basis_vector(i)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field.prime(5)], ids=["Q", "F5"])
+def test_to_json_and_opposite_of_a_raw_algebra_leave_its_scalar_table_unbuilt(field):
+    a = null_filiform(3, field)
+    ext = build_extension(a, [nabla(3, 3, field) + 2 * delta(2, 1, 3, field)])
+    doc, op = ext.to_json(), ext.opposite()
+    assert ext._table is None and op._table is None
+    assert doc == Algebra(field, ext.table).to_json()
+    n = ext.dim
+    assert op.table == tuple(tuple(ext.table[j][i] for j in range(n)) for i in range(n))
+    assert op.opposite() == ext

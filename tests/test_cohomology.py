@@ -26,6 +26,7 @@ from centext import (
     null_filiform,
     second_cohomology,
 )
+from centext.cohomology import _cocycle_equations, _preferred_h_reps
 
 from oracles import extension_table, frac_rref, is_left_commutative, modp_rref
 
@@ -320,3 +321,17 @@ def test_preferred_forms_that_are_not_a_complement_fall_back_to_the_greedy_pick(
         h = second_cohomology(a, BC)
         assert not h.preferred_basis_used
         assert (h.h_reps, h.h_labels) == (want.h_reps, want.h_labels)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field.prime(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("name", ["left_commutative", "jordan"])
+def test_second_cohomology_leaves_its_inputs_intact(name, field):
+    """The row reductions consume their rows, so the solve must hand them
+    copies of the stored equations and of the forms' raw views."""
+    a, v = null_filiform(5, field), builtin_variety(name)
+    h = second_cohomology(a, v)
+    assert h._equations == tuple(_cocycle_equations(a, v))
+    assert list(h.b_basis) == coboundary_space(a)
+    assert list(h.z_basis) == cocycle_space(a, v)
+    if h.preferred_basis_used:
+        assert h.h_reps == _preferred_h_reps(a, v)[0]

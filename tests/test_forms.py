@@ -176,3 +176,44 @@ def test_a_matrix_document_of_dimension_below_1_is_refused():
 def test_a_form_of_dimension_below_1_is_refused(build, n):
     with pytest.raises(InvalidDim, match=f"^dimension {n} must be >= 1$"):
         build()
+
+
+def test_entry_refuses_an_index_outside_1_to_n():
+    form = delta(3, 1, 3, RATIONALS)
+    assert form.entry(3, 1) == 1 and form.entry(1, 3) == 0
+    # index 0 once wrapped round to row 3 and read the 1 there
+    for i, j in ((0, 1), (1, 0), (4, 1), (1, 4), (-1, 1), (1, -3)):
+        with pytest.raises(IndexOutOfRange):
+            form.entry(i, j)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field.prime(5)], ids=["Q", "F5"])
+def test_equal_forms_are_equal_and_hash_alike_however_built(field):
+    rows = [[1, 0, "-1/2"], [0, 0, 0], [3, 5, 0]]
+    vec = [field.scalar(x) for r in rows for x in r]
+    form = BilinearForm(field, rows)
+    others = [
+        BilinearForm.from_vector(field, 3, vec),
+        BilinearForm._from_sparse(field, 3, {k: x.raw for k, x in enumerate(vec)}),
+        form.transpose().transpose(),
+    ]
+    for other in others:
+        assert other == form and hash(other) == hash(form)
+    assert len({form, *others, form.transpose()}) == 2
+
+
+def test_forms_of_different_size_or_field_are_unequal():
+    assert BilinearForm.zero(RATIONALS, 2) != BilinearForm.zero(RATIONALS, 3)
+    rows = [[1, 2], [0, 3]]
+    assert BilinearForm(RATIONALS, rows) != BilinearForm(Field.prime(5), rows)
+    assert delta(1, 1, 2, RATIONALS) != delta(1, 1, 2, Field.prime(5))
+
+
+def test_a_form_built_from_fraction_4_over_2_is_the_form_built_from_2():
+    for field in (RATIONALS, Field.prime(5)):
+        two = BilinearForm(field, [[2, 0], [0, 0]])
+        same = BilinearForm(field, [[Fraction(4, 2), 0], [0, 0]])
+        assert same == two and hash(same) == hash(two)
+    raw = BilinearForm._from_sparse(RATIONALS, 2, {0: Fraction(4, 2)})
+    assert raw == BilinearForm(RATIONALS, [[2, 0], [0, 0]])
+    assert type(raw._sparse[0]) is int

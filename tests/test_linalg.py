@@ -183,3 +183,16 @@ def test_echelon_reports_the_rows_that_open_a_pivot(p):
         assert got == _echelon([dict(r) for r in sparse], p)
         want = [k for k in range(len(rows)) if rank(rows[: k + 1]) > rank(rows[:k])]
         assert opened == want
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field.prime(5)], ids=["Q", "F5"])
+def test_subspaces_of_one_span_are_equal_and_hash_alike(field):
+    s = lambda *vs: [tuple(field.scalar(x) for x in v) for v in vs]
+    a = Subspace(field, 3, s((1, 2, 0), (0, 1, 1)))
+    b = Subspace(field, 3, s((1, 3, 1), (2, 4, 0), (1, 2, 0)))
+    assert a == b and hash(a) == hash(b)
+    assert a.basis == tuple(s((1, 0, -2), (0, 1, 1))) and a.dim == 2
+    assert a != Subspace(field, 3, s((1, 2, 0)))
+    assert Subspace(field, 3) != Subspace(field, 4)
+    assert Subspace(field, 3, s((1, 0, 0))) != Subspace(Field.prime(7), 3, s((1, 0, 0)))
+    assert a.contains(s((2, 5, 1))[0]) and not a.contains(s((0, 0, 1))[0])
