@@ -222,20 +222,21 @@ def is_standard_null_filiform(a: Algebra) -> bool:
 
 
 def _identity_terms(a: Algebra, variety: VarietySpec):
-    """The one walk over the multilinear identities and basis tuples
-    behind variety membership, cocycle equations and cocycle checks.
+    """``_walk`` over every tuple of basis indices, in lexicographic order."""
+    return _walk(a, variety, lambda ident: itertools.product(range(a.dim), repeat=len(ident.variables)))
 
-    Yields (identity, tuple, terms) for every multilinear identity and
-    every tuple of 0-based basis indices bound to its variables, where
-    terms lists (coeff, u, w) for each monomial u*w whose factors u and w
-    (sparse raw vectors) are both nonzero; a monomial is dropped as soon
-    as a product inside it vanishes.  Terms are lazy: the tuple's
-    bindings are made and its monomials evaluated only when terms is
-    iterated, so a consumer that passes over a tuple pays nothing for it.
-    Raises CharTooSmall when the multilinear identities do not replace
-    the originals, and BudgetExceeded when the tuples are over the
-    enumeration budget.
-    """
+
+def _walk(a: Algebra, variety: VarietySpec, tuples):
+    """The one walk behind variety membership, cocycle equations and
+    cocycle checks: (identity, tuple, terms) for every multilinear
+    identity and every tuple of ``tuples(identity)``, 0-based basis
+    indices bound to its variables in order.  Terms lists (coeff, u, w)
+    for each monomial u*w whose factors (sparse raw vectors) are both
+    nonzero, dropping a monomial once a product inside it vanishes.
+    Terms are lazy: a consumer that passes over a tuple pays nothing for
+    it.  Raises CharTooSmall when the multilinear identities do not
+    replace the originals, and BudgetExceeded when all N^k tuples are
+    over the enumeration budget, however few ``tuples`` yields."""
     variety.char_gate(a.field)
     n = a.dim
     idents = variety.multilinear_identities
@@ -243,20 +244,43 @@ def _identity_terms(a: Algebra, variety: VarietySpec):
     basis = [((i, 1),) for i in range(n)]
     mul = a._product
     for ident in idents:
-        split = [(m.coeff, *m.split_root()) for m in ident.monomials]
-        variables = ident.variables
-        for combo in itertools.product(range(n), repeat=len(variables)):
-            yield ident, combo, _terms(split, variables, combo, basis, mul)
+        at = ident.variables.index
+        split = [(m.coeff, *(_positions(t, at) for t in m.split_root())) for m in ident.monomials]
+        for combo in tuples(ident):
+            yield ident, combo, _terms(split, combo, basis, mul)
 
 
-def _terms(split, variables, combo, basis, mul):
-    """The (coeff, u, w) terms of one tuple of ``_identity_terms``."""
-    env = dict(zip(variables, [basis[i] for i in combo]))
+def _positions(tree, at):
+    """The tree with each variable replaced by its position ``at(v)``."""
+    if isinstance(tree, str):
+        return at(tree)
+    return (_positions(tree[0], at), _positions(tree[1], at))
+
+
+def _terms(split, combo, basis, mul):
+    """The (coeff, u, w) terms of one tuple of ``_walk``."""
+    env = [basis[i] for i in combo]
     for coeff, left, right in split:
-        u = evaluate_tree(left, env, mul)
-        w = evaluate_tree(right, env, mul) if u else None
+        u = evaluate_tree(left, env, mul) if type(left) is tuple else env[left]
+        w = (evaluate_tree(right, env, mul) if type(right) is tuple else env[right]) if u else None
         if w:
             yield coeff, u, w
+
+
+def _sorted_tuples(ident, indices):
+    """The tuples over the ascending ``indices`` sorted within every
+    ``symmetry_blocks`` block of the identity, in lexicographic order,
+    built position by position: blocks list variables in ``variables``
+    order, so the block-mate that bounds a position comes before it."""
+    indices = list(indices)
+    rank = {x: k for k, x in enumerate(indices)}
+    at = ident.variables.index
+    mate = {at(v): at(u) for block in ident.symmetry_blocks for u, v in zip(block, block[1:])}
+    tuples = [()]
+    for k in range(len(ident.variables)):
+        m = mate.get(k)
+        tuples = [t + (x,) for t in tuples for x in (indices[rank[t[m]]:] if m is not None else indices)]
+    yield from tuples
 
 
 def satisfies_variety(a: Algebra, variety: VarietySpec) -> bool:
@@ -266,16 +290,15 @@ def satisfies_variety(a: Algebra, variety: VarietySpec) -> bool:
     BudgetExceeded when the tuples are over the enumeration budget; both
     are checked on every call, and the budget counts all N^k tuples.
 
-    Only the tuples that can decide the verdict are evaluated.  A tuple
-    that binds a basis vector with an empty row and column in the table
-    is passed over: every variable of a multilinear identity is a factor
-    of a product in every monomial, so each monomial vanishes there.  So
-    is a tuple that is not sorted within a symmetry block of the
-    identity (``IdentitySchema.symmetry_blocks``): sorting the block
-    maps the identity to plus or minus itself, so the tuple's value is
-    plus or minus that of its sorted tuple, which is evaluated.  Tuples
-    with equal indices in a block are kept, so an antisymmetric identity
-    is still checked on them in characteristic 2.
+    Only the tuples that can decide the verdict are evaluated: those of
+    ``_sorted_tuples`` over the basis vectors with a nonzero row or
+    column in the table.  A tuple binding any other basis vector
+    vanishes, since every variable of a multilinear identity is a factor
+    of a product in every monomial; an unsorted tuple's value is plus or
+    minus that of its sorted tuple, since sorting a symmetry block maps
+    the identity to plus or minus itself.  Tuples with equal indices in
+    a block are kept, so an antisymmetric identity is still checked on
+    them in characteristic 2.
 
     The verdict of each multilinear identity is kept on the algebra, so
     each identity is walked at most once per Algebra object: another
@@ -298,15 +321,12 @@ def _holds(a: Algebra, variety: VarietySpec) -> bool:
     every tuple of basis elements, evaluated on the tuples that can
     decide it (see ``satisfies_variety``)."""
     p, table = a.field.p, a._sparse
-    null = {i for i, row in enumerate(table) if not any(row) and not any(r[i] for r in table)}
+    live = [i for i, row in enumerate(table) if any(row) or any(r[i] for r in table)]
     current = None
     for ident, combo, terms in _identity_terms(a, variety):
         if ident is not current:
-            current, at = ident, ident.variables.index
-            # sorted within every block: each pair of neighbours in order
-            order = [(at(u), at(v)) for block in ident.symmetry_blocks
-                     for u, v in zip(block, block[1:])]
-        if not null.isdisjoint(combo) or any(combo[i] > combo[j] for i, j in order):
+            current, decisive = ident, set(_sorted_tuples(ident, live))
+        if combo not in decisive:
             continue
         acc = {}
         for coeff, u, w in terms:

@@ -78,10 +78,10 @@ def _class_matrix(h: CohomologySpace, m, reps):
 
 class Automorphism:
     """An automorphism of the n-dimensional null-filiform algebra,
-    stored as its first column and the full (lower triangular) matrix
-    with entries matrix[i][j] = phi_{i+1, j+1}."""
+    stored as its first column and the raw (lower triangular) matrix
+    with entries phi_{i+1, j+1}; ``matrix`` is built from it when read."""
 
-    __slots__ = ("field", "n", "first_col", "matrix", "_raw")
+    __slots__ = ("field", "n", "first_col", "_matrix", "_raw")
 
     def __init__(self, field: Field, first_col):
         col = tuple(field.scalar(x) for x in first_col)
@@ -91,12 +91,16 @@ class Automorphism:
         if col[0].is_zero:
             raise NotInvertible("phi_{1,1} must be nonzero")
         raw = _lower_triangular(tuple(x.raw for x in col), field.p)
-        matrix = tuple(tuple(field.from_raw(x) for x in row) for row in raw)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "first_col", col)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_raw", raw)
+        for name, value in zip(self.__slots__, (field, n, col, None, raw)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def matrix(self):
+        """matrix[i][j] = phi_{i+1, j+1} as scalars."""
+        if self._matrix is None:
+            matrix = tuple(tuple(map(self.field.from_raw, row)) for row in self._raw)
+            object.__setattr__(self, "_matrix", matrix)
+        return self._matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")

@@ -11,7 +11,7 @@ are taken modulo coboundaries.
 
 from __future__ import annotations
 
-from .algebra import Algebra, _identity_terms, is_standard_null_filiform
+from .algebra import Algebra, _identity_terms, _sorted_tuples, _walk, is_standard_null_filiform
 from .errors import DimMismatch, InvariantError, NotACocycle, NotInVariety
 from .forms import BilinearForm, _tabulated_class, _tabulated_deltas
 from .identities import VarietySpec, format_identity
@@ -85,23 +85,29 @@ def _require_member(a: Algebra, variety: VarietySpec, equations) -> None:
 
 def check_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> None:
     """Raise NotACocycle (naming a violated equation) unless theta
-    satisfies every cocycle equation of the variety over this algebra."""
+    satisfies every cocycle equation of the variety over this algebra.
+    Only block-sorted tuples (``_sorted_tuples``) are evaluated, straight
+    from their terms: an unsorted tuple's value is plus or minus its
+    sorted tuple's, which comes no later, so the equation named is the
+    first to fail in the full walk, as in ``CohomologySpace``."""
     if theta.n != a.dim or theta.field != a.field:
         raise DimMismatch("form does not match the algebra")
-    _check_equations(_cocycle_equations(a, variety), theta)
-
-
-def _check_equations(equations, theta: BilinearForm) -> None:
-    """Raise NotACocycle naming the first (row, identity, tuple) of
-    ``equations`` whose row does not vanish on theta."""
-    p, entries = theta.field.p, theta._sparse
-    for row, ident, combo in equations:
-        value = sum(v * entries.get(k, 0) for k, v in row.items())
+    n, p, entries = a.dim, a.field.p, theta._sparse
+    for ident, combo, terms in _walk(a, variety, lambda ident: _sorted_tuples(ident, range(n))):
+        value = 0
+        for coeff, u, w in terms:
+            for i, x in u:
+                cx, base = coeff * x, i * n
+                for j, y in w:
+                    value += cx * y * entries.get(base + j, 0)
         if value % p if p else value:
-            args = ", ".join(f"{v}=e_{i + 1}" for v, i in zip(ident.variables, combo))
-            raise NotACocycle(
-                f"cocycle equation from '{format_identity(ident)}' fails at {args}"
-            )
+            raise NotACocycle(_violation(ident, combo))
+
+
+def _violation(ident, combo) -> str:
+    """The NotACocycle text for the equation of an (identity, tuple)."""
+    args = ", ".join(f"{v}=e_{i + 1}" for v, i in zip(ident.variables, combo))
+    return f"cocycle equation from '{format_identity(ident)}' fails at {args}"
 
 
 def is_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> bool:
@@ -266,7 +272,11 @@ class CohomologySpace:
         stored equations: NotACocycle names the same violated equation."""
         if theta.n != self.algebra.dim or theta.field != self.algebra.field:
             raise DimMismatch("form does not match the algebra")
-        _check_equations(self._equations, theta)
+        p, entries = theta.field.p, theta._sparse
+        for row, ident, combo in self._equations:
+            value = sum(v * entries.get(k, 0) for k, v in row.items())
+            if value % p if p else value:
+                raise NotACocycle(_violation(ident, combo))
 
     def reduce_class(self, theta: BilinearForm):
         """Coordinates of the class [theta] in the h_reps basis.

@@ -42,10 +42,11 @@ def tree_leaves(tree):
 
 
 def evaluate_tree(tree, env, mul):
-    """Evaluate with variables bound to vectors and mul a vector product.
-    A falsy value (the empty sparse vector) is a zero product: it is
-    returned at once, without evaluating the other factor."""
-    if isinstance(tree, str):
+    """Evaluate with a leaf (anything but a pair) bound to env[leaf], by
+    name in a dict or by position in a list, and mul a vector product.
+    A falsy value (the empty sparse vector) is a zero product, returned
+    at once without evaluating the other factor."""
+    if not isinstance(tree, tuple):
         return env[tree]
     left = evaluate_tree(tree[0], env, mul)
     if not left:
@@ -92,7 +93,7 @@ class IdentitySchema:
     def degree(self) -> int:
         return max(m.degree for m in self.monomials)
 
-    @property
+    @cached_property
     def is_multilinear(self) -> bool:
         want = set(self.variables)
         for m in self.monomials:

@@ -166,7 +166,7 @@ def _families(variety, n: int, field: Field, level: str, mu_sample):
     if mu_sample is None:
         mu_sample = range(field.p) if field.is_finite else (0, 1, -1, 2)
     check_budget(len(mu_sample), "values of the mu family")
-    mus = [field.scalar(m) for m in mu_sample]
+    mus = list(dict.fromkeys(field.scalar(m) for m in mu_sample))  # distinct, first seen
     top, inner = deltas[-1], [i for i in deltas if i < n]
     top_mus = mus if top == n else [field.zero]
     if level == "H2":

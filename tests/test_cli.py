@@ -221,6 +221,15 @@ def test_verify_table1_refuses_a_bad_mu_before_any_work(capsys):
         assert err == f"error: --mu: {item!r} is not a scalar of {field}\n"
 
 
+def test_verify_table1_lists_each_mu_once(capsys):
+    # repeated values, equal as given or after reduction mod p, give one row
+    for field, mu, distinct in (("Q", "0,1,1", "0,1"), ("Fp:3", "1,4", "1")):
+        data = run_json(capsys, "verify-table1", "--n", "3", "--field", field, "--mu", mu)
+        labels = [r["label"] for r in data["rows"]]
+        assert len(labels) == len(set(labels))
+        assert data == run_json(capsys, "verify-table1", "--n", "3", "--field", field, "--mu", distinct)
+
+
 def test_reproduce_refuses_a_bad_prime_before_any_work(capsys):
     for primes, message in (
         ("4", "modulus 4 is not prime"),

@@ -29,6 +29,7 @@ from centext import (
     cocycle_annihilator,
     cocycle_space,
     format_identity,
+    is_cocycle,
     kernel_basis,
     null_filiform,
     rref,
@@ -37,6 +38,7 @@ from centext import (
 )
 import centext.algebra as algebra_mod
 import centext.cohomology as cohomology_mod
+from centext.algebra import _sorted_tuples
 from centext.cohomology import _equation_rows
 from centext.linalg import mat_mul, rref_with_transform, solve
 
@@ -269,6 +271,60 @@ def test_second_cohomology_walks_each_identity_once(monkeypatch):
     calls.clear()
     assert satisfies_variety(a, jordan)
     assert calls == []
+
+
+def block_sorted(ident, combo):
+    """Whether the tuple is sorted within every symmetry block."""
+    at = ident.variables.index
+    return all(
+        [combo[at(v)] for v in block] == sorted(combo[at(v)] for v in block)
+        for block in ident.symmetry_blocks
+    )
+
+
+CATALOG_IDENTITIES = list(dict.fromkeys(
+    ident for name in VARIETY_NAMES for ident in builtin_variety(name).multilinear_identities
+))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_sorted_tuples_are_the_block_sorted_product(n):
+    assert any(ident.symmetry_blocks for ident in CATALOG_IDENTITIES)
+    for ident in CATALOG_IDENTITIES:
+        for indices in (range(n), [1, 4, 5, 9][:n]):
+            want = [
+                combo
+                for combo in itertools.product(indices, repeat=len(ident.variables))
+                if block_sorted(ident, combo)
+            ]
+            assert list(_sorted_tuples(ident, indices)) == want, format_identity(ident)
+
+
+def test_is_cocycle_evaluates_only_block_sorted_tuples(monkeypatch):
+    evaluated = Counter()
+    real = algebra_mod._walk
+
+    def noted(ident, combo, terms):
+        evaluated[ident, combo] += 1
+        yield from terms
+
+    def recording(a, variety, tuples):
+        for ident, combo, terms in real(a, variety, tuples):
+            yield ident, combo, noted(ident, combo, terms)
+
+    monkeypatch.setattr(cohomology_mod, "_walk", recording)
+    a = null_filiform(5, RATIONALS)
+    jordan = builtin_variety("jordan")
+    z = cocycle_space(a, jordan)
+    assert is_cocycle(a, jordan, sum(z[1:], z[0]))
+    assert set(evaluated.values()) == {1}
+    assert set(evaluated) == {
+        (ident, combo)
+        for ident in jordan.multilinear_identities
+        for combo in itertools.product(range(5), repeat=len(ident.variables))
+        if block_sorted(ident, combo)
+    }
+    assert len(evaluated) < sum(5 ** len(i.variables) for i in jordan.multilinear_identities) / 2
 
 
 def membership_inputs():

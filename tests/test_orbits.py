@@ -307,11 +307,33 @@ def test_every_named_class_is_built_from_its_parameters(field, sample):
                     assert (c.ann_dim is None) == (level == "H2")
 
 
+def test_repeated_mu_values_give_one_class_each(monkeypatch):
+    # values equal in the field count once, in first-seen order
+    for field, sample, distinct in (
+        (RATIONALS, (1, 1, 2), (1, 2)),
+        (Field.prime(3), (1, 4), (1,)),
+        (Field.prime(7), (0, 3, -1, Fraction(-1, 2)), (0, 3, -1)),
+    ):
+        for vname in ("left_commutative", "bicommutative"):
+            for level in ("H2", "T1"):
+                got = closed_field_representatives(vname, 3, field, level, sample)
+                want = closed_field_representatives(vname, 3, field, level, distinct)
+                assert [(c.label, c.form) for c in got] == [(c.label, c.form) for c in want]
+                assert len({c.label for c in got}) == len(got)
+        assert [r.label for r in classification_table(3, field, sample)] == [
+            r.label for r in classification_table(3, field, distinct)
+        ]
+    # the budget counts the sample as given, before any value is built
+    monkeypatch.setenv("CENTEXT_BUDGET", "27")  # mu0:3 has 27 structure constants
+    with pytest.raises(BudgetExceeded, match="^28 values of the mu family"):
+        closed_field_representatives("left_commutative", 3, RATIONALS, "H2", (1,) * 28)
+
+
 @pytest.mark.parametrize("sample", MU_SAMPLES, ids=["default-mu", "mu-sample"])
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec())
 def test_table_rows_are_the_lc_t1_representatives_in_family_order(field, sample):
     if sample is not None:
-        mus = [field.scalar(m) for m in sample]
+        mus = list(dict.fromkeys(field.scalar(m) for m in sample))  # 3 = -1/2 in F_7
     elif field.is_finite:
         mus = field.elements()
     else:
