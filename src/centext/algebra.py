@@ -10,9 +10,9 @@ Raw values inside, Scalar at the boundary: each algebra keeps a sparse
 table of (k, raw value) pairs (see ``Scalar.raw``), which products,
 identity evaluation, cocycle equations, annihilators, ``to_json`` and
 ``opposite`` read.  ``Algebra.multiply`` converts Scalar vectors on entry
-and on exit.  Algebras built inside the package from raw values
-(extensions, expected table patterns) start from the sparse table, and
-their Scalar ``table`` is built only when it is read.
+and on exit.  Algebras built from raw values (JSON files, extensions,
+expected table patterns) start from the sparse table, and their Scalar
+``table`` is built only when it is read.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import replace
 
 from .budget import check_budget
 from .errors import DimMismatch, IndexOutOfRange, InvalidDim, NotInVariety
-from .fields import Field, json_value
+from .fields import Field, json_entries, json_value
 from .identities import VarietySpec, evaluate_tree
 from .linalg import Subspace, _kernel, _scalar_row, basis_vec
 
@@ -179,19 +179,15 @@ class Algebra:
         field = Field.from_spec(json_value(data, "field", str))
         n = json_value(data, "dim", int)
         _check_size(n)
-        z = field.zero
-        table = [[[z] * n for _ in range(n)] for _ in range(n)]
-        products = json_value(data, "products", list) if "products" in data else ()
-        for entry in products:
-            i, j = json_value(entry, "i", int), json_value(entry, "j", int)
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise DimMismatch(f"product index ({i},{j}) outside 1..{n}")
-            for term in json_value(entry, "out", list):
-                k = json_value(term, "k", int)
-                if not (1 <= k <= n):
-                    raise DimMismatch(f"output index {k} outside 1..{n}")
-                table[i - 1][j - 1][k - 1] = field.scalar(json_value(term, "c", (str, int)))
-        return cls(field, table)
+        p = field.p
+
+        def out(entry):  # the nonzero terms of one product, ascending k
+            terms = json_entries(field, entry, "out", ("k",), n)
+            return tuple((k, r) for (k,), c in sorted(terms.items()) if (r := c % p if p else c))
+
+        products = json_entries(field, data, "products", ("i", "j"), n, out) if "products" in data else {}
+        sparse = tuple(tuple(products.get((i, j), ()) for j in range(n)) for i in range(n))
+        return cls._from_sparse(field, sparse)
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, field={self.field.spec()})"

@@ -305,38 +305,33 @@ class CohomologySpace:
         )
 
 
-def _new_directions(b_rows, forms, p) -> list:
-    """Indices of the forms outside the span of the coboundaries and the
-    forms before them: the rows that open a pivot in one echelon of the
-    coboundary rows followed by the forms."""
-    opened = []
-    _echelon(_raw_rows(b_rows + [f._sparse for f in forms]), p, opened)
-    return [i - len(b_rows) for i in opened if i >= len(b_rows)]
-
-
 def second_cohomology(a: Algebra, variety: VarietySpec) -> CohomologySpace:
     """H^2 = Z^2 / B^2, from one walk of the identities: membership in
     the variety is read off the cocycle equations (NotInVariety
-    otherwise).  The representatives are the forms of
-    ``_preferred_h_reps`` when they complete B to a basis of Z, and
-    otherwise the cocycle basis vectors z<k> (1-based) outside the span of
-    B and the vectors before them; each choice is one echelon."""
+    otherwise).  Every choice of representatives is read off the rows
+    that open a pivot in one ``_echelon``.  The forms of
+    ``_preferred_h_reps`` are taken when |B| + |forms| = dim Z and, in
+    one echelon of B, the forms and then Z, the rows of B and of the
+    forms open a pivot and no row of Z does: then they span Z.
+    Otherwise one echelon of B and then Z picks the cocycle basis
+    vectors z<k> (1-based) outside the span of B and the vectors before
+    them, and checks that B lies in Z: that dim Z rows open a pivot."""
     equations = tuple(_cocycle_equations(a, variety))
     z_forms = cocycle_space(a, variety, equations)
     b_rows = _coboundary_rows(a)
     b_forms = [BilinearForm._from_sparse(a.field, a.dim, r) for r in b_rows]
-    z_sub = Subspace(a.field, a.dim * a.dim, [f._sparse for f in z_forms])
-    if not all(z_sub._contains(dict(b._sparse)) for b in b_forms):
-        raise InvariantError("coboundary outside the cocycle space")
+    z_rows, p = [f._sparse for f in z_forms], a.field.p
     preferred = _preferred_h_reps(a, variety)
-    if preferred is not None:
+    if preferred is not None and len(b_rows) + len(preferred[0]) == len(z_rows):
         forms, labels = preferred
-        if (
-            len(b_rows) + len(forms) == len(z_forms)
-            and len(_new_directions(b_rows, forms, a.field.p)) == len(forms)
-            and all(z_sub._contains(dict(f._sparse)) for f in forms)
-        ):
+        opened = []
+        _echelon(_raw_rows(b_rows + [f._sparse for f in forms] + z_rows), p, opened)
+        if opened == list(range(len(z_rows))):
             return CohomologySpace(a, variety, z_forms, b_forms, forms, labels, True, equations)
-    picked = _new_directions(b_rows, z_forms, a.field.p)
+    opened = []
+    _echelon(_raw_rows(b_rows + z_rows), p, opened)
+    if len(opened) != len(z_rows):
+        raise InvariantError("coboundary outside the cocycle space")
+    picked = [i - len(b_rows) for i in opened if i >= len(b_rows)]
     h_reps, h_labels = [z_forms[k] for k in picked], [f"z{k + 1}" for k in picked]
     return CohomologySpace(a, variety, z_forms, b_forms, h_reps, h_labels, False, equations)

@@ -2,9 +2,12 @@
 
 Scalars are immutable, carry their field, and never leave exact
 representations: rationals are stored as reduced ``fractions.Fraction``
-values, prime-field elements as canonical residues in ``0..p-1``.
-Inner loops elsewhere in the package work on raw values instead (see
-``Scalar.raw`` and ``Field.from_raw``) and build scalars only for results.
+values, prime-field elements as canonical residues in ``0..p-1``.  A
+residue is reduced mod p in one place, ``Scalar.__init__``: the
+operators, ``Field.scalar`` and ``Field.from_raw`` hand it any
+representative.  Inner loops elsewhere in the package work on raw values
+instead (see ``Scalar.raw`` and ``Field.from_raw``), reduce them there,
+and build scalars only for results.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from fractions import Fraction
 
 from .errors import (
     CompositeModulus,
+    DimMismatch,
     DivisionByZero,
     FieldMismatch,
     MalformedInput,
@@ -97,27 +101,29 @@ class Field:
         return "Q" if self.p is None else f"Fp:{self.p}"
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, literal string, or Scalar into this field."""
+        """Coerce an int, Fraction, literal string or Scalar into this field."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch(f"scalar of {value.field} used in {self}")
             return value
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+            raise TypeError(f"cannot build a scalar from {value!r}")
+        return self.from_raw(self._raw(value))
+
+    def _raw(self, value):
+        """The raw value of an int, Fraction or literal string: itself over
+        Q, an int representative over F_p."""
         if isinstance(value, str):
             try:
                 value = Fraction(value)
             except ZeroDivisionError:
                 raise DivisionByZero(f"literal {value!r} has a zero denominator") from None
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot build a scalar from {value!r}")
-        if self.p is None:
-            return Scalar(self, Fraction(value))
-        if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise DivisionByZero(f"denominator of {value} vanishes mod {self.p}")
-            num = value.numerator % self.p
-            den = pow(value.denominator % self.p, -1, self.p)
-            return Scalar(self, (num * den) % self.p)
-        return Scalar(self, value % self.p)
+        p = self.p
+        if p is None or isinstance(value, int):
+            return value
+        if value.denominator % p == 0:
+            raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
+        return value.numerator * pow(value.denominator, -1, p)
 
     @property
     def zero(self) -> "Scalar":
@@ -131,9 +137,7 @@ class Field:
         """The scalar of a raw value: an int or Fraction over Q, an int
         (any representative) over F_p.  Unlike ``scalar`` it does no
         type checking, for converting results of raw-value loops."""
-        if self.p is None:
-            return Scalar(self, Fraction(value))
-        return Scalar(self, value % self.p)
+        return Scalar(self, value if self.p else Fraction(value))
 
     def elements(self):
         """All field elements, in canonical residue order (finite fields only)."""
@@ -162,9 +166,11 @@ class Scalar:
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value):
-        # callers outside this module should go through Field.scalar
+        # callers outside this module should go through Field.scalar; the
+        # one reduction of a residue mod p
+        p = field.p
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", value % p if p else value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -184,10 +190,7 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, self.value + o.value)
-        return Scalar(self.field, (self.value + o.value) % p)
+        return Scalar(self.field, self.value + o.value)
 
     __radd__ = __add__
 
@@ -195,10 +198,7 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, self.value - o.value)
-        return Scalar(self.field, (self.value - o.value) % p)
+        return Scalar(self.field, self.value - o.value)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -210,26 +210,17 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, self.value * o.value)
-        return Scalar(self.field, (self.value * o.value) % p)
+        return Scalar(self.field, self.value * o.value)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, -self.value)
-        return Scalar(self.field, (-self.value) % p)
+        return Scalar(self.field, -self.value)
 
     def inv(self) -> "Scalar":
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, 1 / self.value)
-        return Scalar(self.field, pow(self.value, -1, p))
+        return Scalar(self.field, pow(self.value, -1, self.field.p))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -248,10 +239,7 @@ class Scalar:
             return NotImplemented
         if k < 0:
             return self.inv() ** (-k)
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, self.value**k)
-        return Scalar(self.field, pow(self.value, k, p))
+        return Scalar(self.field, pow(self.value, k, self.field.p))
 
     @property
     def is_zero(self) -> bool:
@@ -314,8 +302,23 @@ def json_value(data, key: str, kind):
     return value
 
 
-def json_scalar(field: Field, value) -> Scalar:
-    """A scalar from a JSON literal: a string such as "-1/2", or an int."""
+def json_scalar(field: Field, value):
+    """The raw value (``Field._raw``) of a JSON literal: a string such as
+    "-1/2", or an int."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise MalformedInput(f"expected a scalar literal, got {value!r}")
-    return field.scalar(value)
+    return field._raw(value)
+
+
+def json_entries(field: Field, data, key: str, names, n: int, read=None) -> dict:
+    """{0-based indices: value} for the entries of the JSON list data[key],
+    objects whose 1-based int indices ``names`` lie in 1..n (DimMismatch);
+    the value is read(entry), or else the raw value of the literal "c"."""
+    entries = {}
+    for entry in json_value(data, key, list):
+        at = tuple(json_value(entry, name, int) - 1 for name in names)
+        where = f"entry {' '.join(f'{a}={x + 1}' for a, x in zip(names, at))} of {key!r}"
+        if not all(0 <= x < n for x in at):
+            raise DimMismatch(f"{where} is outside 1..{n}")
+        entries[at] = read(entry) if read else json_scalar(field, json_value(entry, "c", (str, int)))
+    return entries

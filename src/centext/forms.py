@@ -13,7 +13,7 @@ views are built from it when read."""
 from __future__ import annotations
 
 from .errors import DimMismatch, FieldMismatch, IndexOutOfRange, InvalidDim
-from .fields import Field, Scalar, json_scalar, json_value
+from .fields import Field, Scalar, json_entries, json_scalar, json_value
 from .linalg import _scalar_row
 
 
@@ -153,13 +153,8 @@ class BilinearForm:
         if "entries" not in data:
             vec = [json_scalar(field, x) for x in json_value(data, "matrix", list)]
             return cls.from_vector(field, n, vec)
-        entries = {}
-        for entry in json_value(data, "entries", list):
-            i, j = json_value(entry, "i", int), json_value(entry, "j", int)
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise DimMismatch(f"entry index ({i},{j}) outside 1..{n}")
-            entries[(i - 1) * n + j - 1] = field.scalar(json_value(entry, "c", (str, int))).raw
-        return cls._from_sparse(field, n, entries)
+        entries = json_entries(field, data, "entries", ("i", "j"), n)
+        return cls._from_sparse(field, n, {i * n + j: c for (i, j), c in entries.items()})
 
     def __repr__(self):
         n = self.n
