@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 from .errors import BudgetExceeded
+from .fields import read_number
 
 DEFAULT_BUDGET = 500_000
 BUDGET_ENV_VAR = "CENTEXT_BUDGET"
@@ -29,7 +30,7 @@ def resolve_budget(budget: int | None = None) -> int:
         if env is None:
             return DEFAULT_BUDGET
         try:
-            budget = int(env)
+            budget = read_number(env, integer=True)
         except ValueError:
             budget = env
     if type(budget) is not int or budget < 1:

@@ -17,7 +17,7 @@ from .automorphisms import act_on_cocycle, automorphism_from_column
 from .cohomology import second_cohomology
 from .errors import CentextError, DimMismatch, FieldMismatch, InvalidDim, MalformedInput
 from .extensions import central_extension
-from .fields import RATIONALS, Field
+from .fields import RATIONALS, Field, read_number
 from .forms import BilinearForm, delta, nabla
 from .identities import builtin_variety, format_identity, VARIETY_NAMES
 from .orbits import (
@@ -84,15 +84,14 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
 def _load_algebra(spec: str, field: Field) -> Algebra:
     if spec.startswith("mu0:"):
         try:
-            n = int(spec[4:])
+            n = integer(spec[4:])
         except ValueError:
             raise MalformedInput(
                 f"--algebra {spec!r}: expected mu0:<dimension> or a JSON file"
             ) from None
         return null_filiform(n, field)
     with open(spec) as fh:
-        alg = Algebra.from_json(json.load(fh))
-    return alg
+        return Algebra.from_json(json.load(fh))
 
 
 def _load_cocycle(spec: str, algebra: Algebra) -> BilinearForm:
@@ -108,8 +107,12 @@ def _load_cocycle(spec: str, algebra: Algebra) -> BilinearForm:
     return theta
 
 
+def integer(text: str) -> int:
+    return read_number(text, integer=True)
+
+
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -267,7 +270,7 @@ def _cmd_verify_table1(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    primes = tuple(_parse_list(args.primes, "--primes", int, "an integer"))
+    primes = tuple(_parse_list(args.primes, "--primes", integer, "an integer"))
     report = run_reproduction(
         n_max=args.n_max, seed=args.seed, budget=args.budget, orbit_primes=primes
     )
@@ -305,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_extend)
 
     p = sub.add_parser("aut", help="automorphisms of the null-filiform algebra")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--field", default="Q")
     p.add_argument("--col", help="comma-separated first column, e.g. 1,2,0")
     p.add_argument("--count", action="store_true", help="print the group order")
     p.set_defaults(fn=_cmd_aut)
 
     p = sub.add_parser("act", help="apply an automorphism to a cocycle")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--field", default="Q")
     p.add_argument("--col", required=True)
     p.add_argument("--cocycle", required=True)
@@ -320,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_act)
 
     p = sub.add_parser("classify", help="orbit classification over a finite field")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--field", required=True, help="Fp:<prime>")
     p.add_argument("--variety", required=True)
     p.add_argument("--level", choices=("h2", "t1"), default="t1")
@@ -329,14 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("verify-table1", help="verify the extension table rows")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--field", default="Q")
     p.add_argument("--mu", help="comma-separated parameter sample, default field-dependent")
     p.set_defaults(fn=_cmd_verify_table1)
 
     p = sub.add_parser("reproduce", help="run the full claim battery")
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-max", type=integer, default=6)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--budget", type=positive_int)
     p.add_argument("--primes", default="3,5", help="comma-separated orbit primes, default 3,5")
     p.set_defaults(fn=_cmd_reproduce)

@@ -326,7 +326,7 @@ def second_cohomology(a: Algebra, variety: VarietySpec) -> CohomologySpace:
         forms, labels = preferred
         opened = []
         _echelon(_raw_rows(b_rows + [f._sparse for f in forms] + z_rows), p, opened)
-        if opened == list(range(len(z_rows))):
+        if opened == list(range(len(b_rows) + len(forms))):
             return CohomologySpace(a, variety, z_forms, b_forms, forms, labels, True, equations)
     opened = []
     _echelon(_raw_rows(b_rows + z_rows), p, opened)

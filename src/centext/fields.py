@@ -8,10 +8,14 @@ operators, ``Field.scalar`` and ``Field.from_raw`` hand it any
 representative.  Inner loops elsewhere in the package work on raw values
 instead (see ``Scalar.raw`` and ``Field.from_raw``), reduce them there,
 and build scalars only for results.
+
+Every number read from outside the package (literals, flags, specs, the
+budget variable, JSON files) follows the grammar of ``read_number``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -83,7 +87,7 @@ class Field:
             return cls(None)
         if spec.startswith("Fp:"):
             try:
-                p = int(spec[3:])
+                p = read_number(spec[3:], integer=True)
             except ValueError:
                 raise CompositeModulus(f"bad field spec {spec!r}") from None
             return cls(p)
@@ -111,13 +115,10 @@ class Field:
         return self.from_raw(self._raw(value))
 
     def _raw(self, value):
-        """The raw value of an int, Fraction or literal string: itself over
-        Q, an int representative over F_p."""
+        """The raw value of an int, Fraction or literal string (see
+        ``read_number``): itself over Q, an int representative over F_p."""
         if isinstance(value, str):
-            try:
-                value = Fraction(value)
-            except ZeroDivisionError:
-                raise DivisionByZero(f"literal {value!r} has a zero denominator") from None
+            value = read_number(value)
         p = self.p
         if p is None or isinstance(value, int):
             return value
@@ -312,13 +313,34 @@ def json_scalar(field: Field, value):
 
 def json_entries(field: Field, data, key: str, names, n: int, read=None) -> dict:
     """{0-based indices: value} for the entries of the JSON list data[key],
-    objects whose 1-based int indices ``names`` lie in 1..n (DimMismatch);
-    the value is read(entry), or else the raw value of the literal "c"."""
+    objects whose 1-based int indices ``names`` lie in 1..n (DimMismatch)
+    and repeat no earlier entry's (MalformedInput); the value is
+    read(entry), or else the raw value of the literal "c"."""
     entries = {}
     for entry in json_value(data, key, list):
         at = tuple(json_value(entry, name, int) - 1 for name in names)
-        where = f"entry {' '.join(f'{a}={x + 1}' for a, x in zip(names, at))} of {key!r}"
-        if not all(0 <= x < n for x in at):
+        if at in entries or not all(0 <= x < n for x in at):
+            where = f"entry {' '.join(f'{a}={x + 1}' for a, x in zip(names, at))} of {key!r}"
+            if at in entries:
+                raise MalformedInput(f"{where} is repeated")
             raise DimMismatch(f"{where} is outside 1..{n}")
         entries[at] = read(entry) if read else json_scalar(field, json_value(entry, "c", (str, int)))
     return entries
+
+
+_NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def read_number(text: str, integer: bool = False):
+    """The number that text from outside spells in the one grammar of such
+    numbers: an optional sign, ASCII digits and, unless ``integer``,
+    optionally '/' and more ASCII digits; nothing else.  An int when
+    integral, else a Fraction; ValueError or DivisionByZero otherwise."""
+    m = _NUMBER.fullmatch(text)
+    if m is None or integer and m[1]:
+        raise ValueError(f"{text!r} is not {'an integer' if integer else 'a rational number'}")
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise DivisionByZero(f"literal {text!r} has a zero denominator") from None
+    return value.numerator if value.denominator == 1 else value
