@@ -132,36 +132,34 @@ def _algebra_doc(c):
     return {"dim": 2, "field": "Q", "products": [{"i": 1, "j": 1, "out": [{"k": 2, "c": c}]}]}
 
 
-def _run_files(capsys, tmp_path, cocycle=None, algebra=None):
-    argv = ["extend", "--variety", "lc"]
-    for name, doc, flag, default in (("c.json", cocycle, "--cocycle", "named:nabla_3"),
-                                     ("a.json", algebra, "--algebra", "mu0:3")):
-        if doc is None:
-            argv += [flag, default]
-        else:
-            (tmp_path / name).write_text(json.dumps(doc))
-            argv += [flag, str(tmp_path / name)]
-    return run(capsys, *argv)
+def _write(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _extend(capsys, tmp_path, cocycle):
+    """`extend` of mu0:3 (lc) by the cocycle file holding the given document."""
+    return run(capsys, "extend", "--algebra", "mu0:3", "--variety", "lc",
+               "--cocycle", _write(tmp_path, cocycle))
+
+
+def _cohomology(capsys, tmp_path, algebra):
+    """`cohomology` (lc) of the algebra file holding the given document."""
+    return run(capsys, "cohomology", "--variety", "lc", "--algebra", _write(tmp_path, algebra))
 
 
 @pytest.mark.parametrize("text", REFUSED)
 def test_json_literals_follow_the_grammar(capsys, tmp_path, text):
-    code, out, _ = _run_files(capsys, tmp_path, cocycle=_cocycle_doc(text))
+    code, out, _ = _extend(capsys, tmp_path, _cocycle_doc(text))
     assert (code, out) == (2, "")
-    code, out, _ = run(capsys, "cohomology", "--variety", "lc", "--algebra",
-                       str(_write(tmp_path, _algebra_doc(text))))
+    code, out, _ = _cohomology(capsys, tmp_path, _algebra_doc(text))
     assert (code, out) == (2, "")
-
-
-def _write(tmp_path, doc):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    return path
 
 
 def test_json_literals_read_signs_and_fractions(capsys, tmp_path):
     for c in ("+3", "-1/2"):
-        code, out, err = _run_files(capsys, tmp_path, cocycle=_cocycle_doc(c))
+        code, out, err = _extend(capsys, tmp_path, _cocycle_doc(c))
         assert code == 0, err
         assert json.loads(out)["cocycles"][0]["matrix"][6] == c.lstrip("+")
         algebra = Algebra.from_json(_algebra_doc(c))
@@ -174,7 +172,7 @@ def test_a_repeated_json_entry_exits_2(capsys, tmp_path):
         {"n": 3, "field": "Q", "entries": [{"i": 3, "j": 1, "c": "0"}, {"i": 3, "j": 1, "c": "0"}]},
     ]
     for doc in repeated:
-        code, out, err = _run_files(capsys, tmp_path, cocycle=doc)
+        code, out, err = _extend(capsys, tmp_path, doc)
         assert (code, out) == (2, "")
         assert err == "error: entry i=3 j=1 of 'entries' is repeated\n"
     products = [
@@ -184,8 +182,7 @@ def test_a_repeated_json_entry_exits_2(capsys, tmp_path):
     ]
     for entries, where in products:
         doc = {"dim": 2, "field": "Q", "products": entries}
-        code, out, err = run(capsys, "cohomology", "--variety", "lc", "--algebra",
-                             str(_write(tmp_path, doc)))
+        code, out, err = _cohomology(capsys, tmp_path, doc)
         assert (code, out) == (2, "")
         assert err == f"error: entry {where} is repeated\n"
 
