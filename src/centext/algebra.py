@@ -13,6 +13,11 @@ identity evaluation, cocycle equations, annihilators, ``to_json`` and
 and on exit.  Algebras built from raw values (JSON files, extensions,
 expected table patterns) start from the sparse table, and their Scalar
 ``table`` is built only when it is read.
+
+Identities are evaluated on basis tuples by one walk (``_walk``): each
+multilinear identity is read once as its distinct positional subtrees,
+and on each tuple every distinct subtree is multiplied once, however
+many monomials share it.
 """
 
 from __future__ import annotations
@@ -228,11 +233,14 @@ def _walk(a: Algebra, variety: VarietySpec, tuples):
     identity and every tuple of ``tuples(identity)``, 0-based basis
     indices bound to its variables in order.  Terms lists (coeff, u, w)
     for each monomial u*w whose factors (sparse raw vectors) are both
-    nonzero, dropping a monomial once a product inside it vanishes.
-    Terms are lazy: a consumer that passes over a tuple pays nothing for
-    it.  Raises CharTooSmall when the multilinear identities do not
-    replace the originals, and BudgetExceeded when all N^k tuples are
-    over the enumeration budget, however few ``tuples`` yields."""
+    nonzero, in monomial order.  Each identity is read as its distinct
+    positional subtrees (``IdentitySchema.subtrees``, built once per
+    identity), so a subtree shared by several monomials is multiplied
+    once per tuple.  Terms are lazy: a consumer that passes over a tuple
+    pays nothing for it.  Raises CharTooSmall when the multilinear
+    identities do not replace the originals, and BudgetExceeded when
+    all N^k tuples are over the enumeration budget, however few
+    ``tuples`` yields."""
     variety.char_gate(a.field)
     n = a.dim
     idents = variety.multilinear_identities
@@ -240,26 +248,21 @@ def _walk(a: Algebra, variety: VarietySpec, tuples):
     basis = [((i, 1),) for i in range(n)]
     mul = a._product
     for ident in idents:
-        at = ident.variables.index
-        split = [(m.coeff, *(_positions(t, at) for t in m.split_root())) for m in ident.monomials]
+        pairs, roots = ident.subtrees
         for combo in tuples(ident):
-            yield ident, combo, _terms(split, combo, basis, mul)
+            yield ident, combo, _terms(pairs, roots, combo, basis, mul)
 
 
-def _positions(tree, at):
-    """The tree with each variable replaced by its position ``at(v)``."""
-    if isinstance(tree, str):
-        return at(tree)
-    return (_positions(tree[0], at), _positions(tree[1], at))
-
-
-def _terms(split, combo, basis, mul):
-    """The (coeff, u, w) terms of one tuple of ``_walk``."""
+def _terms(pairs, roots, combo, basis, mul):
+    """The (coeff, u, w) terms of one tuple of ``_walk``: the tuple's
+    basis vectors fill the variable slots, ``evaluate_tree`` each subtree
+    slot, and every monomial reads its two root factors from the slots."""
     env = [basis[i] for i in combo]
-    for coeff, left, right in split:
-        u = evaluate_tree(left, env, mul) if type(left) is tuple else env[left]
-        w = (evaluate_tree(right, env, mul) if type(right) is tuple else env[right]) if u else None
-        if w:
+    for pair in pairs:
+        env.append(evaluate_tree(pair, env, mul))
+    for coeff, left, right in roots:
+        u, w = env[left], env[right]
+        if u and w:
             yield coeff, u, w
 
 

@@ -44,14 +44,17 @@ def tree_leaves(tree):
 def evaluate_tree(tree, env, mul):
     """Evaluate with a leaf (anything but a pair) bound to env[leaf], by
     name in a dict or by position in a list, and mul a vector product.
-    A falsy value (the empty sparse vector) is a zero product, returned
-    at once without evaluating the other factor."""
+    A leaf child is read from env directly, without a recursive call; a
+    pair of positions is thus one product of two env entries.  A falsy
+    value (the empty sparse vector) is a zero product, returned at once
+    without evaluating the other factor or calling mul."""
     if not isinstance(tree, tuple):
         return env[tree]
-    left = evaluate_tree(tree[0], env, mul)
+    a, b = tree
+    left = evaluate_tree(a, env, mul) if isinstance(a, tuple) else env[a]
     if not left:
         return left
-    right = evaluate_tree(tree[1], env, mul)
+    right = evaluate_tree(b, env, mul) if isinstance(b, tuple) else env[b]
     return mul(left, right) if right else right
 
 
@@ -122,6 +125,29 @@ class IdentitySchema:
             else:
                 classes.append([v])
         return tuple(tuple(cls) for cls in classes if len(cls) > 1)
+
+    @cached_property
+    def subtrees(self) -> tuple:
+        """The identity as (pairs, roots) over positional slots, each
+        distinct subtree once.  Slots 0..k-1 are the variables in the
+        order of ``variables``; pairs[s] fills slot k + s as the product
+        of two earlier slots, one entry per distinct product below a
+        monomial's root, left factor before right, in monomial order.
+        roots lists (coeff, left slot, right slot), one per monomial."""
+        slot = {v: k for k, v in enumerate(self.variables)}
+        pairs: list = []
+
+        def fill(tree):
+            if isinstance(tree, str):
+                return slot[tree]
+            pair = (fill(tree[0]), fill(tree[1]))
+            if pair not in slot:
+                slot[pair] = len(slot)
+                pairs.append(pair)
+            return slot[pair]
+
+        roots = tuple((m.coeff, *map(fill, m.split_root())) for m in self.monomials)
+        return tuple(pairs), roots
 
 
 def _make_schema(monomials):

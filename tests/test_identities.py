@@ -165,6 +165,65 @@ def test_evaluate_tree_against_oracle():
     assert got == want
 
 
+def recording_mul(calls):
+    def mul(u, v):
+        calls.append((u, v))
+        return (u, v)
+
+    return mul
+
+
+def test_evaluate_tree_reads_position_leaves_from_a_list():
+    calls = []
+    mul = recording_mul(calls)
+    env = ["a", "b", "c"]
+    assert evaluate_tree(1, env, mul) == "b"
+    assert evaluate_tree((0, 2), env, mul) == ("a", "c")
+    assert evaluate_tree(((0, 1), 2), env, mul) == (("a", "b"), "c")
+    assert evaluate_tree((2, (1, 0)), env, mul) == ("c", ("b", "a"))
+    assert calls == [("a", "c"), ("a", "b"), (("a", "b"), "c"), ("b", "a"), ("c", ("b", "a"))]
+
+
+@pytest.mark.parametrize("right", [5, (5, 6)])
+def test_evaluate_tree_stops_at_a_zero_left_factor(right):
+    # the right factor is never read: positions 5 and 6 are not bound
+    calls = []
+    assert evaluate_tree((0, right), [()], recording_mul(calls)) == ()
+    assert evaluate_tree(((1, 0), right), ["a", ()], recording_mul(calls)) == ()
+    assert calls == []
+
+
+def test_evaluate_tree_stops_at_a_zero_right_factor():
+    calls = []
+    assert evaluate_tree((0, 1), ["a", ()], recording_mul(calls)) == ()
+    assert evaluate_tree((0, (0, 1)), ["a", ()], recording_mul(calls)) == ()
+    assert calls == []
+
+
+def slot_tree(ident, slot):
+    """The tree over variable names that a slot of ``ident.subtrees`` stands for."""
+    k = len(ident.variables)
+    if slot < k:
+        return ident.variables[slot]
+    left, right = ident.subtrees[0][slot - k]
+    return (slot_tree(ident, left), slot_tree(ident, right))
+
+
+def test_subtrees_list_each_inner_product_once():
+    for name in VARIETY_NAMES:
+        for ident in builtin_variety(name).multilinear_identities:
+            pairs, roots = ident.subtrees
+            k = len(ident.variables)
+            assert all(a < k + s and b < k + s for s, (a, b) in enumerate(pairs))
+            trees = [slot_tree(ident, k + s) for s in range(len(pairs))]
+            assert len(set(trees)) == len(trees)
+            assert [(c, slot_tree(ident, u), slot_tree(ident, w)) for c, u, w in roots] == [
+                (m.coeff, *m.split_root()) for m in ident.monomials
+            ]
+    quartic = builtin_variety("jordan").multilinear_identities[1]
+    assert len(quartic.monomials) == 12 and len(quartic.subtrees[0]) == 15
+
+
 def test_monomial_split_and_multiplicities():
     m = Monomial(coeff=2, tree=(("x", "y"), "x"))
     assert m.degree == 3

@@ -273,6 +273,26 @@ def test_second_cohomology_walks_each_identity_once(monkeypatch):
     assert calls == []
 
 
+def test_h2_multiplies_each_shared_subtree_once_per_tuple(monkeypatch):
+    # Jordan's multilinear quartic has 24 products below its monomials'
+    # roots but 15 distinct ones; alternative shares none, so filling
+    # every slot of a tuple adds no product to the 2,744 of its walk
+    calls = []
+    real = Algebra._product
+
+    def counting(self, u, w):
+        calls.append(None)
+        return real(self, u, w)
+
+    monkeypatch.setattr(Algebra, "_product", counting)
+    a = null_filiform(7, RATIONALS)
+    second_cohomology(a, builtin_variety("jordan"))
+    assert len(calls) <= 27_783
+    calls.clear()
+    second_cohomology(a, builtin_variety("alternative"))
+    assert len(calls) == 2_744
+
+
 def block_sorted(ident, combo):
     """Whether the tuple is sorted within every symmetry block."""
     at = ident.variables.index
