@@ -17,7 +17,9 @@ expected table patterns) start from the sparse table, and their Scalar
 Identities are evaluated on basis tuples by one walk (``_walk``): each
 multilinear identity is read once as its distinct positional subtrees,
 and on each tuple every distinct subtree is multiplied once, however
-many monomials share it.
+many monomials share it.  Each tuple yields its value row once
+(``_value``); variety membership, cocycle equations and cocycle checks
+all read that row.
 """
 
 from __future__ import annotations
@@ -223,26 +225,24 @@ def is_standard_null_filiform(a: Algebra) -> bool:
 
 
 def _identity_terms(a: Algebra, variety: VarietySpec):
-    """``_walk`` over every tuple of basis indices, in lexicographic order."""
+    """``_walk`` over every tuple of basis indices, in lexicographic order:
+    (identity, tuple, value row) triples."""
     return _walk(a, variety, lambda ident: itertools.product(range(a.dim), repeat=len(ident.variables)))
 
 
 def _walk(a: Algebra, variety: VarietySpec, tuples):
     """The one walk behind variety membership, cocycle equations and
-    cocycle checks: (identity, tuple, terms) for every multilinear
+    cocycle checks: (identity, tuple, value) for every multilinear
     identity and every tuple of ``tuples(identity)``, 0-based basis
-    indices bound to its variables in order.  Terms lists (coeff, u, w)
-    for each monomial u*w whose factors (sparse raw vectors) are both
-    nonzero, in monomial order.  Each identity is read as its distinct
-    positional subtrees (``IdentitySchema.subtrees``, built once per
-    identity), so a subtree shared by several monomials is multiplied
-    once per tuple.  Terms are lazy: a consumer that passes over a tuple
-    pays nothing for it.  Raises CharTooSmall when the multilinear
-    identities do not replace the originals, and BudgetExceeded when
-    all N^k tuples are over the enumeration budget, however few
-    ``tuples`` yields."""
+    indices bound to its variables in order.  The value is the tuple's
+    value row (``_value``), lazy: a consumer that passes over a tuple
+    pays nothing for it.  A subtree shared by several monomials
+    (``IdentitySchema.subtrees``) is multiplied once per tuple.  Raises
+    CharTooSmall when the multilinear identities do not replace the
+    originals, and BudgetExceeded when all N^k tuples are over the
+    enumeration budget, however few ``tuples`` yields."""
     variety.char_gate(a.field)
-    n = a.dim
+    n, p = a.dim, a.field.p
     idents = variety.multilinear_identities
     check_budget(sum(n ** len(ident.variables) for ident in idents), "identity tuples")
     basis = [((i, 1),) for i in range(n)]
@@ -250,20 +250,40 @@ def _walk(a: Algebra, variety: VarietySpec, tuples):
     for ident in idents:
         pairs, roots = ident.subtrees
         for combo in tuples(ident):
-            yield ident, combo, _terms(pairs, roots, combo, basis, mul)
+            yield ident, combo, _value(pairs, roots, combo, basis, mul, n, p)
 
 
-def _terms(pairs, roots, combo, basis, mul):
-    """The (coeff, u, w) terms of one tuple of ``_walk``: the tuple's
-    basis vectors fill the variable slots, ``evaluate_tree`` each subtree
-    slot, and every monomial reads its two root factors from the slots."""
+def _value(pairs, roots, combo, basis, mul, n, p):
+    """The value row of one tuple of ``_walk``: the nonzero (i*n + j, r)
+    pairs of the sum of coeff * u (x) w over the monomials coeff * u*w,
+    reduced mod p, in first-seen order.  It is the cocycle equation on
+    the entries c_ij, and sum r * e_i e_j is the identity's value in the
+    algebra.  The tuple's basis vectors fill the variable slots and
+    ``evaluate_tree`` each subtree slot."""
     env = [basis[i] for i in combo]
     for pair in pairs:
         env.append(evaluate_tree(pair, env, mul))
+    acc = {}
     for coeff, left, right in roots:
-        u, w = env[left], env[right]
-        if u and w:
-            yield coeff, u, w
+        w = env[right]
+        for i, x in env[left]:
+            cx, base = coeff * x, i * n
+            for j, y in w:
+                acc[base + j] = acc.get(base + j, 0) + cx * y
+    for k, v in acc.items():
+        if r := v % p if p else v:
+            yield k, r
+
+
+def _multiplied(a: Algebra, pairs) -> tuple:
+    """The element sum of r * e_i e_j of the algebra for the (i*n + j, r)
+    pairs of a value row, as a sparse raw vector of nonzero pairs."""
+    n, p, table = a.dim, a.field.p, a._sparse
+    acc = {}
+    for pos, r in pairs:
+        for k, c in table[pos // n][pos % n]:
+            acc[k] = acc.get(k, 0) + r * c
+    return tuple((k, x) for k, v in acc.items() if (x := v % p if p else v))
 
 
 def _sorted_tuples(ident, indices):
@@ -319,19 +339,13 @@ def _holds(a: Algebra, variety: VarietySpec) -> bool:
     """Whether every multilinear identity of the variety vanishes on
     every tuple of basis elements, evaluated on the tuples that can
     decide it (see ``satisfies_variety``)."""
-    p, table = a.field.p, a._sparse
+    table = a._sparse
     live = [i for i, row in enumerate(table) if any(row) or any(r[i] for r in table)]
     current = None
-    for ident, combo, terms in _identity_terms(a, variety):
+    for ident, combo, value in _identity_terms(a, variety):
         if ident is not current:
             current, decisive = ident, set(_sorted_tuples(ident, live))
-        if combo not in decisive:
-            continue
-        acc = {}
-        for coeff, u, w in terms:
-            for k, v in a._product(u, w):
-                acc[k] = acc.get(k, 0) + coeff * v
-        if any(v % p if p else v for v in acc.values()):
+        if combo in decisive and _multiplied(a, value):
             return False
     return True
 

@@ -11,7 +11,7 @@ are taken modulo coboundaries.
 
 from __future__ import annotations
 
-from .algebra import Algebra, _identity_terms, _sorted_tuples, _walk, is_standard_null_filiform
+from .algebra import Algebra, _identity_terms, _multiplied, _sorted_tuples, _walk, is_standard_null_filiform
 from .errors import DimMismatch, InvariantError, NotACocycle, NotInVariety
 from .forms import BilinearForm, _tabulated_class, _tabulated_deltas
 from .identities import VarietySpec, format_identity
@@ -20,24 +20,13 @@ from .linalg import Subspace, _echelon, _kernel, _raw_rows, rref_with_transform
 
 def _cocycle_equations(a: Algebra, variety: VarietySpec):
     """The linear constraints on the entries c_ij (row-major) of a
-    cocycle, one per (identity, basis tuple), deduplicated in first-seen
-    order.  Yields (row, identity, tuple): row is a sparse raw
-    {i*n + j: coefficient of c_ij}, and the identity and the tuple of
-    0-based basis indices are where it was first seen."""
-    n, p = a.dim, a.field.p
+    cocycle, one per (identity, basis tuple): the tuple's value row,
+    deduplicated in first-seen order.  Yields (row, identity, tuple):
+    row is a sparse raw {i*n + j: coefficient of c_ij}, and the identity
+    and the tuple of 0-based basis indices are where it was first seen."""
     seen = set()
-    for ident, combo, terms in _identity_terms(a, variety):
-        acc = {}
-        for coeff, u, w in terms:
-            for i, x in u:
-                cx = coeff * x
-                for j, y in w:
-                    pos = i * n + j
-                    acc[pos] = acc.get(pos, 0) + cx * y
-        if p:
-            row = {k: v % p for k, v in acc.items() if v % p}
-        else:
-            row = {k: v for k, v in acc.items() if v}
+    for ident, combo, value in _identity_terms(a, variety):
+        row = dict(value)
         if row:
             key = frozenset(row.items())
             if key not in seen:
@@ -66,18 +55,13 @@ def cocycle_space(a: Algebra, variety: VarietySpec, equations=None):
 
 def _require_member(a: Algebra, variety: VarietySpec, equations) -> None:
     """Raise NotInVariety unless the algebra satisfies the variety.  The
-    row {i*n + j: r} of an (identity, tuple) gives the identity's value
-    sum r * e_i e_j there, so the algebra is in the variety exactly when
-    every distinct row vanishes on the sparse table.  Verdicts are kept
-    as ``satisfies_variety`` keeps them: every identity on success, only
-    the failing row's identity on failure."""
-    n, p, table = a.dim, a.field.p, a._sparse
+    row of an (identity, tuple) is its value row, so the algebra is in
+    the variety exactly when every distinct row multiplies out to zero
+    (``_multiplied``).  Verdicts are kept as ``satisfies_variety`` keeps
+    them: every identity on success, only the failing row's identity on
+    failure."""
     for row, ident, _ in equations:
-        acc = {}
-        for pos, r in row.items():
-            for k, c in table[pos // n][pos % n]:
-                acc[k] = acc.get(k, 0) + r * c
-        if any(v % p if p else v for v in acc.values()):
+        if _multiplied(a, row.items()):
             a._verdicts[ident] = False
             raise NotInVariety(f"algebra does not satisfy {variety.name}")
     a._verdicts.update(dict.fromkeys(variety.multilinear_identities, True))
@@ -86,28 +70,27 @@ def _require_member(a: Algebra, variety: VarietySpec, equations) -> None:
 def check_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> None:
     """Raise NotACocycle (naming a violated equation) unless theta
     satisfies every cocycle equation of the variety over this algebra.
-    Only block-sorted tuples (``_sorted_tuples``) are evaluated, straight
-    from their terms: an unsorted tuple's value is plus or minus its
-    sorted tuple's, which comes no later, so the equation named is the
-    first to fail in the full walk, as in ``CohomologySpace``."""
+    Only block-sorted tuples (``_sorted_tuples``) are evaluated, each
+    value row paired with theta as it is walked: an unsorted tuple's
+    value is plus or minus its sorted tuple's, which comes no later, so
+    the equation named is the first to fail in the full walk, as in
+    ``CohomologySpace``."""
+    _require_cocycle(a, theta, _walk(a, variety, lambda ident: _sorted_tuples(ident, range(a.dim))))
+
+
+def _require_cocycle(a: Algebra, theta: BilinearForm, rows) -> None:
+    """Raise NotACocycle at the first (identity, tuple, value row) of
+    ``rows`` whose row does not vanish on theta, the sum of r * theta_k
+    over its (k, r) pairs, naming that equation; DimMismatch unless
+    theta is a form on the algebra, before any row is read."""
     if theta.n != a.dim or theta.field != a.field:
         raise DimMismatch("form does not match the algebra")
-    n, p, entries = a.dim, a.field.p, theta._sparse
-    for ident, combo, terms in _walk(a, variety, lambda ident: _sorted_tuples(ident, range(n))):
-        value = 0
-        for coeff, u, w in terms:
-            for i, x in u:
-                cx, base = coeff * x, i * n
-                for j, y in w:
-                    value += cx * y * entries.get(base + j, 0)
+    p, entries = a.field.p, theta._sparse
+    for ident, combo, row in rows:
+        value = sum(r * entries.get(k, 0) for k, r in row)
         if value % p if p else value:
-            raise NotACocycle(_violation(ident, combo))
-
-
-def _violation(ident, combo) -> str:
-    """The NotACocycle text for the equation of an (identity, tuple)."""
-    args = ", ".join(f"{v}=e_{i + 1}" for v, i in zip(ident.variables, combo))
-    return f"cocycle equation from '{format_identity(ident)}' fails at {args}"
+            args = ", ".join(f"{v}=e_{i + 1}" for v, i in zip(ident.variables, combo))
+            raise NotACocycle(f"cocycle equation from '{format_identity(ident)}' fails at {args}")
 
 
 def is_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> bool:
@@ -268,15 +251,11 @@ class CohomologySpace:
         return tuple(values[: self.dim_h])
 
     def check_cocycle(self, theta: BilinearForm) -> None:
-        """``check_cocycle(self.algebra, self.variety, theta)``, on the
-        stored equations: NotACocycle names the same violated equation."""
-        if theta.n != self.algebra.dim or theta.field != self.algebra.field:
-            raise DimMismatch("form does not match the algebra")
-        p, entries = theta.field.p, theta._sparse
-        for row, ident, combo in self._equations:
-            value = sum(v * entries.get(k, 0) for k, v in row.items())
-            if value % p if p else value:
-                raise NotACocycle(_violation(ident, combo))
+        """``check_cocycle(self.algebra, self.variety, theta)``, with
+        theta paired with the stored value rows: NotACocycle names the
+        same violated equation."""
+        rows = ((ident, combo, row.items()) for row, ident, combo in self._equations)
+        _require_cocycle(self.algebra, theta, rows)
 
     def reduce_class(self, theta: BilinearForm):
         """Coordinates of the class [theta] in the h_reps basis.
