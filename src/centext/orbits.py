@@ -96,6 +96,7 @@ def roots_of_unity_subgroup(i: int, n: int, field: Field) -> RootSubgroup:
     if i < 0 or n < 1:
         raise InvalidDim(f"bad parameters i={i}, n={n}")
     if field.is_finite:
+        check_budget(field.p - 1, "nonzero field elements")
         candidates = field.nonzero_elements()
     else:
         candidates = [field.one, -field.one]  # the rational roots of unity
@@ -112,6 +113,7 @@ def coset_representatives(subgroup: RootSubgroup):
     """Deterministic representatives of F* / R(i, n), smallest residue first."""
     if not subgroup.field.is_finite:
         raise FieldMismatch("coset enumeration needs a finite field")
+    check_budget(subgroup.field.p - 1, "nonzero field elements")
     reps = []
     seen = set()
     for x in subgroup.field.nonzero_elements():

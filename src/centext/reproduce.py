@@ -201,13 +201,15 @@ def _battery(n_max, rng, orbit_primes) -> list:
 
 def run_reproduction(n_max=6, seed=0, budget=None, orbit_primes=(3, 5)) -> dict:
     """Run every claim check up to dimension n_max and return a JSON-ready
-    report.  Identical arguments give an identical report.  The budget
-    bounds every enumeration of every claim, and mu0:n_max over budget is
-    refused before any claim runs."""
+    report.  Identical arguments give an identical report; a repeated
+    orbit prime is run once.  The budget bounds every enumeration of
+    every claim, and mu0:n_max over budget is refused before any claim
+    runs."""
     if n_max < 2:
         raise InvalidDim("n_max must be at least 2")
     for p in orbit_primes:
         Field.prime(p)  # a modulus that is not prime is refused before any work
+    orbit_primes = tuple(dict.fromkeys(orbit_primes))  # distinct, first seen
     budget = resolve_budget(budget)
     with budget_scope(budget):
         _check_size(n_max)

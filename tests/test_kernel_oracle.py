@@ -229,6 +229,36 @@ def test_stored_verdicts_walk_only_new_identities(monkeypatch):
     assert walked == []
 
 
+def test_membership_reads_only_the_values_that_decide_it(monkeypatch):
+    # the walk's values are lazy: satisfies_variety reads a tuple's value
+    # only when the tuple is block-sorted over the basis vectors with a
+    # nonzero row or column, and a member reads every one of them once
+    base = null_filiform(3, RATIONALS)
+    bc = builtin_variety("bc")
+    z = cocycle_space(base, bc)
+    a = build_extension(base, [sum(z[1:], z[0])])
+    table = a._sparse
+    live = [i for i, row in enumerate(table) if any(row) or any(r[i] for r in table)]
+    assert live == [0, 1, 2]  # the extension's e_4 has an empty row and column
+    read = []
+    real = algebra_mod._identity_terms
+
+    def noted(ident, combo, value):
+        read.append((ident, combo))
+        yield from value
+
+    def recording(a, variety):
+        for ident, combo, value in real(a, variety):
+            yield ident, combo, noted(ident, combo, value)
+
+    monkeypatch.setattr(algebra_mod, "_identity_terms", recording)
+    assert satisfies_variety(a, bc)
+    assert read == [
+        (ident, combo) for ident in bc.multilinear_identities for combo in _sorted_tuples(ident, live)
+    ]
+    assert len(read) < sum(4 ** len(ident.variables) for ident in bc.multilinear_identities)
+
+
 def test_stored_verdicts_keep_the_char_gate_and_the_budget(monkeypatch):
     f3 = Field.prime(3)
     a = null_filiform(3, f3)

@@ -11,6 +11,7 @@ from centext import (
     InvalidDim,
     InvariantError,
     RATIONALS,
+    RootSubgroup,
     TableMismatch,
     UnsupportedVariety,
     annihilator_intersection,
@@ -51,6 +52,18 @@ def test_roots_of_unity_frozen_f13():
     }
     assert len(cosets) == 3
     assert sorted(x for c in cosets for x in c) == list(range(1, 13))
+
+
+def test_field_listings_check_the_budget_first(monkeypatch):
+    # both list every element of F_p*, so p - 1 is counted before listing
+    monkeypatch.setenv("CENTEXT_BUDGET", "10")
+    f11, f13 = Field.prime(11), Field.prime(13)
+    assert len(coset_representatives(roots_of_unity_subgroup(1, 2, f11))) == 10
+    with pytest.raises(BudgetExceeded, match="^12 nonzero field elements exceed budget 10$"):
+        roots_of_unity_subgroup(1, 2, f13)
+    trivial = RootSubgroup(i=1, n=2, field=f13, elements=(f13.one,))
+    with pytest.raises(BudgetExceeded, match="^12 nonzero field elements exceed budget 10$"):
+        coset_representatives(trivial)
 
 
 def test_roots_of_unity_rational():

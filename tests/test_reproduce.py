@@ -18,6 +18,14 @@ def test_small_run_passes_with_enough_claims():
     assert report["config"]["n_max"] == 2
 
 
+def test_a_repeated_orbit_prime_runs_once():
+    report = run_reproduction(n_max=2, orbit_primes=(3, 3))
+    ids = [c["id"] for c in report["claims"]]
+    assert len(set(ids)) == len(ids)
+    assert report == run_reproduction(n_max=2, orbit_primes=(3,))
+    assert report["config"]["orbit_primes"] == [3]
+
+
 def test_reports_are_deterministic():
     a = run_reproduction(n_max=3, seed=5, orbit_primes=(3,))
     b = run_reproduction(n_max=3, seed=5, orbit_primes=(3,))
