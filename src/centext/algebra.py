@@ -275,15 +275,15 @@ def _value(pairs, roots, combo, basis, mul, n, p):
             yield k, r
 
 
-def _multiplied(a: Algebra, pairs) -> tuple:
+def _multiplied(a: Algebra, pairs) -> dict:
     """The element sum of r * e_i e_j of the algebra for the (i*n + j, r)
-    pairs of a value row, as a sparse raw vector of nonzero pairs."""
+    pairs of a value row, as a sparse raw vector {k: nonzero value}."""
     n, p, table = a.dim, a.field.p, a._sparse
     acc = {}
     for pos, r in pairs:
         for k, c in table[pos // n][pos % n]:
             acc[k] = acc.get(k, 0) + r * c
-    return tuple((k, x) for k, v in acc.items() if (x := v % p if p else v))
+    return {k: x for k, v in acc.items() if (x := v % p if p else v)}
 
 
 def _sorted_tuples(ident, indices):
