@@ -25,6 +25,7 @@ that no tabulated representative hits are reported as extra
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import Algebra, _check_size, null_filiform, satisfies_variety
@@ -92,36 +93,36 @@ class RootSubgroup:
         return self.contains(x / y)
 
 
+def _coset_firsts(p: int, d: int) -> list:
+    """The least residue of each coset of H_d, the order-d subgroup of the cyclic
+    F_p*, ascending: x and y share a coset exactly when x^d = y^d."""
+    firsts = {}
+    for x in range(1, p):
+        firsts.setdefault(pow(x, d, p), x)
+    return list(firsts.values())
+
+
 def roots_of_unity_subgroup(i: int, n: int, field: Field) -> RootSubgroup:
+    """R(i, n), elements ascending.  Over F_p the (n+1)-st roots of unity are H_g,
+    g = gcd(n + 1, p - 1), so R(i, n) is H_d with d = g / gcd(i + 1, g)."""
     if i < 0 or n < 1:
         raise InvalidDim(f"bad parameters i={i}, n={n}")
-    if field.is_finite:
-        check_budget(field.p - 1, "nonzero field elements")
-        candidates = field.nonzero_elements()
-    else:
-        candidates = [field.one, -field.one]  # the rational roots of unity
-    roots = [x for x in candidates if (x ** (n + 1)).is_one]
-    powers = {x ** (i + 1) for x in roots}
-    elements = tuple(sorted(powers))
-    for a in elements:
-        if a.inv() not in powers or any(a * b not in powers for b in elements):
-            raise InvariantError(f"R({i}, {n}) over {field.spec()} is not a subgroup")
-    return RootSubgroup(i=i, n=n, field=field, elements=elements)
+    if not field.is_finite:  # the rational roots of unity are 1 and -1
+        roots = [x for x in (field.one, -field.one) if (x ** (n + 1)).is_one]
+        return RootSubgroup(i, n, field, tuple(sorted({x ** (i + 1) for x in roots})))
+    check_budget(field.p - 1, "nonzero field elements")
+    d = math.gcd(n + 1, field.p - 1) // math.gcd(i + 1, n + 1, field.p - 1)
+    elements = tuple(field.scalar(x) for x in range(1, field.p) if pow(x, d, field.p) == 1)
+    return RootSubgroup(i, n, field, elements)
 
 
 def coset_representatives(subgroup: RootSubgroup):
     """Deterministic representatives of F* / R(i, n), smallest residue first."""
-    if not subgroup.field.is_finite:
+    field = subgroup.field
+    if not field.is_finite:
         raise FieldMismatch("coset enumeration needs a finite field")
-    check_budget(subgroup.field.p - 1, "nonzero field elements")
-    reps = []
-    seen = set()
-    for x in subgroup.field.nonzero_elements():
-        if x in seen:
-            continue
-        reps.append(x)
-        seen.update(x * r for r in subgroup.elements)
-    return reps
+    check_budget(field.p - 1, "nonzero field elements")
+    return [field.scalar(x) for x in _coset_firsts(field.p, subgroup.order)]
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,9 @@ def _claim(claims, cid, fn, *args):
 # the first call, so a failing solve fails only the claim that made it.
 
 def _power_dims(a, n):
-    return (
-        a.power_dims() == tuple(range(n, -1, -1)) and a.annihilator().dim == 1,
-        f"descending power dims {a.power_dims()}, annihilator dim {a.annihilator().dim}",
-    )
+    dims, ann = a.power_dims(), a.annihilator().dim
+    ok = dims == tuple(range(n, -1, -1)) and ann == 1
+    return ok, f"descending power dims {dims}, annihilator dim {ann}"
 
 
 def _dims(h, vname, n):

@@ -8,6 +8,7 @@ from centext import (
     BudgetExceeded,
     ClassAction,
     Field,
+    FieldMismatch,
     InvalidDim,
     InvariantError,
     RATIONALS,
@@ -55,7 +56,7 @@ def test_roots_of_unity_frozen_f13():
 
 
 def test_field_listings_check_the_budget_first(monkeypatch):
-    # both list every element of F_p*, so p - 1 is counted before listing
+    # both scan up to the p - 1 residues of F_p*, so p - 1 is counted first
     monkeypatch.setenv("CENTEXT_BUDGET", "10")
     f11, f13 = Field.prime(11), Field.prime(13)
     assert len(coset_representatives(roots_of_unity_subgroup(1, 2, f11))) == 10
@@ -72,6 +73,38 @@ def test_roots_of_unity_rational():
     sub2 = roots_of_unity_subgroup(1, 3, RATIONALS)
     assert [x.value for x in sub2.elements] == [1]
     assert sub.same_coset(RATIONALS.scalar(-2), RATIONALS.scalar(2))
+
+
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_31)
+def test_root_subgroups_and_cosets_match_brute_force(p):
+    # every 0 <= i <= n <= 8 with n >= 1: 44 cases per prime, 484 in all
+    f = Field.prime(p)
+    for n in range(1, 9):
+        roots = [x for x in range(1, p) if pow(x, n + 1, p) == 1]
+        for i in range(n + 1):
+            want = sorted({pow(x, i + 1, p) for x in roots})
+            sub = roots_of_unity_subgroup(i, n, f)
+            assert [x.value for x in sub.elements] == want, (p, i, n)
+            # greedy tiling of F_p*: the smallest residue not yet covered
+            # starts the next coset
+            reps, covered = [], set()
+            for x in range(1, p):
+                if x not in covered:
+                    reps.append(x)
+                    covered.update(x * h % p for h in want)
+            assert [x.value for x in coset_representatives(sub)] == reps, (p, i, n)
+
+
+def test_root_subgroup_errors():
+    f5 = Field.prime(5)
+    for i, n in ((-1, 2), (0, 0)):
+        with pytest.raises(InvalidDim, match=f"^bad parameters i={i}, n={n}$"):
+            roots_of_unity_subgroup(i, n, f5)
+    with pytest.raises(FieldMismatch, match="^coset enumeration needs a finite field$"):
+        coset_representatives(roots_of_unity_subgroup(1, 3, RATIONALS))
 
 
 def test_enumerate_automorphisms_counts():

@@ -61,6 +61,25 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_src_imports_only_the_standard_library():
+    # every import in the package is relative or names a stdlib module
+    outside = []
+    for path, tree in _trees(sorted(SRC.glob("*.py"))).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.relative_to(ROOT)}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
+
+
 def test_every_private_definition_in_src_is_referenced():
     src = _trees(sorted(SRC.glob("*.py")))
     others = _trees(sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("perfbench/*.py")))
