@@ -9,10 +9,10 @@ into any later computation.
 Raw values inside, Scalar at the boundary: each algebra keeps a sparse
 table of (k, raw value) pairs (see ``Scalar.raw``), which products,
 identity evaluation, cocycle equations, annihilators, ``to_json`` and
-``opposite`` read.  ``Algebra.multiply`` converts Scalar vectors on entry
-and on exit.  Algebras built from raw values (JSON files, extensions,
-expected table patterns) start from the sparse table, and their Scalar
-``table`` is built only when it is read.
+``opposite`` read.  ``Algebra.__init__`` and ``Algebra.multiply`` read the
+vectors they are given through ``Field._raw_row``, and ``multiply``
+returns Scalars.  The Scalar ``table`` is built from the sparse table
+only when it is read.
 
 Identities are evaluated on basis tuples by one walk (``_walk``): each
 multilinear identity is read once as its distinct positional subtrees,
@@ -38,20 +38,13 @@ class Algebra:
     __slots__ = ("field", "dim", "_table", "_sparse", "_verdicts")
 
     def __init__(self, field: Field, table):
-        table = tuple(
-            tuple(tuple(field.scalar(x) for x in vec) for vec in row) for row in table
-        )
         dim = len(table)
         if dim == 0:
             raise InvalidDim("algebra must have dimension >= 1")
-        for row in table:
-            if len(row) != dim or any(len(vec) != dim for vec in row):
-                raise DimMismatch("structure constant table must be dim x dim x dim")
-        sparse = tuple(
-            tuple(tuple((k, x.raw) for k, x in enumerate(vec) if not x.is_zero) for vec in row)
-            for row in table
-        )
-        self._set(field, sparse, table)
+        if any(len(row) != dim for row in table):
+            raise DimMismatch("structure constant table must be dim x dim x dim")
+        sparse = tuple(tuple(tuple(field._raw_row(vec, dim).items()) for vec in row) for row in table)
+        self._set(field, sparse, None)
 
     def _set(self, field, sparse, table):
         object.__setattr__(self, "field", field)
@@ -89,14 +82,8 @@ class Algebra:
         return basis_vec(self.field, self.dim, i - 1)
 
     def multiply(self, x, y):
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimMismatch("vector length does not match algebra dimension")
-        field = self.field
-        u, w = (
-            tuple((i, field.scalar(c).raw) for i, c in enumerate(v) if not c.is_zero)
-            for v in (x, y)
-        )
-        return _scalar_row(field, dict(self._product(u, w)), self.dim)
+        u, w = (tuple(self.field._raw_row(v, self.dim).items()) for v in (x, y))
+        return _scalar_row(self.field, dict(self._product(u, w)), self.dim)
 
     def _product(self, u, w):
         """Product of sparse raw vectors, tuples of (index, nonzero raw

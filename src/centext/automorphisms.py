@@ -13,9 +13,10 @@ from a first column, M^T C M on a form given by its sparse raw view
 {i*n + j: c} (``BilinearForm._sparse``), and the class coordinates of
 the image from ``CohomologySpace._reduce_raw``, which walks only the
 image's nonzero entries, each through its sparse column of the reduction
-map.  ``Automorphism.matrix``, ``act_on_cocycle`` and
-``class_action_matrix`` convert its results to Scalars; the orbit
-enumeration uses it directly.
+map.  A first column and the vector given to ``Automorphism.apply`` are
+read by ``Field._raw_row``; ``Automorphism.matrix``, ``apply``,
+``act_on_cocycle`` and ``class_action_matrix`` convert the kernel's
+results to Scalars; the orbit enumeration uses it directly.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .cohomology import CohomologySpace
 from .errors import DimMismatch, NotInvertible
 from .fields import Field
 from .forms import BilinearForm
-from .linalg import mat_vec, rref, transpose
+from .linalg import _scalar_row, mat_vec, rref, transpose
 
 
 def _lower_triangular(col, p):
@@ -84,14 +85,14 @@ class Automorphism:
     __slots__ = ("field", "n", "first_col", "_matrix", "_raw")
 
     def __init__(self, field: Field, first_col):
-        col = tuple(field.scalar(x) for x in first_col)
-        n = len(col)
+        n = len(first_col)
         if n < 1:
             raise DimMismatch("empty column")
-        if col[0].is_zero:
+        col = field._raw_row(first_col, n)
+        if 0 not in col:
             raise NotInvertible("phi_{1,1} must be nonzero")
-        raw = _lower_triangular(tuple(x.raw for x in col), field.p)
-        for name, value in zip(self.__slots__, (field, n, col, None, raw)):
+        raw = _lower_triangular(tuple(col.get(k, 0) for k in range(n)), field.p)
+        for name, value in zip(self.__slots__, (field, n, _scalar_row(field, col, n), None, raw)):
             object.__setattr__(self, name, value)
 
     @property
@@ -111,9 +112,8 @@ class Automorphism:
 
     def apply(self, x):
         """Image of a coordinate vector."""
-        if len(x) != self.n:
-            raise DimMismatch("vector length does not match")
-        return mat_vec(self.matrix, x)
+        x = self.field._raw_row(x, self.n)
+        return tuple(self.field.from_raw(sum(row[k] * v for k, v in x.items())) for row in self._raw)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: (self . other)(x) = self(other(x))."""

@@ -15,7 +15,7 @@ from .algebra import Algebra, _identity_terms, _multiplied, _sorted_tuples, _wal
 from .errors import DimMismatch, InvariantError, NotACocycle, NotInVariety
 from .forms import BilinearForm, _tabulated_class, _tabulated_deltas
 from .identities import VarietySpec, format_identity
-from .linalg import Subspace, _echelon, _kernel, _raw_rows, rref_with_transform
+from .linalg import Subspace, _echelon, _kernel, rref_with_transform
 
 
 def _cocycle_equations(a: Algebra, variety: VarietySpec):
@@ -265,13 +265,10 @@ class CohomologySpace:
         return tuple(self.algebra.field.from_raw(v) for v in self._reduce_raw(theta._sparse))
 
     def rep_from_coords(self, coords) -> BilinearForm:
-        if len(coords) != self.dim_h:
-            raise DimMismatch(f"expected {self.dim_h} coordinates")
-        acc = BilinearForm.zero(self.algebra.field, self.algebra.dim)
-        for c, rep in zip(coords, self.h_reps):
-            c = self.algebra.field.scalar(c)
-            if not c.is_zero:
-                acc = acc + c * rep
+        field = self.algebra.field
+        acc = BilinearForm.zero(field, self.algebra.dim)
+        for r, c in field._raw_row(coords, self.dim_h).items():
+            acc = acc + c * self.h_reps[r]
         return acc
 
     def class_is_zero(self, theta: BilinearForm) -> bool:
@@ -304,11 +301,11 @@ def second_cohomology(a: Algebra, variety: VarietySpec) -> CohomologySpace:
     if preferred is not None and len(b_rows) + len(preferred[0]) == len(z_rows):
         forms, labels = preferred
         opened = []
-        _echelon(_raw_rows(b_rows + [f._sparse for f in forms] + z_rows), p, opened)
+        _echelon([dict(r) for r in b_rows + [f._sparse for f in forms] + z_rows], p, opened)
         if opened == list(range(len(b_rows) + len(forms))):
             return CohomologySpace(a, variety, z_forms, b_forms, forms, labels, True, equations)
     opened = []
-    _echelon(_raw_rows(b_rows + z_rows), p, opened)
+    _echelon([dict(r) for r in b_rows + z_rows], p, opened)
     if len(opened) != len(z_rows):
         raise InvariantError("coboundary outside the cocycle space")
     picked = [i - len(b_rows) for i in opened if i >= len(b_rows)]

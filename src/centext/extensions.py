@@ -18,7 +18,7 @@ from .algebra import Algebra
 from .cohomology import CohomologySpace, annihilator_intersection, second_cohomology
 from .errors import CohomologyMismatch, DimMismatch
 from .identities import VarietySpec
-from .linalg import _echelon, _raw_rows
+from .linalg import _echelon
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,15 @@ def _space_for(a: Algebra, variety: VarietySpec, h: CohomologySpace | None) -> C
     return h
 
 
-def _independent(coords, p) -> bool:
+def _independent(coords, field) -> bool:
     """Whether the class coordinate tuples are linearly independent."""
-    return len(_echelon(_raw_rows(coords), p)[0]) == len(coords)
+    return len(_echelon([field._raw_row(c, len(c)) for c in coords], field.p)[0]) == len(coords)
 
 
 def is_non_split(a: Algebra, variety: VarietySpec, thetas, h: CohomologySpace | None = None) -> bool:
     """Whether the cocycle classes are linearly independent in H^2."""
     h = _space_for(a, variety, h)
-    return _independent([h.reduce_class(theta) for theta in thetas], a.field.p)
+    return _independent([h.reduce_class(theta) for theta in thetas], a.field)
 
 
 def in_T1(a: Algebra, variety: VarietySpec, theta, h: CohomologySpace | None = None) -> bool:
@@ -108,6 +108,6 @@ def central_extension(
         cocycles=thetas,
         variety=variety,
         class_coords=coords,
-        non_split=_independent(coords, a.field.p),
+        non_split=_independent(coords, a.field),
         annihilator_dim=ann_core.dim + len(thetas),
     )

@@ -7,7 +7,9 @@ residue is reduced mod p in one place, ``Scalar.__init__``: the
 operators, ``Field.scalar`` and ``Field.from_raw`` hand it any
 representative.  Inner loops elsewhere in the package work on raw values
 instead (see ``Scalar.raw`` and ``Field.from_raw``), reduce them there,
-and build scalars only for results.
+and build scalars only for results.  A vector that a caller hands in, of
+ints, Fractions, literal strings or Scalars, becomes raw values in one
+place, ``Field._raw_row``, which also checks its length and field.
 
 Every number read from outside the package (literals, flags, specs, the
 budget variable, JSON files) follows the grammar of ``read_number``.
@@ -125,6 +127,14 @@ class Field:
         if value.denominator % p == 0:
             raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
         return value.numerator * pow(value.denominator, -1, p)
+
+    def _raw_row(self, values, n: int) -> dict:
+        """{position: raw value} of the nonzero entries of a vector a caller
+        hands in: exactly n entries (DimMismatch otherwise), each read by
+        ``scalar``, so a Scalar of another field raises FieldMismatch."""
+        if len(values) != n:
+            raise DimMismatch(f"vector of length {len(values)} where {n} entries are expected")
+        return {k: x for k, v in enumerate(values) if (x := self.scalar(v).raw)}
 
     @property
     def zero(self) -> "Scalar":

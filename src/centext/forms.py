@@ -8,7 +8,8 @@ basis labels e_1..e_n; an index outside 1..n raises IndexOutOfRange.
 Raw values inside, Scalar at the boundary: a form stores only the raw view
 ``_sparse`` of its nonzero entries, {i*n + j: raw value} in row-major order
 (see ``Scalar.raw``), which inner loops read, never change; its Scalar
-views are built from it when read."""
+views are built from it when read.  The rows, vectors and arguments of
+``evaluate`` that a caller hands in are read by ``Field._raw_row``."""
 
 from __future__ import annotations
 
@@ -23,12 +24,9 @@ class BilinearForm:
     __slots__ = ("field", "n", "_sparse")
 
     def __init__(self, field: Field, rows):
-        rows = [[field.scalar(x).raw for x in row] for row in rows]
         n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise DimMismatch("bilinear form matrix must be square")
-        flat = (x for row in rows for x in row)
-        self._set(field, n, {k: x for k, x in enumerate(flat) if x})
+        sparse = {i * n + j: x for i, row in enumerate(rows) for j, x in field._raw_row(row, n).items()}
+        self._set(field, n, sparse)
 
     def _set(self, field, n, sparse):
         if n < 1:
@@ -61,9 +59,7 @@ class BilinearForm:
         """Rebuild from a row-major vector of length n*n."""
         if n < 1:
             raise InvalidDim(f"dimension {n} must be >= 1")
-        if len(vec) != n * n:
-            raise DimMismatch(f"expected {n * n} entries, got {len(vec)}")
-        return cls._from_sparse(field, n, {k: field.scalar(x).raw for k, x in enumerate(vec)})
+        return cls._from_sparse(field, n, field._raw_row(vec, n * n))
 
     @property
     def rows(self):
@@ -85,10 +81,9 @@ class BilinearForm:
         return self.field.from_raw(self._sparse.get((i - 1) * n + j - 1, 0))
 
     def evaluate(self, x, y) -> Scalar:
-        n = self.n
-        if len(x) != n or len(y) != n:
-            raise DimMismatch("vector length does not match form size")
-        return sum((x[k // n] * y[k % n] * v for k, v in self._sparse.items()), self.field.zero)
+        n, field = self.n, self.field
+        x, y = field._raw_row(x, n), field._raw_row(y, n)
+        return field.from_raw(sum(x.get(k // n, 0) * y.get(k % n, 0) * v for k, v in self._sparse.items()))
 
     @property
     def is_zero(self) -> bool:

@@ -5,11 +5,13 @@ Raw values inside, Scalar at the boundary.  ``rref``, ``kernel_basis``,
 rows ``{column: raw value}`` holding only nonzero entries, where a raw
 value is a residue mod p over F_p and an int or Fraction over Q (see
 ``Scalar.raw``); ``rref_with_transform`` still eliminates on dense
-Scalar rows.  The public functions take and return vectors as tuples of
-Scalar and matrices as lists or tuples of row vectors, converting on
-entry and on exit; ``_kernel``, ``Subspace._contains`` and the stored
-basis of a Subspace are sparse rows.  Pivots are leftmost and normalized
-to 1, so echelon forms are canonical for a given row span.
+Scalar rows.  The public functions read each vector they are given,
+ints, Fractions, literal strings or Scalars, through
+``Field._raw_row``, take matrices as lists or tuples of such vectors,
+and return vectors as tuples of Scalar; ``_kernel``,
+``Subspace._contains`` and the stored basis of a Subspace are sparse
+rows.  Pivots are leftmost and normalized to 1, so echelon forms are
+canonical for a given row span.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimMismatch
-from .fields import Field
+from .fields import RATIONALS, Field, Scalar
 
 
 def basis_vec(field: Field, m: int, k: int):
@@ -109,14 +111,11 @@ def _echelon(rows, p, opened=None):
     return pivots, [by_pivot[c] for c in pivots]
 
 
-def _raw_rows(rows):
-    """Sparse raw copies of rows given as Scalar vectors or, as the package
-    passes them, as {column: raw value} dicts."""
-    return [
-        dict(row) if isinstance(row, dict)
-        else {c: x.raw for c, x in enumerate(row) if not x.is_zero}
-        for row in rows
-    ]
+def _raw_rows(field: Field, rows, ncols: int):
+    """Sparse raw copies of rows given as vectors of ncols entries
+    (``Field._raw_row``) or, as the package passes them, as
+    {column: raw value} dicts."""
+    return [dict(row) if isinstance(row, dict) else field._raw_row(row, ncols) for row in rows]
 
 
 def _scalar_row(field: Field, row: dict, ncols: int):
@@ -134,13 +133,16 @@ def rref(rows):
     """Reduced row echelon form of the given rows.
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped, pivot
-    entries are 1 and are the only nonzero entries in their columns.
+    entries are 1 and are the only nonzero entries in their columns.  The
+    field is that of the first Scalar entry, the rationals when there is
+    none; every row has the length of the first.
     """
     rows = list(rows)
     if not rows or not rows[0]:
         return [], []
-    field, ncols = rows[0][0].field, len(rows[0])
-    pivots, reduced = _echelon(_raw_rows(rows), field.p)
+    field = next((x.field for row in rows for x in row if isinstance(x, Scalar)), RATIONALS)
+    ncols = len(rows[0])
+    pivots, reduced = _echelon(_raw_rows(field, rows, ncols), field.p)
     return [_scalar_row(field, row, ncols) for row in reduced], pivots
 
 
@@ -174,8 +176,8 @@ def rref_with_transform(rows, field: Field):
 
 
 def kernel_basis(rows, ncols: int, field: Field):
-    """Canonical basis of the kernel of rows (Scalar vectors or sparse dicts)."""
-    return [_scalar_row(field, v, ncols) for v in _kernel(_raw_rows(rows), ncols, field.p)]
+    """Canonical basis of the kernel of rows (vectors or sparse dicts)."""
+    return [_scalar_row(field, v, ncols) for v in _kernel(_raw_rows(field, rows, ncols), ncols, field.p)]
 
 
 def _kernel(rows, ncols: int, p):
@@ -200,14 +202,15 @@ def _kernel(rows, ncols: int, p):
 
 def solve(rows, target, field: Field):
     """One exact solution x of A x = target for A given by rows, or None
-    when the system is inconsistent. Free variables are set to zero."""
+    when the system is inconsistent. Free variables are set to zero.  The
+    target has one entry per row."""
+    target = field._raw_row(target, len(rows))
     if not rows:
-        return () if all(b.is_zero for b in target) else None
+        return ()
     ncols = len(rows[0])
-    augmented = _raw_rows(rows)
-    for row, b in zip(augmented, target):
-        if not b.is_zero:
-            row[ncols] = b.raw
+    augmented = _raw_rows(field, rows, ncols)
+    for i, b in target.items():
+        augmented[i][ncols] = b
     pivots, reduced = _echelon(augmented, field.p)
     if pivots and pivots[-1] == ncols:
         return None
@@ -222,7 +225,7 @@ class Subspace:
     __slots__ = ("field", "ambient", "_pivot_rows")
 
     def __init__(self, field: Field, ambient: int, vectors=()):
-        pivots, reduced = _echelon(_raw_rows(vectors), field.p)
+        pivots, reduced = _echelon(_raw_rows(field, vectors, ambient), field.p)
         for name, value in zip(self.__slots__, (field, ambient, dict(zip(pivots, reduced)))):
             object.__setattr__(self, name, value)
 
@@ -239,9 +242,7 @@ class Subspace:
         return len(self._pivot_rows)
 
     def contains(self, v) -> bool:
-        if len(v) != self.ambient:
-            raise DimMismatch(f"vector length {len(v)} in ambient {self.ambient}")
-        return self._contains(_raw_rows([v])[0])
+        return self._contains(self.field._raw_row(v, self.ambient))
 
     def _contains(self, residue: dict) -> bool:
         """``contains`` for a sparse raw row, which is consumed."""

@@ -352,16 +352,19 @@ class ClassAction:
         p = self.p
         return any(sum(a * c for a, c in zip(f, line)) % p for f in self._t1_forms)
 
+    def _point(self, coords):
+        """The residue tuple of class coordinates (``Field._raw_row``)."""
+        row = self.field._raw_row(coords, self.dim_h)
+        return tuple(row.get(j, 0) for j in range(self.dim_h))
+
     def orbit_of_class(self, coords) -> frozenset:
-        """The orbit of a class point: its images under every automorphism."""
-        if isinstance(coords[0], Scalar):
-            coords = tuple(c.value for c in coords)
-        return frozenset(self.apply(mat, coords) for mat in self.matrices)
+        """The orbit of a class point, as residue tuples: its images under
+        every automorphism."""
+        point = self._point(coords)
+        return frozenset(self.apply(mat, point) for mat in self.matrices)
 
     def same_orbit(self, coords_a, coords_b) -> bool:
-        if isinstance(coords_b[0], Scalar):
-            coords_b = tuple(c.value for c in coords_b)
-        return tuple(coords_b) in self.orbit_of_class(coords_a)
+        return self._point(coords_b) in self.orbit_of_class(coords_a)
 
 
 def _orbit_report(action: ClassAction, kind, domain, image, to_domain):

@@ -159,8 +159,6 @@ def _orbits(n, vname, p):
     hit = [report.matched_labels[lab] for lab in t1_labels]
     if len(set(hit)) != len(hit):
         return False, "distinct representatives landed in the same orbit"
-    if sum(o.size for o in report.orbits) != report.domain_size:
-        return False, "orbit sizes do not partition the domain"
     return True, (
         f"{len(report.orbits)} orbits on {report.domain_size} lines; "
         f"{len(t1_labels)} representatives pairwise inequivalent"

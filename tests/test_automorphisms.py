@@ -181,3 +181,18 @@ def test_class_action_matrix_columns():
         direct = act_on_class(h, phi, coords)
         via_rep = h.reduce_class(act_on_cocycle(phi, h.rep_from_coords(coords)))
         assert direct == via_rep
+
+
+def test_maps_of_another_algebra_are_refused():
+    f7, f5 = Field.prime(7), Field.prime(5)
+    phi = Automorphism(f7, (1, 2, 0))
+    for other in (Automorphism(f7, (1, 2)), Automorphism(f5, (1, 2, 0))):
+        with pytest.raises(DimMismatch, match="automorphisms of different algebras"):
+            phi.compose(other)
+    for theta in (nabla(2, 2, f7), nabla(3, 3, f5)):
+        with pytest.raises(DimMismatch, match="form and automorphism sizes differ"):
+            act_on_cocycle(phi, theta)
+    h = second_cohomology(null_filiform(4, f7), LC)
+    for psi in (phi, Automorphism(f5, (1, 2, 0, 0))):
+        with pytest.raises(DimMismatch, match="automorphism does not match the cohomology space"):
+            class_action_matrix(h, psi)

@@ -1,0 +1,114 @@
+"""Every public entry point that takes a vector reads it the same way:
+ints, literal strings and Scalars of the field give one result, a Scalar
+of another field raises FieldMismatch, and a vector of the wrong length
+raises DimMismatch."""
+
+from fractions import Fraction
+
+import pytest
+
+from centext import (
+    Algebra,
+    Automorphism,
+    BilinearForm,
+    DimMismatch,
+    Field,
+    FieldMismatch,
+    RATIONALS,
+    Subspace,
+    builtin_variety,
+    delta,
+    kernel_basis,
+    nabla,
+    null_filiform,
+    rref,
+    second_cohomology,
+)
+from centext.linalg import solve
+from centext.orbits import ClassAction
+
+F7 = Field.prime(7)
+F5 = Field.prime(5)
+
+
+def _scalars(field, *xs):
+    return tuple(field.scalar(x) for x in xs)
+
+
+def _entry_points():
+    """(name, field, vector as ints, call): call(v) hands v to the entry
+    point in one argument and returns what it returns."""
+    q, f7 = RATIONALS, F7
+    q_row = lambda *xs: _scalars(q, *xs)
+    f7_row = lambda *xs: _scalars(f7, *xs)
+    mu3 = null_filiform(3, f7)
+    form = nabla(3, 3, q) + 2 * delta(2, 1, 3, q)
+    h = second_cohomology(null_filiform(3, f7), builtin_variety("left_commutative"))
+    phi = Automorphism(f7, (1, 2, 0))
+    action = ClassAction(2, "bicommutative", Field.prime(3))
+    return [
+        ("rref", q, (1, -2, 0, 3), lambda v: rref([q_row(0, 1, 1, 0), v])),
+        ("kernel_basis", f7, (8, -2, 0, 3), lambda v: kernel_basis([v], 4, f7)),
+        ("Subspace", q, (1, -2, 3), lambda v: Subspace(q, 3, [v, q_row(0, 1, 0)])),
+        ("Subspace.contains", f7, (1, 5, 6),
+         lambda v: Subspace(f7, 3, [f7_row(1, 0, 6), f7_row(0, 1, 0)]).contains(v)),
+        ("solve rows", q, (1, -2), lambda v: solve([v, q_row(0, 1)], q_row(3, 1), q)),
+        ("solve target", f7, (9, -1), lambda v: solve([f7_row(1, 2), f7_row(0, 1)], v, f7)),
+        ("Algebra.multiply", f7, (1, -1, 9), lambda v: mu3.multiply(v, f7_row(0, 1, 1))),
+        ("Algebra", q, (0, -2), lambda v: Algebra(q, [[v, q_row(1, 0)], [q_row(0, 0), q_row(0, 0)]])),
+        ("BilinearForm", f7, (8, 0, -3), lambda v: BilinearForm(f7, [v, (0, 1, 0), (0, 0, 0)])),
+        ("BilinearForm.from_vector", q, (0, 1, -1, 4), lambda v: BilinearForm.from_vector(q, 2, v)),
+        ("BilinearForm.evaluate", q, (1, -2, 3), lambda v: form.evaluate(v, q_row(2, 1, 0))),
+        ("rep_from_coords", f7, (1, 8, -1), h.rep_from_coords),
+        ("Automorphism.apply", f7, (1, 9, -1), phi.apply),
+        ("orbit_of_class", action.field, (4, 0), action.orbit_of_class),
+        ("same_orbit", action.field, (2, 3), lambda v: action.same_orbit((1, 0), v)),
+    ]
+
+
+ENTRY_POINTS = _entry_points()
+IDS = [name for name, *_ in ENTRY_POINTS]
+
+
+@pytest.mark.parametrize("name, field, ints, call", ENTRY_POINTS, ids=IDS)
+def test_ints_literals_and_scalars_give_one_result(name, field, ints, call):
+    want = call(_scalars(field, *ints))
+    assert call(ints) == want
+    assert call(tuple(str(x) for x in ints)) == want
+    assert call(list(ints)) == want
+
+
+@pytest.mark.parametrize("name, field, ints, call", ENTRY_POINTS, ids=IDS)
+def test_a_scalar_of_another_field_is_refused(name, field, ints, call):
+    other = F5 if field == RATIONALS else RATIONALS
+    for k in range(len(ints)):
+        v = [field.scalar(x) for x in ints]
+        v[k] = other.scalar(ints[k])
+        with pytest.raises(FieldMismatch):
+            call(tuple(v))
+
+
+@pytest.mark.parametrize("name, field, ints, call", ENTRY_POINTS, ids=IDS)
+def test_a_vector_of_another_length_is_refused(name, field, ints, call):
+    for v in (ints + (0,), ints[:-1], ()):
+        with pytest.raises(DimMismatch):
+            call(v)
+
+
+def test_values_read_at_the_boundary():
+    # a residue is read mod p, a literal as the number it spells
+    assert kernel_basis([(8, -2, 0, 3)], 4, F7) == kernel_basis([(1, 5, 0, 3)], 4, F7)
+    assert BilinearForm.from_vector(RATIONALS, 1, ["-1/2"]).entry(1, 1) == Fraction(-1, 2)
+    # rref reads its field off its first Scalar, the rationals without one
+    reduced, pivots = rref([(2, 1), (0, 3)])
+    assert pivots == [0, 1] and reduced[0] == (RATIONALS.one, RATIONALS.zero)
+    reduced, _ = rref([(F7.scalar(2), 1)])
+    assert reduced == [(F7.one, F7.scalar(4))]
+    # a first column is read like any other vector
+    assert Automorphism(F7, (8, "2", F7.zero)) == Automorphism(F7, (1, 2, 0))
+    with pytest.raises(FieldMismatch):
+        Automorphism(F7, (1, F5.one))
+    # a target needs one entry per row, also when there are no rows
+    assert solve([], (), RATIONALS) == ()
+    with pytest.raises(DimMismatch):
+        solve([], (0,), RATIONALS)

@@ -656,3 +656,23 @@ def test_the_table_rows_count_their_identity_tuples_against_the_budget(capsys, m
     code, out, err = run(capsys, "verify-table1", "--n", "3", "--field", "Fp:10007")
     assert (code, out) == (2, "")
     assert err == "error: 1281280 identity tuples of the table rows exceed budget 500000\n"
+
+
+def test_a_cocycle_file_of_another_algebra_exits_2(capsys, tmp_path):
+    for name, theta, message in (
+        ("f5.json", nabla(3, 3, Field.prime(5)), "cocycle file field differs from the algebra's"),
+        ("n4.json", nabla(4, 4, RATIONALS), "cocycle file dimension differs from the algebra's"),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps(theta.to_json()))
+        for argv in (
+            ("extend", "--algebra", "mu0:3", "--variety", "lc", "--cocycle", str(path)),
+            ("act", "--n", "3", "--col", "1,0,0", "--cocycle", str(path)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_reproduce_refuses_n_max_below_two(capsys):
+    code, out, err = run(capsys, "reproduce", "--n-max", "1")
+    assert (code, out, err) == (2, "", "error: n_max must be at least 2\n")

@@ -335,3 +335,12 @@ def test_second_cohomology_leaves_its_inputs_intact(name, field):
     assert list(h.z_basis) == cocycle_space(a, v)
     if h.preferred_basis_used:
         assert h.h_reps == _preferred_h_reps(a, v)[0]
+
+
+def test_forms_of_another_size_are_refused():
+    a, lc = null_filiform(3, RATIONALS), builtin_variety("left_commutative")
+    for theta in (nabla(2, 2, RATIONALS), nabla(4, 4, RATIONALS), nabla(3, 3, Field.prime(5))):
+        with pytest.raises(DimMismatch, match="form does not match the algebra"):
+            check_cocycle(a, lc, theta)
+        with pytest.raises(DimMismatch, match="form does not match the algebra"):
+            cocycle_annihilator(a, theta)

@@ -7,6 +7,7 @@ from centext import (
     Algebra,
     BilinearForm,
     CohomologyMismatch,
+    DimMismatch,
     Field,
     NotACocycle,
     RATIONALS,
@@ -274,3 +275,10 @@ def test_extension_facts_match_the_class_and_annihilator_checks(field):
             for pair in itertools.combinations(forms, 2):
                 result = central_extension(a, pair, variety, h)
                 assert result.non_split == is_non_split(a, variety, pair, h)
+
+
+def test_extension_by_a_form_of_another_size_is_refused():
+    a = null_filiform(3, RATIONALS)
+    for theta in (nabla(2, 2, RATIONALS), nabla(4, 4, RATIONALS), nabla(3, 3, Field.prime(5))):
+        with pytest.raises(DimMismatch, match="form does not match the algebra"):
+            build_extension(a, [nabla(3, 3, RATIONALS), theta])

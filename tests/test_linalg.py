@@ -194,5 +194,6 @@ def test_subspaces_of_one_span_are_equal_and_hash_alike(field):
     assert a.basis == tuple(s((1, 0, -2), (0, 1, 1))) and a.dim == 2
     assert a != Subspace(field, 3, s((1, 2, 0)))
     assert Subspace(field, 3) != Subspace(field, 4)
-    assert Subspace(field, 3, s((1, 0, 0))) != Subspace(Field.prime(7), 3, s((1, 0, 0)))
+    f7 = Field.prime(7)
+    assert Subspace(field, 3, s((1, 0, 0))) != Subspace(f7, 3, [(f7.one, f7.zero, f7.zero)])
     assert a.contains(s((2, 5, 1))[0]) and not a.contains(s((0, 0, 1))[0])
