@@ -26,7 +26,7 @@ from .cohomology import CohomologySpace
 from .errors import DimMismatch, NotInvertible
 from .fields import Field
 from .forms import BilinearForm
-from .linalg import _scalar_row, mat_vec, rref, transpose
+from .linalg import _scalar_row, mat_mul, rref, transpose
 
 
 def _lower_triangular(col, p):
@@ -137,7 +137,6 @@ class Automorphism:
 
 
 def automorphism_from_column(n: int, field: Field, col) -> Automorphism:
-    col = tuple(field.scalar(x) for x in col)
     if len(col) != n:
         raise DimMismatch(f"column length {len(col)} != {n}")
     return Automorphism(field, col)
@@ -154,11 +153,9 @@ def is_automorphism(a: Algebra, matrix) -> bool:
     if len(reduced) != n:
         return False
     cols = transpose(rows)
-    for i in range(n):
-        for j in range(n):
-            if mat_vec(rows, a.table[i][j]) != a.multiply(cols[i], cols[j]):
-                return False
-    return True
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    images = transpose(mat_mul(rows, transpose([a.table[i][j] for i, j in pairs])))
+    return all(image == a.multiply(cols[i], cols[j]) for image, (i, j) in zip(images, pairs))
 
 
 def act_on_cocycle(phi: Automorphism, theta: BilinearForm) -> BilinearForm:

@@ -156,11 +156,6 @@ class Field:
             raise FieldMismatch("the rationals are not enumerable")
         return [Scalar(self, r) for r in range(self.p)]
 
-    def nonzero_elements(self):
-        if self.p is None:
-            raise FieldMismatch("the rationals are not enumerable")
-        return [Scalar(self, r) for r in range(1, self.p)]
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 

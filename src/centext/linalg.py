@@ -29,26 +29,35 @@ def basis_vec(field: Field, m: int, k: int):
 
 
 def mat_vec(rows, v):
+    """rows @ v, read like ``rref``: in the field of the first Scalar
+    entry, the rationals when there is none."""
     if rows and len(rows[0]) != len(v):
         raise DimMismatch(f"matrix width {len(rows[0])} vs vector length {len(v)}")
-    return tuple(_dot(row, v) for row in rows)
+    field = _field_of([*rows, v])
+    x = field._raw_row(v, len(v))
+    return tuple(field.from_raw(_dot(row, x)) for row in _raw_rows(field, rows, len(v)))
 
 
 def mat_mul(a, b):
-    if a and b and len(a[0]) != len(b):
+    """a @ b, read like ``mat_vec``."""
+    if a and len(a[0]) != len(b):
         raise DimMismatch(f"inner dimensions {len(a[0])} and {len(b)} differ")
-    bt = transpose(b)
-    return tuple(tuple(_dot(row, col) for col in bt) for row in a)
+    field = _field_of([*a, *b])
+    width = len(b[0]) if b else 0
+    b = _raw_rows(field, b, width)
+    cols = [{k: r[j] for k, r in enumerate(b) if j in r} for j in range(width)]
+    return tuple(
+        tuple(field.from_raw(_dot(row, col)) for col in cols) for row in _raw_rows(field, a, len(b))
+    )
 
 
-def _dot(u, v):
-    acc = None
-    for a, b in zip(u, v):
-        if a.is_zero or b.is_zero:
-            continue
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else u[0].field.zero
+def _dot(u: dict, v: dict):
+    return sum(x * v[k] for k, x in u.items() if k in v)
+
+
+def _field_of(rows):
+    """The field of the first Scalar entry, the rationals when there is none."""
+    return next((x.field for row in rows for x in row if isinstance(x, Scalar)), RATIONALS)
 
 
 def transpose(rows):
@@ -140,7 +149,7 @@ def rref(rows):
     rows = list(rows)
     if not rows or not rows[0]:
         return [], []
-    field = next((x.field for row in rows for x in row if isinstance(x, Scalar)), RATIONALS)
+    field = _field_of(rows)
     ncols = len(rows[0])
     pivots, reduced = _echelon(_raw_rows(field, rows, ncols), field.p)
     return [_scalar_row(field, row, ncols) for row in reduced], pivots

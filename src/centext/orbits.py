@@ -2,8 +2,10 @@
 null-filiform algebra, over finite prime fields.
 
 The automorphism group is enumerated exactly (one first column with
-nonzero leading entry per automorphism) and the induced linear action on
-class coordinates is computed on raw residues for each; only the distinct
+nonzero leading entry per automorphism).  The automorphism matrix is
+built once for the p columns that differ only in their last entry, which
+sets only row n, column 1; the induced linear action on class coordinates
+is computed on raw residues for each automorphism, and only the distinct
 matrices are kept.  They are the image of Aut(mu0:n) in GL(H^2), usually
 far smaller than the group (294 matrices for the 2058 automorphisms of
 n = 4 over F_7 in the left-commutative variety).  As the image is a
@@ -58,6 +60,20 @@ def _first_columns(n: int, p: int):
     for head in range(1, p):
         for tail in itertools.product(range(p), repeat=n - 1):
             yield (head, *tail)
+
+
+def _automorphism_matrices(n: int, p: int):
+    """``_lower_triangular(col, p)`` for each col of ``_first_columns(n, p)``,
+    in that order.  The last entry a_n of phi(e_1) = sum a_k e_k enters
+    phi(e_1)^j, j >= 2, only at degree n + j - 1 > n, so it is the one
+    entry of row n, column 1, and the p columns that differ only in a_n
+    share one convolution."""
+    prefix = None
+    for col in _first_columns(n, p):
+        if col[:-1] != prefix:
+            prefix = col[:-1]
+            *head, last = _lower_triangular(prefix + (0,), p)
+        yield (*head, (col[-1], *last[1:]))
 
 
 def enumerate_automorphisms(n: int, field: Field, budget: int | None = None):
@@ -304,14 +320,16 @@ class ClassAction:
     def matrices(self):
         """The distinct class-action matrices, the image of Aut in GL(H^2),
         as residue rows in the order first seen walking the automorphisms'
-        first columns.  The budget counts the whole group."""
+        first columns.  Each automorphism matrix is built once per p
+        columns (``_automorphism_matrices``) and each class-action matrix
+        once per automorphism.  The budget counts the whole group."""
         if self._matrices is None:
             check_budget(automorphism_count(self.n, self.field), "automorphisms", self.budget)
             reps = [rep._sparse for rep in self.h.h_reps]
             self._matrices = list(
                 dict.fromkeys(
-                    _class_matrix(self.h, _lower_triangular(col, self.p), reps)
-                    for col in _first_columns(self.n, self.p)
+                    _class_matrix(self.h, m, reps)
+                    for m in _automorphism_matrices(self.n, self.p)
                 )
             )
         return self._matrices

@@ -24,7 +24,7 @@ from centext import (
     rref,
     second_cohomology,
 )
-from centext.linalg import solve
+from centext.linalg import mat_mul, mat_vec, solve
 from centext.orbits import ClassAction
 
 F7 = Field.prime(7)
@@ -63,6 +63,9 @@ def _entry_points():
         ("Automorphism.apply", f7, (1, 9, -1), phi.apply),
         ("orbit_of_class", action.field, (4, 0), action.orbit_of_class),
         ("same_orbit", action.field, (2, 3), lambda v: action.same_orbit((1, 0), v)),
+        ("mat_vec", q, (1, -2, 3), lambda v: mat_vec([q_row(1, 0, 2), q_row(0, "1/2", 1)], v)),
+        ("mat_mul", f7, (8, -1),
+         lambda v: mat_mul([v, f7_row(0, 1)], [f7_row(1, 2, 0), f7_row(3, 0, 1)])),
     ]
 
 
@@ -104,6 +107,11 @@ def test_values_read_at_the_boundary():
     assert pivots == [0, 1] and reduced[0] == (RATIONALS.one, RATIONALS.zero)
     reduced, _ = rref([(F7.scalar(2), 1)])
     assert reduced == [(F7.one, F7.scalar(4))]
+    # so do mat_vec and mat_mul, over both arguments; an empty row is a zero
+    assert mat_vec([(RATIONALS.one, RATIONALS.zero)], (1, 0)) == (RATIONALS.one,)
+    assert mat_vec([(2, 1)], (F7.scalar(4), 0)) == (F7.one,)
+    assert mat_vec([()], ()) == (RATIONALS.zero,)
+    assert mat_mul([(1, 2)], [(1,), ("1/2",)]) == ((RATIONALS.scalar(2),),)
     # a first column is read like any other vector
     assert Automorphism(F7, (8, "2", F7.zero)) == Automorphism(F7, (1, 2, 0))
     with pytest.raises(FieldMismatch):

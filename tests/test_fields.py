@@ -109,11 +109,8 @@ def test_cross_field_operations_raise():
 def test_element_enumeration():
     f = Field.prime(5)
     assert [x.value for x in f.elements()] == [0, 1, 2, 3, 4]
-    assert [x.value for x in f.nonzero_elements()] == [1, 2, 3, 4]
     with pytest.raises(FieldMismatch):
         RATIONALS.elements()
-    with pytest.raises(FieldMismatch):
-        RATIONALS.nonzero_elements()
 
 
 def test_literal_formats():

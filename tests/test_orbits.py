@@ -30,8 +30,9 @@ from centext import (
     orbits_on_T1,
     roots_of_unity_subgroup,
 )
+from centext.automorphisms import _lower_triangular
 from centext.cli import parse_cocycle_expr
-from centext.orbits import _check_row, resolve_budget
+from centext.orbits import _check_row, _first_columns, resolve_budget
 
 from oracles import orbit_partition
 
@@ -139,6 +140,20 @@ def test_matrices_check_the_budget_before_building(monkeypatch):
     monkeypatch.setattr(orbits_mod, "_lower_triangular", no_matrix)
     with pytest.raises(BudgetExceeded, match="^2058 automorphisms exceed budget 1000$"):
         action.matrices
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_matrices_convolve_each_first_column(monkeypatch, n, p):
+    # the automorphism matrices, one built per p columns, are those of
+    # the columns one by one, in the same order
+    import centext.orbits as orbits_mod
+
+    action = ClassAction(n, "lc", Field.prime(p))
+    seen = []
+    monkeypatch.setattr(orbits_mod, "_class_matrix", lambda h, m, reps: seen.append(m))
+    action.matrices
+    assert seen == [_lower_triangular(c, p) for c in _first_columns(n, p)]
 
 
 def test_budget_env_override(monkeypatch):

@@ -96,6 +96,17 @@ def test_every_private_definition_in_src_is_referenced():
     assert unreferenced == []
 
 
+def test_src_has_no_assert_statement():
+    # invariants raise typed errors, which python -O does not strip
+    asserts = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _trees(sorted(SRC.glob("*.py"))).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 def test_python_m_centext_runs_the_cli(capsys):
     src = str(Path(centext.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
