@@ -116,13 +116,13 @@ class Algebra:
     def annihilator(self) -> Subspace:
         """Elements x with x*A = 0 and A*x = 0."""
         kernel = _kernel(self._annihilator_rows(), self.dim, self.field.p)
-        return Subspace(self.field, self.dim, kernel)
+        return Subspace._from_sparse(self.field, self.dim, kernel)
 
     def power_dims(self):
         """Dimensions of the descending power series A, A^2, A^3, ...
         where A^k = sum over i+j=k of A^i * A^j; the sequence is reported
         up to (and including) its first repeated value."""
-        full = Subspace(self.field, self.dim, [{i: 1} for i in range(self.dim)])
+        full = Subspace._from_sparse(self.field, self.dim, [{i: 1} for i in range(self.dim)])
         powers = [full]
         dims = [full.dim]
         while True:
@@ -133,7 +133,7 @@ class Algebra:
                 for u in powers[a - 1]._pivot_rows.values()
                 for v in powers[k - a - 1]._pivot_rows.values()
             ]
-            nxt = Subspace(self.field, self.dim, vectors)
+            nxt = Subspace._from_sparse(self.field, self.dim, vectors)
             if nxt.dim == dims[-1]:
                 break
             powers.append(nxt)
@@ -212,8 +212,9 @@ def is_standard_null_filiform(a: Algebra) -> bool:
 
 
 def _identity_terms(a: Algebra, variety: VarietySpec):
-    """``_walk`` over every tuple of basis indices, in lexicographic order:
-    (identity, tuple, value row) triples."""
+    """The H² equations' walk: ``_walk`` over every tuple of basis
+    indices, in lexicographic order, as (identity, tuple, value row)
+    triples."""
     return _walk(a, variety, lambda ident: itertools.product(range(a.dim), repeat=len(ident.variables)))
 
 
@@ -221,12 +222,14 @@ def _walk(a: Algebra, variety: VarietySpec, tuples):
     """The one walk behind variety membership, cocycle equations and
     cocycle checks: (identity, tuple, value) for every multilinear
     identity and every tuple of ``tuples(identity)``, 0-based basis
-    indices bound to its variables in order.  The value is the tuple's
-    value row (``_value``), lazy: a consumer that passes over a tuple
-    pays nothing for it.  A subtree shared by several monomials
-    (``IdentitySchema.subtrees``) is multiplied once per tuple.  Raises
-    CharTooSmall when the multilinear identities do not replace the
-    originals, and BudgetExceeded when all N^k tuples are over the
+    indices bound to its variables in order.  The cocycle equations walk
+    every tuple (``_identity_terms``), a cocycle check the block-sorted
+    ones, and membership only the ones that decide it (``_holds``).  The
+    value is the tuple's value row (``_value``), lazy: a consumer that
+    passes over a tuple pays nothing for it.  A subtree shared by several
+    monomials (``IdentitySchema.subtrees``) is multiplied once per tuple.
+    Raises CharTooSmall when the multilinear identities do not replace
+    the originals, and BudgetExceeded when all N^k tuples are over the
     enumeration budget, however few ``tuples`` yields."""
     variety.char_gate(a.field)
     n, p = a.dim, a.field.p
@@ -296,15 +299,15 @@ def satisfies_variety(a: Algebra, variety: VarietySpec) -> bool:
     BudgetExceeded when the tuples are over the enumeration budget; both
     are checked on every call, and the budget counts all N^k tuples.
 
-    Only the tuples that can decide the verdict are evaluated: those of
+    Only the tuples that can decide the verdict are walked: those of
     ``_sorted_tuples`` over the basis vectors with a nonzero row or
-    column in the table.  A tuple binding any other basis vector
-    vanishes, since every variable of a multilinear identity is a factor
-    of a product in every monomial; an unsorted tuple's value is plus or
-    minus that of its sorted tuple, since sorting a symmetry block maps
-    the identity to plus or minus itself.  Tuples with equal indices in
-    a block are kept, so an antisymmetric identity is still checked on
-    them in characteristic 2.
+    column in the table, found once per call.  A tuple binding any other
+    basis vector vanishes, since every variable of a multilinear
+    identity is a factor of a product in every monomial; an unsorted
+    tuple's value is plus or minus that of its sorted tuple, since
+    sorting a symmetry block maps the identity to plus or minus itself.
+    Tuples with equal indices in a block are kept, so an antisymmetric
+    identity is still checked on them in characteristic 2.
 
     The verdict of each multilinear identity is kept on the algebra, so
     each identity is walked at most once per Algebra object: another
@@ -313,28 +316,23 @@ def satisfies_variety(a: Algebra, variety: VarietySpec) -> bool:
     variety.char_gate(a.field)
     idents = variety.multilinear_identities
     check_budget(sum(a.dim ** len(ident.variables) for ident in idents), "identity tuples")
-    verdicts = a._verdicts
+    table, verdicts = a._sparse, a._verdicts
+    live = [i for i, row in enumerate(table) if any(row) or any(r[i] for r in table)]
     for ident in idents:
         if ident not in verdicts:
-            verdicts[ident] = _holds(a, replace(variety, multilinear_identities=(ident,)))
+            verdicts[ident] = _holds(a, replace(variety, multilinear_identities=(ident,)), live)
         if not verdicts[ident]:
             return False
     return True
 
 
-def _holds(a: Algebra, variety: VarietySpec) -> bool:
+def _holds(a: Algebra, variety: VarietySpec, live) -> bool:
     """Whether every multilinear identity of the variety vanishes on
-    every tuple of basis elements, evaluated on the tuples that can
-    decide it (see ``satisfies_variety``)."""
-    table = a._sparse
-    live = [i for i, row in enumerate(table) if any(row) or any(r[i] for r in table)]
-    current = None
-    for ident, combo, value in _identity_terms(a, variety):
-        if ident is not current:
-            current, decisive = ident, set(_sorted_tuples(ident, live))
-        if combo in decisive and _multiplied(a, value):
-            return False
-    return True
+    every tuple of basis elements: ``_walk`` over its decisive tuples
+    only, those of ``_sorted_tuples`` over the ascending indices
+    ``live`` (see ``satisfies_variety``), up to the first nonzero value."""
+    walk = _walk(a, variety, lambda ident: _sorted_tuples(ident, live))
+    return not any(_multiplied(a, value) for _, _, value in walk)
 
 
 def require_in_variety(a: Algebra, variety: VarietySpec) -> None:

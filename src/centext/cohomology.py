@@ -137,7 +137,7 @@ def _form_annihilator_rows(a: Algebra, theta: BilinearForm) -> list:
 def cocycle_annihilator(a: Algebra, theta: BilinearForm) -> Subspace:
     """Elements x with theta(x, A) = 0 and theta(A, x) = 0."""
     rows = _form_annihilator_rows(a, theta)
-    return Subspace(a.field, a.dim, _kernel(rows, a.dim, a.field.p))
+    return Subspace._from_sparse(a.field, a.dim, _kernel(rows, a.dim, a.field.p))
 
 
 def annihilator_intersection(a: Algebra, thetas) -> Subspace:
@@ -146,7 +146,7 @@ def annihilator_intersection(a: Algebra, thetas) -> Subspace:
     rows = a._annihilator_rows()
     for theta in thetas:
         rows += _form_annihilator_rows(a, theta)
-    return Subspace(a.field, a.dim, _kernel(rows, a.dim, a.field.p))
+    return Subspace._from_sparse(a.field, a.dim, _kernel(rows, a.dim, a.field.p))
 
 
 def _preferred_h_reps(a: Algebra, variety: VarietySpec):

@@ -132,6 +132,8 @@ class Field:
         """{position: raw value} of the nonzero entries of a vector a caller
         hands in: exactly n entries (DimMismatch otherwise), each read by
         ``scalar``, so a Scalar of another field raises FieldMismatch."""
+        if isinstance(values, dict):  # its length and its entries are not a vector's
+            raise DimMismatch(f"a {{position: value}} dict where a vector of {n} entries is expected")
         if len(values) != n:
             raise DimMismatch(f"vector of length {len(values)} where {n} entries are expected")
         return {k: x for k, v in enumerate(values) if (x := self.scalar(v).raw)}

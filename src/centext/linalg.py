@@ -8,10 +8,12 @@ value is a residue mod p over F_p and an int or Fraction over Q (see
 Scalar rows.  The public functions read each vector they are given,
 ints, Fractions, literal strings or Scalars, through
 ``Field._raw_row``, take matrices as lists or tuples of such vectors,
-and return vectors as tuples of Scalar; ``_kernel``,
-``Subspace._contains`` and the stored basis of a Subspace are sparse
-rows.  Pivots are leftmost and normalized to 1, so echelon forms are
-canonical for a given row span.
+and return vectors as tuples of Scalar; ``kernel_basis`` and
+``Subspace``, given the width, also read {column: value} dicts.  The
+package's own sparse rows are not read: ``_kernel``,
+``Subspace._from_sparse`` and ``Subspace._contains`` take them as they are.
+Pivots are leftmost and normalized to 1, so echelon forms are canonical
+for a given row span.
 """
 
 from __future__ import annotations
@@ -120,11 +122,18 @@ def _echelon(rows, p, opened=None):
     return pivots, [by_pivot[c] for c in pivots]
 
 
-def _raw_rows(field: Field, rows, ncols: int):
-    """Sparse raw copies of rows given as vectors of ncols entries
-    (``Field._raw_row``) or, as the package passes them, as
-    {column: raw value} dicts."""
-    return [dict(row) if isinstance(row, dict) else field._raw_row(row, ncols) for row in rows]
+def _raw_rows(field: Field, rows, ncols: int, sparse: bool = False):
+    """Sparse raw copies of a caller's rows, each read by ``Field._raw_row``,
+    which refuses a dict; with ``sparse``, for a function given ncols, a
+    {column: value} dict is read as the vector of ncols entries it spells."""
+    return [field._raw_row(_spelled(row, ncols) if sparse and isinstance(row, dict) else row, ncols)
+            for row in rows]
+
+
+def _spelled(row: dict, ncols: int) -> list:
+    if any(type(c) is not int or not 0 <= c < ncols for c in row):
+        raise DimMismatch(f"sparse row {row!r} has a column outside 0..{ncols - 1}")
+    return [row.get(c, 0) for c in range(ncols)]
 
 
 def _scalar_row(field: Field, row: dict, ncols: int):
@@ -185,8 +194,8 @@ def rref_with_transform(rows, field: Field):
 
 
 def kernel_basis(rows, ncols: int, field: Field):
-    """Canonical basis of the kernel of rows (vectors or sparse dicts)."""
-    return [_scalar_row(field, v, ncols) for v in _kernel(_raw_rows(field, rows, ncols), ncols, field.p)]
+    """Canonical basis of the kernel of rows (vectors or {column: value} dicts)."""
+    return [_scalar_row(field, v, ncols) for v in _kernel(_raw_rows(field, rows, ncols, True), ncols, field.p)]
 
 
 def _kernel(rows, ncols: int, p):
@@ -234,7 +243,17 @@ class Subspace:
     __slots__ = ("field", "ambient", "_pivot_rows")
 
     def __init__(self, field: Field, ambient: int, vectors=()):
-        pivots, reduced = _echelon(_raw_rows(field, vectors, ambient), field.p)
+        self._set(field, ambient, _raw_rows(field, vectors, ambient, True))
+
+    @classmethod
+    def _from_sparse(cls, field: Field, ambient: int, rows) -> "Subspace":
+        """The span of the package's own sparse raw rows, consumed unread."""
+        space = object.__new__(cls)
+        space._set(field, ambient, rows)
+        return space
+
+    def _set(self, field, ambient, rows):
+        pivots, reduced = _echelon(rows, field.p)
         for name, value in zip(self.__slots__, (field, ambient, dict(zip(pivots, reduced)))):
             object.__setattr__(self, name, value)
 

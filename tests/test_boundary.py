@@ -1,7 +1,8 @@
 """Every public entry point that takes a vector reads it the same way:
 ints, literal strings and Scalars of the field give one result, a Scalar
 of another field raises FieldMismatch, and a vector of the wrong length
-raises DimMismatch."""
+raises DimMismatch.  A {column: value} dict row is read as the vector it
+spells where the width is given, and refused where it is not."""
 
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from centext import (
     Algebra,
     Automorphism,
     BilinearForm,
+    CentextError,
     DimMismatch,
     Field,
     FieldMismatch,
@@ -96,6 +98,47 @@ def test_a_vector_of_another_length_is_refused(name, field, ints, call):
     for v in (ints + (0,), ints[:-1], ()):
         with pytest.raises(DimMismatch):
             call(v)
+
+
+def _dict_rows():
+    """(name, call, error): call hands the entry point a dict row or
+    vector that it must refuse with error."""
+    q = RATIONALS
+    return [
+        ("kernel_basis column past the width", lambda: kernel_basis([{5: 1}], 2, F7), DimMismatch),
+        ("kernel_basis negative column", lambda: kernel_basis([{-1: 1}], 2, F7), DimMismatch),
+        ("kernel_basis string column", lambda: kernel_basis([{"0": 1}], 2, F7), DimMismatch),
+        ("kernel_basis other field", lambda: kernel_basis([{0: F5.one}], 2, F7), FieldMismatch),
+        ("Subspace column past the width", lambda: Subspace(F7, 2, [{7: 1}]), DimMismatch),
+        ("Subspace other field", lambda: Subspace(q, 2, [{1: F7.one}]), FieldMismatch),
+        ("rref sparse row", lambda: rref([{0: 1, 3: 2}]), DimMismatch),
+        ("rref unreadable value", lambda: rref([{0: "x"}]), DimMismatch),
+        ("rref after a vector", lambda: rref([(1, 2), {1: 1}]), DimMismatch),
+        ("solve rows", lambda: solve([{0: 1}], (1,), q), DimMismatch),
+        ("solve target", lambda: solve([(1,)], {0: 1}, q), DimMismatch),
+        ("mat_vec rows", lambda: mat_vec([{0: 1}], (1,)), DimMismatch),
+        ("mat_vec vector", lambda: mat_vec([(1, 0)], {0: 1, 1: 0}), DimMismatch),
+        ("mat_mul", lambda: mat_mul([(1,)], [{0: 1}]), DimMismatch),
+        ("Subspace.contains", lambda: Subspace(F7, 2).contains({0: 1, 1: 0}), DimMismatch),
+        ("Algebra.multiply", lambda: null_filiform(3, F7).multiply({0: 1, 1: 1, 2: 1}, (1, 0, 0)),
+         DimMismatch),
+    ]
+
+
+DICT_ROWS = _dict_rows()
+
+
+@pytest.mark.parametrize("name, call, error", DICT_ROWS, ids=[name for name, *_ in DICT_ROWS])
+def test_a_bad_dict_row_is_refused(name, call, error):
+    assert issubclass(error, CentextError)
+    with pytest.raises(error):
+        call()
+
+
+def test_a_dict_row_reads_as_the_vector_it_spells():
+    assert kernel_basis([{1: 8, 0: "1/2"}], 2, F7) == kernel_basis([("1/2", 8)], 2, F7)
+    assert kernel_basis([{}], 3, RATIONALS) == kernel_basis([(0, 0, 0)], 3, RATIONALS)
+    assert Subspace(F7, 3, [{2: F7.scalar(3)}, {0: 1}]) == Subspace(F7, 3, [(0, 0, 3), (1, 0, 0)])
 
 
 def test_values_read_at_the_boundary():

@@ -210,13 +210,13 @@ def test_membership_skips_match_dense_oracle(vname):
 
 def test_stored_verdicts_walk_only_new_identities(monkeypatch):
     walked = []
-    real = algebra_mod._identity_terms
+    real = algebra_mod._walk
 
-    def recording(a, variety):
+    def recording(a, variety, tuples):
         walked.extend(variety.multilinear_identities)
-        return real(a, variety)
+        return real(a, variety, tuples)
 
-    monkeypatch.setattr(algebra_mod, "_identity_terms", recording)
+    monkeypatch.setattr(algebra_mod, "_walk", recording)
     a = null_filiform(4, RATIONALS)
     lc, rc = builtin_variety("lc"), builtin_variety("rc")
     assert satisfies_variety(a, lc)
@@ -241,22 +241,54 @@ def test_membership_reads_only_the_values_that_decide_it(monkeypatch):
     live = [i for i, row in enumerate(table) if any(row) or any(r[i] for r in table)]
     assert live == [0, 1, 2]  # the extension's e_4 has an empty row and column
     read = []
-    real = algebra_mod._identity_terms
+    real = algebra_mod._walk
 
     def noted(ident, combo, value):
         read.append((ident, combo))
         yield from value
 
-    def recording(a, variety):
-        for ident, combo, value in real(a, variety):
+    def recording(a, variety, tuples):
+        for ident, combo, value in real(a, variety, tuples):
             yield ident, combo, noted(ident, combo, value)
 
-    monkeypatch.setattr(algebra_mod, "_identity_terms", recording)
+    monkeypatch.setattr(algebra_mod, "_walk", recording)
     assert satisfies_variety(a, bc)
     assert read == [
         (ident, combo) for ident in bc.multilinear_identities for combo in _sorted_tuples(ident, live)
     ]
     assert len(read) < sum(4 ** len(ident.variables) for ident in bc.multilinear_identities)
+
+
+def test_membership_walks_only_the_decisive_tuples(monkeypatch):
+    # the walk generates no tuple that cannot decide the verdict: on each
+    # identity it yields exactly the block-sorted tuples over the basis
+    # vectors with a nonzero row or column, fewer than its N^k tuples,
+    # while the budget still counts all N^k
+    base = null_filiform(3, RATIONALS)
+    lc = builtin_variety("lc")
+    z = cocycle_space(base, lc)
+    a = build_extension(base, [sum(z[1:], z[0])])
+    live = [0, 1, 2]  # the extension's e_4 has an empty row and column
+    assert not any(a._sparse[3]) and not any(row[3] for row in a._sparse)
+    walked = Counter()
+    real = algebra_mod._walk
+
+    def recording(a, variety, tuples):
+        for ident, combo, value in real(a, variety, tuples):
+            walked[ident, combo] += 1
+            yield ident, combo, value
+
+    monkeypatch.setattr(algebra_mod, "_walk", recording)
+    assert satisfies_variety(a, lc)
+    assert set(walked.values()) == {1}
+    for ident in lc.multilinear_identities:
+        got = [combo for i, combo in walked if i is ident]
+        assert got == list(_sorted_tuples(ident, live))
+        assert len(got) < 4 ** len(ident.variables)
+    total = sum(4 ** len(ident.variables) for ident in lc.multilinear_identities)
+    monkeypatch.setenv("CENTEXT_BUDGET", str(total - 1))
+    with pytest.raises(BudgetExceeded, match=f"{total} identity tuples exceed budget {total - 1}"):
+        satisfies_variety(a, lc)
 
 
 def test_stored_verdicts_keep_the_char_gate_and_the_budget(monkeypatch):
