@@ -30,7 +30,7 @@ from dataclasses import replace
 from .budget import check_budget
 from .errors import DimMismatch, IndexOutOfRange, InvalidDim, NotInVariety
 from .fields import Field, json_entries, json_value
-from .identities import VarietySpec, evaluate_tree
+from .identities import VarietySpec, builtin_variety, evaluate_tree
 from .linalg import Subspace, _kernel, _scalar_row, basis_vec
 
 
@@ -173,11 +173,9 @@ class Algebra:
         field = Field.from_spec(json_value(data, "field", str))
         n = json_value(data, "dim", int)
         _check_size(n)
-        p = field.p
 
         def out(entry):  # the nonzero terms of one product, ascending k
-            terms = json_entries(field, entry, "out", ("k",), n)
-            return tuple((k, r) for (k,), c in sorted(terms.items()) if (r := c % p if p else c))
+            return tuple((k, c) for (k,), c in sorted(json_entries(field, entry, "out", ("k",), n).items()) if c)
 
         products = json_entries(field, data, "products", ("i", "j"), n, out) if "products" in data else {}
         sparse = tuple(tuple(products.get((i, j), ()) for j in range(n)) for i in range(n))
@@ -292,7 +290,7 @@ def _sorted_tuples(ident, indices):
     yield from tuples
 
 
-def satisfies_variety(a: Algebra, variety: VarietySpec) -> bool:
+def satisfies_variety(a: Algebra, variety: VarietySpec | str) -> bool:
     """Whether the algebra satisfies all identities of the variety,
     checked via the multilinearized identities on the basis tuples.
     Raises CharTooSmall when that replacement is not valid, and
@@ -313,6 +311,7 @@ def satisfies_variety(a: Algebra, variety: VarietySpec) -> bool:
     each identity is walked at most once per Algebra object: another
     variety sharing it (bicommutative after left-commutative) walks only
     the identities not seen yet."""
+    variety = builtin_variety(variety)
     variety.char_gate(a.field)
     idents = variety.multilinear_identities
     check_budget(sum(a.dim ** len(ident.variables) for ident in idents), "identity tuples")
@@ -335,6 +334,6 @@ def _holds(a: Algebra, variety: VarietySpec, live) -> bool:
     return not any(_multiplied(a, value) for _, _, value in walk)
 
 
-def require_in_variety(a: Algebra, variety: VarietySpec) -> None:
+def require_in_variety(a: Algebra, variety: VarietySpec | str) -> None:
     if not satisfies_variety(a, variety):
-        raise NotInVariety(f"algebra does not satisfy {variety.name}")
+        raise NotInVariety(f"algebra does not satisfy {builtin_variety(variety).name}")

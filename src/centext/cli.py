@@ -125,7 +125,7 @@ def _parse_list(text: str, flag: str, parse, what: str) -> list:
     for item in text.split(","):
         try:
             values.append(parse(item))
-        except (ValueError, ZeroDivisionError, CentextError):
+        except CentextError:
             raise MalformedInput(f"{flag}: {item!r} is not {what}") from None
     return values
 

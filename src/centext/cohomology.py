@@ -14,7 +14,7 @@ from __future__ import annotations
 from .algebra import Algebra, _identity_terms, _multiplied, _sorted_tuples, _walk, is_standard_null_filiform
 from .errors import DimMismatch, InvariantError, NotACocycle, NotInVariety
 from .forms import BilinearForm, _tabulated_class, _tabulated_deltas
-from .identities import VarietySpec, format_identity
+from .identities import VarietySpec, builtin_variety, format_identity
 from .linalg import Subspace, _echelon, _kernel, rref_with_transform
 
 
@@ -39,12 +39,13 @@ def _equation_rows(a: Algebra, variety: VarietySpec):
     return [row for row, _, _ in _cocycle_equations(a, variety)]
 
 
-def cocycle_space(a: Algebra, variety: VarietySpec, equations=None):
+def cocycle_space(a: Algebra, variety: VarietySpec | str, equations=None):
     """Canonical echelonized basis of the cocycle space Z^2(A, F) for the
     variety, as a list of BilinearForm.  ``equations``, when given, are
     the (row, identity, tuple) triples of ``_cocycle_equations(a,
     variety)``, already built by the caller.  Membership in the variety
     is read off the same equations, so the identities are walked once."""
+    variety = builtin_variety(variety)
     if equations is None:
         equations = tuple(_cocycle_equations(a, variety))
     _require_member(a, variety, equations)
@@ -67,7 +68,7 @@ def _require_member(a: Algebra, variety: VarietySpec, equations) -> None:
     a._verdicts.update(dict.fromkeys(variety.multilinear_identities, True))
 
 
-def check_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> None:
+def check_cocycle(a: Algebra, variety: VarietySpec | str, theta: BilinearForm) -> None:
     """Raise NotACocycle (naming a violated equation) unless theta
     satisfies every cocycle equation of the variety over this algebra.
     Only block-sorted tuples (``_sorted_tuples``) are evaluated, each
@@ -75,6 +76,7 @@ def check_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> None
     value is plus or minus its sorted tuple's, which comes no later, so
     the equation named is the first to fail in the full walk, as in
     ``CohomologySpace``."""
+    variety = builtin_variety(variety)
     _require_cocycle(a, theta, _walk(a, variety, lambda ident: _sorted_tuples(ident, range(a.dim))))
 
 
@@ -93,7 +95,7 @@ def _require_cocycle(a: Algebra, theta: BilinearForm, rows) -> None:
             raise NotACocycle(f"cocycle equation from '{format_identity(ident)}' fails at {args}")
 
 
-def is_cocycle(a: Algebra, variety: VarietySpec, theta: BilinearForm) -> bool:
+def is_cocycle(a: Algebra, variety: VarietySpec | str, theta: BilinearForm) -> bool:
     try:
         check_cocycle(a, variety, theta)
     except NotACocycle:
@@ -281,7 +283,7 @@ class CohomologySpace:
         )
 
 
-def second_cohomology(a: Algebra, variety: VarietySpec) -> CohomologySpace:
+def second_cohomology(a: Algebra, variety: VarietySpec | str) -> CohomologySpace:
     """H^2 = Z^2 / B^2, from one walk of the identities: membership in
     the variety is read off the cocycle equations (NotInVariety
     otherwise).  Every choice of representatives is read off the rows
@@ -292,6 +294,7 @@ def second_cohomology(a: Algebra, variety: VarietySpec) -> CohomologySpace:
     Otherwise one echelon of B and then Z picks the cocycle basis
     vectors z<k> (1-based) outside the span of B and the vectors before
     them, and checks that B lies in Z: that dim Z rows open a pivot."""
+    variety = builtin_variety(variety)
     equations = tuple(_cocycle_equations(a, variety))
     z_forms = cocycle_space(a, variety, equations)
     b_rows = _coboundary_rows(a)

@@ -90,5 +90,6 @@ class InvariantError(CentextError):
     such as a group action leaving its domain."""
 
 
-class MalformedInput(CentextError):
-    """A JSON input document lacks a key or holds a value of the wrong type."""
+class MalformedInput(CentextError, ValueError, TypeError):
+    """An input from outside cannot be read: a malformed number or scalar
+    entry, or a JSON document lacking a key or holding a wrong type."""

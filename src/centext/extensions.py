@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .algebra import Algebra
 from .cohomology import CohomologySpace, annihilator_intersection, second_cohomology
 from .errors import CohomologyMismatch, DimMismatch
-from .identities import VarietySpec
+from .identities import VarietySpec, builtin_variety
 from .linalg import _echelon
 
 
@@ -52,9 +52,10 @@ def build_extension(a: Algebra, thetas) -> Algebra:
     return Algebra._from_sparse(a.field, tuple(sparse))
 
 
-def _space_for(a: Algebra, variety: VarietySpec, h: CohomologySpace | None) -> CohomologySpace:
+def _space_for(a: Algebra, variety: VarietySpec | str, h: CohomologySpace | None) -> CohomologySpace:
     """h, or H^2 of (a, variety) when h is None.  A space computed for
     another algebra or variety raises CohomologyMismatch."""
+    variety = builtin_variety(variety)
     if h is None:
         return second_cohomology(a, variety)
     if h.algebra != a or h.variety != variety:
@@ -70,13 +71,13 @@ def _independent(coords, field) -> bool:
     return len(_echelon([field._raw_row(c, len(c)) for c in coords], field.p)[0]) == len(coords)
 
 
-def is_non_split(a: Algebra, variety: VarietySpec, thetas, h: CohomologySpace | None = None) -> bool:
+def is_non_split(a: Algebra, variety: VarietySpec | str, thetas, h: CohomologySpace | None = None) -> bool:
     """Whether the cocycle classes are linearly independent in H^2."""
     h = _space_for(a, variety, h)
     return _independent([h.reduce_class(theta) for theta in thetas], a.field)
 
 
-def in_T1(a: Algebra, variety: VarietySpec, theta, h: CohomologySpace | None = None) -> bool:
+def in_T1(a: Algebra, variety: VarietySpec | str, theta, h: CohomologySpace | None = None) -> bool:
     """Whether the (nonzero) class of theta spans a line whose cocycle
     annihilator meets Ann(A) trivially."""
     h = _space_for(a, variety, h)
@@ -89,7 +90,7 @@ def in_T1(a: Algebra, variety: VarietySpec, theta, h: CohomologySpace | None = N
 def central_extension(
     a: Algebra,
     thetas,
-    variety: VarietySpec,
+    variety: VarietySpec | str,
     h: CohomologySpace | None = None,
 ) -> ExtensionResult:
     """Checked central extension: every form must be a cocycle for the
@@ -106,7 +107,7 @@ def central_extension(
         extended=build_extension(a, thetas),
         base=a,
         cocycles=thetas,
-        variety=variety,
+        variety=h.variety,
         class_coords=coords,
         non_split=_independent(coords, a.field),
         annihilator_dim=ann_core.dim + len(thetas),

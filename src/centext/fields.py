@@ -7,9 +7,10 @@ residue is reduced mod p in one place, ``Scalar.__init__``: the
 operators, ``Field.scalar`` and ``Field.from_raw`` hand it any
 representative.  Inner loops elsewhere in the package work on raw values
 instead (see ``Scalar.raw`` and ``Field.from_raw``), reduce them there,
-and build scalars only for results.  A vector that a caller hands in, of
-ints, Fractions, literal strings or Scalars, becomes raw values in one
-place, ``Field._raw_row``, which also checks its length and field.
+and build scalars only for results.  One reader, ``Field._raw``, reads
+every scalar entry from outside (an int, Fraction, literal or Scalar) and
+refuses a bad one with MalformedInput, FieldMismatch or DivisionByZero;
+``Field._raw_row`` reads a vector with it and checks the length.
 
 Every number read from outside the package (literals, flags, specs, the
 budget variable, JSON files) follows the grammar of ``read_number``.
@@ -75,10 +76,6 @@ class Field:
         raise AttributeError("Field is immutable")
 
     @classmethod
-    def rationals(cls) -> "Field":
-        return cls(None)
-
-    @classmethod
     def prime(cls, p: int) -> "Field":
         return cls(p)
 
@@ -107,36 +104,38 @@ class Field:
         return "Q" if self.p is None else f"Fp:{self.p}"
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, literal string or Scalar into this field."""
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatch(f"scalar of {value.field} used in {self}")
-            return value
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
-            raise TypeError(f"cannot build a scalar from {value!r}")
+        """The Scalar of an entry from outside, read by ``_raw``."""
         return self.from_raw(self._raw(value))
 
     def _raw(self, value):
-        """The raw value of an int, Fraction or literal string (see
-        ``read_number``): itself over Q, an int representative over F_p."""
+        """The raw value (``Scalar.raw``) of an int, Fraction, literal string
+        (``read_number``) or Scalar of this field.  FieldMismatch for a Scalar
+        of another field, DivisionByZero for a denominator that vanishes mod
+        p, MalformedInput for anything else."""
+        if isinstance(value, Scalar):
+            if value.field != self:
+                raise FieldMismatch(f"scalar of {value.field} used in {self}")
+            return value.raw
         if isinstance(value, str):
             value = read_number(value)
-        p = self.p
-        if p is None or isinstance(value, int):
-            return value
-        if value.denominator % p == 0:
+        elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise MalformedInput(f"cannot read a scalar from {value!r}")
+        p, num, den = self.p, value.numerator, value.denominator
+        if p is None:
+            return num if den == 1 else value
+        if den % p == 0:
             raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
-        return value.numerator * pow(value.denominator, -1, p)
+        return num * pow(den, -1, p) % p
 
     def _raw_row(self, values, n: int) -> dict:
         """{position: raw value} of the nonzero entries of a vector a caller
         hands in: exactly n entries (DimMismatch otherwise), each read by
-        ``scalar``, so a Scalar of another field raises FieldMismatch."""
+        ``_raw``."""
         if isinstance(values, dict):  # its length and its entries are not a vector's
             raise DimMismatch(f"a {{position: value}} dict where a vector of {n} entries is expected")
         if len(values) != n:
             raise DimMismatch(f"vector of length {len(values)} where {n} entries are expected")
-        return {k: x for k, v in enumerate(values) if (x := self.scalar(v).raw)}
+        return {k: x for k, v in enumerate(values) if (x := self._raw(v))}
 
     @property
     def zero(self) -> "Scalar":
@@ -299,30 +298,22 @@ class Scalar:
 RATIONALS = Field(None)
 
 
-def json_value(data, key: str, kind):
-    """data[key] from a parsed JSON object, checked to be an instance of
-    kind (a bool never counts as an int); MalformedInput otherwise."""
+def json_value(data, key: str, kind=None):
+    """data[key] of a parsed JSON object, an instance of kind when kind is
+    given (a bool is no int); MalformedInput otherwise."""
     if not isinstance(data, dict) or key not in data:
         raise MalformedInput(f"expected a JSON object with key {key!r}")
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if kind and (isinstance(value, bool) or not isinstance(value, kind)):
         raise MalformedInput(f"key {key!r} holds {value!r}, a value of the wrong type")
     return value
-
-
-def json_scalar(field: Field, value):
-    """The raw value (``Field._raw``) of a JSON literal: a string such as
-    "-1/2", or an int."""
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise MalformedInput(f"expected a scalar literal, got {value!r}")
-    return field._raw(value)
 
 
 def json_entries(field: Field, data, key: str, names, n: int, read=None) -> dict:
     """{0-based indices: value} for the entries of the JSON list data[key],
     objects whose 1-based int indices ``names`` lie in 1..n (DimMismatch)
     and repeat no earlier entry's (MalformedInput); the value is
-    read(entry), or else the raw value of the literal "c"."""
+    read(entry), or else the raw value (``Field._raw``) of "c"."""
     entries = {}
     for entry in json_value(data, key, list):
         at = tuple(json_value(entry, name, int) - 1 for name in names)
@@ -331,7 +322,7 @@ def json_entries(field: Field, data, key: str, names, n: int, read=None) -> dict
             if at in entries:
                 raise MalformedInput(f"{where} is repeated")
             raise DimMismatch(f"{where} is outside 1..{n}")
-        entries[at] = read(entry) if read else json_scalar(field, json_value(entry, "c", (str, int)))
+        entries[at] = read(entry) if read else field._raw(json_value(entry, "c"))
     return entries
 
 
@@ -342,12 +333,14 @@ def read_number(text: str, integer: bool = False):
     """The number that text from outside spells in the one grammar of such
     numbers: an optional sign, ASCII digits and, unless ``integer``,
     optionally '/' and more ASCII digits; nothing else.  An int when
-    integral, else a Fraction; ValueError or DivisionByZero otherwise."""
+    integral, else a Fraction; MalformedInput or DivisionByZero otherwise."""
     m = _NUMBER.fullmatch(text)
     if m is None or integer and m[1]:
-        raise ValueError(f"{text!r} is not {'an integer' if integer else 'a rational number'}")
+        raise MalformedInput(f"{text!r} is not {'an integer' if integer else 'a rational number'}")
     try:
         value = Fraction(text)
     except ZeroDivisionError:
         raise DivisionByZero(f"literal {text!r} has a zero denominator") from None
+    except ValueError:  # more digits than int() converts
+        raise MalformedInput(f"a literal of {len(text)} characters is too long") from None
     return value.numerator if value.denominator == 1 else value

@@ -14,7 +14,7 @@ views are built from it when read.  The rows, vectors and arguments of
 from __future__ import annotations
 
 from .errors import DimMismatch, FieldMismatch, IndexOutOfRange, InvalidDim
-from .fields import Field, Scalar, json_entries, json_scalar, json_value
+from .fields import Field, Scalar, json_entries, json_value
 from .linalg import _scalar_row
 
 
@@ -112,7 +112,7 @@ class BilinearForm:
         return self + (-1) * other
 
     def __rmul__(self, c):
-        c = self.field.scalar(c).raw
+        c = self.field._raw(c)
         return BilinearForm._from_sparse(self.field, self.n, {k: c * v for k, v in self._sparse.items()})
 
     def __neg__(self):
@@ -146,8 +146,7 @@ class BilinearForm:
         if n < 1:
             raise InvalidDim(f"dimension {n} must be >= 1")
         if "entries" not in data:
-            vec = [json_scalar(field, x) for x in json_value(data, "matrix", list)]
-            return cls.from_vector(field, n, vec)
+            return cls.from_vector(field, n, json_value(data, "matrix", list))
         entries = json_entries(field, data, "entries", ("i", "j"), n)
         return cls._from_sparse(field, n, {i * n + j: c for (i, j), c in entries.items()})
 

@@ -444,8 +444,12 @@ VARIETY_ALIASES = {
 _cache: dict = {}
 
 
-def builtin_variety(name: str) -> VarietySpec:
-    key = VARIETY_ALIASES.get(name, name)
+def builtin_variety(name) -> VarietySpec:
+    """The built-in variety of a name or alias; a VarietySpec is returned
+    unchanged, and anything else raises UnknownVariety."""
+    if isinstance(name, VarietySpec):
+        return name
+    key = VARIETY_ALIASES.get(name, name) if isinstance(name, str) else None
     if key not in _CATALOG_TEXTS:
         raise UnknownVariety(f"no built-in variety named {name!r}")
     if key not in _cache:

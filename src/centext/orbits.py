@@ -44,7 +44,7 @@ from .errors import (
 from .extensions import central_extension
 from .fields import Field, Scalar
 from .forms import BilinearForm, _tabulated_class, _tabulated_deltas
-from .identities import VarietySpec, builtin_variety
+from .identities import builtin_variety
 
 def automorphism_count(n: int, field: Field) -> int:
     if n < 1:
@@ -172,7 +172,7 @@ def _families(variety, n: int, field: Field, level: str, mu_sample):
     every mu when max D = n and mu = 0 alone otherwise.  At level T1,
     ann_dim 2 marks the classes outside T_1 whose extensions are still
     non-split; at level H2 it is not tabulated."""
-    vname = variety.name if isinstance(variety, VarietySpec) else builtin_variety(variety).name
+    vname = builtin_variety(variety).name
     deltas = _tabulated_deltas(vname, n)
     if deltas is None:
         raise UnsupportedVariety(f"no tabulated representatives for {vname!r}")
@@ -295,16 +295,14 @@ class ClassAction:
     def __init__(self, n: int, variety, field: Field, budget: int | None = None):
         if not field.is_finite:
             raise FieldMismatch("orbit enumeration requires a finite field")
-        if isinstance(variety, str):
-            variety = builtin_variety(variety)
         self.n = n
-        self.variety = variety
+        self.variety = builtin_variety(variety)
         self.field = field
         self.p = field.p
         self.budget = resolve_budget(budget)
         with budget_scope(self.budget):
             self.algebra = null_filiform(n, field)
-            self.h = second_cohomology(self.algebra, variety)
+            self.h = second_cohomology(self.algebra, self.variety)
         self.dim_h = self.h.dim_h
         self._matrices = None
         # c -> theta_c(e_n, e_j) and c -> theta_c(e_j, e_n), j = 1..n, as

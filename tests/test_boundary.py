@@ -2,7 +2,11 @@
 ints, literal strings and Scalars of the field give one result, a Scalar
 of another field raises FieldMismatch, and a vector of the wrong length
 raises DimMismatch.  A {column: value} dict row is read as the vector it
-spells where the width is given, and refused where it is not."""
+spells where the width is given, and refused where it is not.  Every
+scalar entry, in a vector, a JSON document or alone, is refused with one
+typed error: MalformedInput for an entry that is no number of the field,
+DivisionByZero for a denominator that vanishes.  Every function that
+takes a variety takes its name too."""
 
 from fractions import Fraction
 
@@ -14,16 +18,29 @@ from centext import (
     BilinearForm,
     CentextError,
     DimMismatch,
+    DivisionByZero,
     Field,
     FieldMismatch,
+    MalformedInput,
     RATIONALS,
     Subspace,
+    UnknownVariety,
     builtin_variety,
+    central_extension,
+    check_cocycle,
+    closed_field_representatives,
+    cocycle_space,
     delta,
+    in_T1,
+    is_cocycle,
+    is_non_split,
     kernel_basis,
     nabla,
     null_filiform,
+    orbits_on_T1,
+    require_in_variety,
     rref,
+    satisfies_variety,
     second_cohomology,
 )
 from centext.linalg import mat_mul, mat_vec, solve
@@ -163,3 +180,109 @@ def test_values_read_at_the_boundary():
     assert solve([], (), RATIONALS) == ()
     with pytest.raises(DimMismatch):
         solve([], (0,), RATIONALS)
+
+
+def _scalar_entry_points():
+    """(name, field, call): call(x) hands the one entry x to the entry
+    point, inside a vector, a JSON document or alone."""
+    theta = nabla(2, 2, F7)
+    return [  # the entry first in the vector
+        (name, field, lambda x, ints=ints, call=call: call((x,) + ints[1:]))
+        for name, field, ints, call in ENTRY_POINTS
+    ] + [
+        ("kernel_basis dict row", F7, lambda x: kernel_basis([{0: x}], 2, F7)),
+        ("Subspace dict row", F7, lambda x: Subspace(F7, 2, [{1: x}])),
+        ("Field.scalar Q", RATIONALS, RATIONALS.scalar),
+        ("Field.scalar F7", F7, F7.scalar),
+        ("Algebra.from_json c", F7, lambda x: Algebra.from_json(
+            {"dim": 2, "field": "Fp:7", "products": [{"i": 1, "j": 1, "out": [{"k": 2, "c": x}]}]})),
+        ("BilinearForm.from_json entries c", F7, lambda x: BilinearForm.from_json(
+            {"n": 2, "field": "Fp:7", "entries": [{"i": 1, "j": 2, "c": x}]})),
+        ("BilinearForm.from_json matrix", F7, lambda x: BilinearForm.from_json(
+            {"dim": 2, "field": "Fp:7", "matrix": ["1", x, "0", 2]})),
+        ("c * theta", F7, lambda x: x * theta),
+    ]
+
+
+SCALAR_ENTRY_POINTS = _scalar_entry_points()
+MALFORMED = ["x", "1.5", 1.5, True, None]
+
+
+@pytest.mark.parametrize("entry", MALFORMED, ids=repr)
+@pytest.mark.parametrize("name, field, call", SCALAR_ENTRY_POINTS,
+                         ids=[name for name, *_ in SCALAR_ENTRY_POINTS])
+def test_an_entry_that_is_no_number_is_malformed_input(name, field, call, entry):
+    with pytest.raises(MalformedInput) as info:
+        call(entry)
+    assert all(isinstance(info.value, kind) for kind in (CentextError, ValueError, TypeError))
+
+
+@pytest.mark.parametrize("name, field, call", SCALAR_ENTRY_POINTS,
+                         ids=[name for name, *_ in SCALAR_ENTRY_POINTS])
+def test_a_vanishing_denominator_is_division_by_zero(name, field, call):
+    with pytest.raises(DivisionByZero):
+        call("1/0")
+    if field.is_finite:
+        with pytest.raises(DivisionByZero):
+            call(Fraction(1, field.p))
+
+
+def test_an_entry_is_read_as_its_raw_value():
+    assert F7._raw(Fraction(3, 2)) == 5 and F7._raw(-1) == 6 and F7._raw("9") == 2
+    assert RATIONALS._raw(Fraction(4, 2)) == 2 and type(RATIONALS._raw(Fraction(4, 2))) is int
+    assert RATIONALS._raw("-1/2") == Fraction(-1, 2)
+    assert F7._raw(F7.scalar(3)) == 3 and RATIONALS._raw(RATIONALS.scalar("6/3")) == 2
+    with pytest.raises(FieldMismatch):
+        F7._raw(F5.one)
+    assert 3 * nabla(2, 2, F7) == "3" * nabla(2, 2, F7) == F7.scalar(3) * nabla(2, 2, F7)
+
+
+def _variety_calls():
+    """(name, call): call(variety) runs the function on mu0:3 over F_5
+    (lc contains it) and returns something comparable."""
+    f5 = F5
+    a = null_filiform(3, f5)
+    theta = nabla(3, 3, f5)
+
+    def h2(v):
+        h = second_cohomology(a, v)
+        return h.variety, h.z_basis, h.b_basis, h.h_reps, h.h_labels
+
+    return [
+        ("satisfies_variety", lambda v: satisfies_variety(a, v)),
+        ("require_in_variety", lambda v: require_in_variety(a, v)),
+        ("cocycle_space", lambda v: cocycle_space(a, v)),
+        ("check_cocycle", lambda v: check_cocycle(a, v, theta)),
+        ("is_cocycle", lambda v: is_cocycle(a, v, delta(1, 2, 3, f5))),
+        ("second_cohomology", h2),
+        ("central_extension", lambda v: central_extension(a, [theta], v)),
+        ("is_non_split", lambda v: is_non_split(a, v, [theta])),
+        ("in_T1", lambda v: in_T1(a, v, theta)),
+        ("ClassAction", lambda v: ClassAction(3, v, f5).matrices),
+        ("orbits_on_T1", lambda v: orbits_on_T1(3, v, f5).to_json(include_members=True)),
+        ("closed_field_representatives", lambda v: closed_field_representatives(v, 3, f5)),
+    ]
+
+
+VARIETY_CALLS = _variety_calls()
+
+
+@pytest.mark.parametrize("name, call", VARIETY_CALLS, ids=[name for name, _ in VARIETY_CALLS])
+def test_a_variety_name_gives_what_its_spec_gives(name, call):
+    spec = builtin_variety("left_commutative")
+    want = call(spec)
+    assert call("lc") == want
+    assert call("left_commutative") == want
+
+
+@pytest.mark.parametrize("variety", ["nope", 3], ids=repr)
+@pytest.mark.parametrize("name, call", VARIETY_CALLS, ids=[name for name, _ in VARIETY_CALLS])
+def test_no_variety_is_unknown_variety(name, call, variety):
+    with pytest.raises(UnknownVariety):
+        call(variety)
+
+
+def test_builtin_variety_returns_a_spec_unchanged():
+    spec = builtin_variety("bc")
+    assert builtin_variety(spec) is spec
+    assert central_extension(null_filiform(3, F5), [nabla(3, 3, F5)], "bc").variety is spec
