@@ -28,7 +28,7 @@ import itertools
 from dataclasses import replace
 
 from .budget import check_budget
-from .errors import DimMismatch, IndexOutOfRange, InvalidDim, NotInVariety
+from .errors import DimMismatch, IndexOutOfRange, InvalidDim
 from .fields import Field, json_entries, json_value
 from .identities import VarietySpec, builtin_variety, evaluate_tree
 from .linalg import Subspace, _kernel, _scalar_row, basis_vec
@@ -332,8 +332,3 @@ def _holds(a: Algebra, variety: VarietySpec, live) -> bool:
     ``live`` (see ``satisfies_variety``), up to the first nonzero value."""
     walk = _walk(a, variety, lambda ident: _sorted_tuples(ident, live))
     return not any(_multiplied(a, value) for _, _, value in walk)
-
-
-def require_in_variety(a: Algebra, variety: VarietySpec | str) -> None:
-    if not satisfies_variety(a, variety):
-        raise NotInVariety(f"algebra does not satisfy {builtin_variety(variety).name}")

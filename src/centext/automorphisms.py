@@ -16,17 +16,18 @@ image's nonzero entries, each through its sparse column of the reduction
 map.  A first column and the vector given to ``Automorphism.apply`` are
 read by ``Field._raw_row``; ``Automorphism.matrix``, ``apply``,
 ``act_on_cocycle`` and ``class_action_matrix`` convert the kernel's
-results to Scalars; the orbit enumeration uses it directly.
+results to Scalars; ``orbits.ClassAction.matrices`` uses it directly.
+The image of one class is ``h.reduce_class(act_on_cocycle(phi,
+h.rep_from_coords(coords)))``.
 """
 
 from __future__ import annotations
 
-from .algebra import Algebra
 from .cohomology import CohomologySpace
 from .errors import DimMismatch, NotInvertible
 from .fields import Field
 from .forms import BilinearForm
-from .linalg import _scalar_row, mat_mul, rref, transpose
+from .linalg import _scalar_row
 
 
 def _lower_triangular(col, p):
@@ -142,34 +143,12 @@ def automorphism_from_column(n: int, field: Field, col) -> Automorphism:
     return Automorphism(field, col)
 
 
-def is_automorphism(a: Algebra, matrix) -> bool:
-    """Whether the matrix (columns = images of basis vectors) is an
-    invertible multiplicative map of the algebra."""
-    n = a.dim
-    rows = tuple(tuple(a.field.scalar(x) for x in row) for row in matrix)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DimMismatch("matrix size does not match the algebra")
-    reduced, _ = rref(rows)
-    if len(reduced) != n:
-        return False
-    cols = transpose(rows)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    images = transpose(mat_mul(rows, transpose([a.table[i][j] for i, j in pairs])))
-    return all(image == a.multiply(cols[i], cols[j]) for image, (i, j) in zip(images, pairs))
-
-
 def act_on_cocycle(phi: Automorphism, theta: BilinearForm) -> BilinearForm:
     """(phi . theta)(x, y) = theta(phi x, phi y), i.e. M^T C M."""
     if theta.n != phi.n or theta.field != phi.field:
         raise DimMismatch("form and automorphism sizes differ")
     image = _act_raw(phi._raw, theta._sparse, phi.field.p)
     return BilinearForm._from_sparse(phi.field, phi.n, image)
-
-
-def act_on_class(h: CohomologySpace, phi: Automorphism, coords):
-    """Action on class coordinates in the h_reps basis."""
-    theta = h.rep_from_coords(coords)
-    return h.reduce_class(act_on_cocycle(phi, theta))
 
 
 def class_action_matrix(h: CohomologySpace, phi: Automorphism):

@@ -55,7 +55,7 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
     while True:
         m = _TERM.match(text, pos)
         if pos and m.end() > pos and not m["signs"]:
-            raise ValueError(f"no '+' or '-' before the term at {text[pos:].lstrip()!r}")
+            raise MalformedInput(f"no '+' or '-' before the term at {text[pos:].lstrip()!r}")
         coeff = RATIONALS.scalar(m["coeff"]).value if m["coeff"] else 1
         if not m["atom"]:
             break
@@ -63,7 +63,7 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
         idx = [n if g == "n" else int(g) for g in m["idx"][1:].split("_")]
         build, arity, what = _ATOMS[m["name"]]
         if len(idx) != arity:
-            raise ValueError(f"{m['name']} takes {what}, got {m['atom']!r}")
+            raise MalformedInput(f"{m['name']} takes {what}, got {m['atom']!r}")
         total = total + c * build(*idx, n, field)
         pos = m.end()
     rest = text[m.end():]
@@ -71,14 +71,14 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
     if not head and pos and m.end() == pos:
         return total
     if "0" <= head <= "9":
-        raise ValueError("two coefficients in a row")
+        raise MalformedInput("two coefficients in a row")
     if head == "*":
-        raise ValueError("two '*' in a row" if m["star"] else "'*' without a coefficient")
+        raise MalformedInput("two '*' in a row" if m["star"] else "'*' without a coefficient")
     if head in ("+", "-"):
-        raise ValueError("dangling coefficient in cocycle expression")
+        raise MalformedInput("dangling coefficient in cocycle expression")
     if head:
-        raise ValueError(f"cannot read cocycle expression at {rest!r}")
-    raise ValueError(f"incomplete cocycle expression {text!r}")
+        raise MalformedInput(f"cannot read cocycle expression at {rest!r}")
+    raise MalformedInput(f"incomplete cocycle expression {text!r}")
 
 
 def _load_algebra(spec: str, field: Field) -> Algebra:
@@ -223,7 +223,7 @@ def _cmd_aut(args) -> int:
         out["matrix"] = [[c.literal() for c in row] for row in phi.matrix]
         out["phi11"] = phi.phi11.literal()
     if not args.count and args.col is None:
-        raise ValueError("aut needs --col and/or --count")
+        raise MalformedInput("aut needs --col and/or --count")
     _emit(out)
     return 0
 

@@ -136,12 +136,6 @@ def _form_annihilator_rows(a: Algebra, theta: BilinearForm) -> list:
     return list(rows.values())
 
 
-def cocycle_annihilator(a: Algebra, theta: BilinearForm) -> Subspace:
-    """Elements x with theta(x, A) = 0 and theta(A, x) = 0."""
-    rows = _form_annihilator_rows(a, theta)
-    return Subspace._from_sparse(a.field, a.dim, _kernel(rows, a.dim, a.field.p))
-
-
 def annihilator_intersection(a: Algebra, thetas) -> Subspace:
     """Ann(A) intersected with the annihilators of all the given forms:
     the kernel of their equations, stacked."""

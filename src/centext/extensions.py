@@ -6,8 +6,11 @@ produces the (n+s)-dimensional algebra on A + span(f_1..f_s) with
     (x + u) * (y + w) = x*y + sum_k theta_k(x, y) f_k
 
 so the new basis vectors f_k multiply everything to zero and land in the
-annihilator. The extension carries no new annihilator component exactly
-when the cocycle classes are linearly independent in H^2.
+annihilator.  ``central_extension`` reports two facts of it: ``non_split``,
+whether the cocycle classes are linearly independent in H^2, and
+``annihilator_dim``, s plus the dimension of Ann(A) met with the
+annihilators of the forms.  A single non-split cocycle's class lies in
+T_1 exactly when that dimension is 1.
 """
 
 from __future__ import annotations
@@ -69,22 +72,6 @@ def _space_for(a: Algebra, variety: VarietySpec | str, h: CohomologySpace | None
 def _independent(coords, field) -> bool:
     """Whether the class coordinate tuples are linearly independent."""
     return len(_echelon([field._raw_row(c, len(c)) for c in coords], field.p)[0]) == len(coords)
-
-
-def is_non_split(a: Algebra, variety: VarietySpec | str, thetas, h: CohomologySpace | None = None) -> bool:
-    """Whether the cocycle classes are linearly independent in H^2."""
-    h = _space_for(a, variety, h)
-    return _independent([h.reduce_class(theta) for theta in thetas], a.field)
-
-
-def in_T1(a: Algebra, variety: VarietySpec | str, theta, h: CohomologySpace | None = None) -> bool:
-    """Whether the (nonzero) class of theta spans a line whose cocycle
-    annihilator meets Ann(A) trivially."""
-    h = _space_for(a, variety, h)
-    coords = h.reduce_class(theta)
-    if all(c.is_zero for c in coords):
-        raise ValueError("zero cohomology class does not span a line")
-    return annihilator_intersection(a, [theta]).dim == 0
 
 
 def central_extension(

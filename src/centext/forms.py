@@ -13,6 +13,7 @@ views are built from it when read.  The rows, vectors and arguments of
 
 from __future__ import annotations
 
+from .budget import check_budget
 from .errors import DimMismatch, FieldMismatch, IndexOutOfRange, InvalidDim
 from .fields import Field, Scalar, json_entries, json_value
 from .linalg import _scalar_row
@@ -140,11 +141,13 @@ class BilinearForm:
     def from_json(cls, data: dict) -> "BilinearForm":
         """Read a cocycle file: {"n", "field", "entries": [{"i", "j", "c"}]}
         with 1-based indices and absent entries zero, or the
-        {"dim", "field", "matrix"} document that to_json writes."""
+        {"dim", "field", "matrix"} document that to_json writes.  An n*n
+        over the enumeration budget is refused before anything is built."""
         field = Field.from_spec(json_value(data, "field", str))
         n = json_value(data, "n" if "entries" in data else "dim", int)
         if n < 1:
             raise InvalidDim(f"dimension {n} must be >= 1")
+        check_budget(n * n, "form entries")
         if "entries" not in data:
             return cls.from_vector(field, n, json_value(data, "matrix", list))
         entries = json_entries(field, data, "entries", ("i", "j"), n)

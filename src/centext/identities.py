@@ -295,14 +295,6 @@ def parse_identities(text: str):
     return schemas
 
 
-def parse_identity(text: str) -> IdentitySchema:
-    """Parse a single (non-chained) identity."""
-    schemas = parse_identities(text)
-    if len(schemas) != 1:
-        raise IdentitySyntaxError("chained identity where a single one was expected", 0)
-    return schemas[0]
-
-
 # ---------------------------------------------------------------------------
 # printing
 

@@ -1,7 +1,7 @@
 """Exact linear algebra over a Field: row reduction, kernels, subspaces.
 
-Raw values inside, Scalar at the boundary.  ``rref``, ``kernel_basis``,
-``solve`` and ``Subspace`` reduce in one routine, ``_echelon``, on sparse
+Raw values inside, Scalar at the boundary.  ``rref``, ``kernel_basis``
+and ``Subspace`` reduce in one routine, ``_echelon``, on sparse
 rows ``{column: raw value}`` holding only nonzero entries, where a raw
 value is a residue mod p over F_p and an int or Fraction over Q (see
 ``Scalar.raw``); ``rref_with_transform`` still eliminates on dense
@@ -60,10 +60,6 @@ def _dot(u: dict, v: dict):
 def _field_of(rows):
     """The field of the first Scalar entry, the rationals when there is none."""
     return next((x.field for row in rows for x in row if isinstance(x, Scalar)), RATIONALS)
-
-
-def transpose(rows):
-    return tuple(tuple(r[j] for r in rows) for j in range(len(rows[0]))) if rows else ()
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +212,6 @@ def _kernel(rows, ncols: int, p):
                 v[c] = -x % p if p else -x
         basis.append(v)
     return _echelon(basis, p)[1]
-
-
-def solve(rows, target, field: Field):
-    """One exact solution x of A x = target for A given by rows, or None
-    when the system is inconsistent. Free variables are set to zero.  The
-    target has one entry per row."""
-    target = field._raw_row(target, len(rows))
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    augmented = _raw_rows(field, rows, ncols)
-    for i, b in target.items():
-        augmented[i][ncols] = b
-    pivots, reduced = _echelon(augmented, field.p)
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = {c: row[ncols] for c, row in zip(pivots, reduced) if ncols in row}
-    return _scalar_row(field, x, ncols)
 
 
 class Subspace:

@@ -31,13 +31,14 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import Algebra, _check_size, null_filiform, satisfies_variety
-from .automorphisms import Automorphism, _class_matrix, _lower_triangular
+from .automorphisms import _class_matrix, _lower_triangular
 from .budget import budget_scope, check_budget, resolve_budget
 from .cohomology import CohomologySpace, second_cohomology
 from .errors import (
     FieldMismatch,
     InvalidDim,
     InvariantError,
+    MalformedInput,
     TableMismatch,
     UnsupportedVariety,
 )
@@ -76,15 +77,6 @@ def _automorphism_matrices(n: int, p: int):
         yield (*head, (col[-1], *last[1:]))
 
 
-def enumerate_automorphisms(n: int, field: Field, budget: int | None = None):
-    """All automorphisms of the n-dimensional null-filiform algebra over
-    a finite prime field, one per admissible first column, in
-    lexicographic column order."""
-    check_budget(automorphism_count(n, field), "automorphisms", budget)
-    for col in _first_columns(n, field.p):
-        yield Automorphism(field, col)
-
-
 # ---------------------------------------------------------------------------
 # roots-of-unity subgroups and their cosets
 
@@ -104,9 +96,6 @@ class RootSubgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def same_coset(self, x: Scalar, y: Scalar) -> bool:
-        return self.contains(x / y)
 
 
 def _coset_firsts(p: int, d: int) -> list:
@@ -158,11 +147,6 @@ class NamedClass:
     t1: bool                       # lies in the T_1 Grassmannian
     ann_dim: int | None            # annihilator dim of the 1-dim extension
 
-    @property
-    def trivial(self) -> bool:
-        """Whether this is the class of the trivial (split-free) tower step."""
-        return self.nabla and self.mu.is_zero
-
 
 def _families(variety, n: int, field: Field, level: str, mu_sample):
     """The tabulated families as parameter tuples (nabla, i, mu values,
@@ -180,7 +164,7 @@ def _families(variety, n: int, field: Field, level: str, mu_sample):
         raise InvalidDim("representatives are tabulated for n >= 2")
     _check_size(n)
     if level not in ("H2", "T1"):
-        raise ValueError(f"level must be 'H2' or 'T1', not {level!r}")
+        raise MalformedInput(f"level must be 'H2' or 'T1', not {level!r}")
     # the one-parameter family takes every element of F_p, or a sample over Q
     if mu_sample is None:
         mu_sample = range(field.p) if field.is_finite else (0, 1, -1, 2)
@@ -352,7 +336,7 @@ class ClassAction:
             if c != 0:
                 inv = pow(c, -1, self.p)
                 return tuple((x * inv) % self.p for x in point)
-        raise ValueError("zero vector spans no line")
+        raise MalformedInput("zero vector spans no line")
 
     def all_lines(self):
         lines = []
@@ -615,13 +599,3 @@ def check_table1(n: int, field: Field, mu_sample=None):
         except TableMismatch as exc:
             out.append({"label": row.label, "ok": False, "detail": str(exc)})
     return out
-
-
-def build_table1(n: int, field: Field, mu_sample=None):
-    """Like check_table1, but raises TableMismatch with the detail of the
-    first row whose extension does not match its stated pattern."""
-    results = check_table1(n, field, mu_sample)
-    for result in results:
-        if not result["ok"]:
-            raise TableMismatch(result["detail"])
-    return results

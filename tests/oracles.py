@@ -4,6 +4,7 @@ Everything here works on plain lists of Fractions or ints, with no
 imports from the package under test.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -363,3 +364,47 @@ def class_action_oracle(n, p, reps):
             images.append(coords[nb:])
         found.add(tuple(tuple(c[r] for c in images) for r in range(len(reps))))
     return found
+
+
+# ---------------------------------------------------------------------------
+# automorphisms of an algebra given by its structure constants
+
+
+def is_automorphism(table, matrix, p=None):
+    """Whether the square matrix (column j the image of e_j) is invertible
+    and sends e_i e_j to the product of the images of e_i and e_j for
+    every pair, in the algebra with structure constants table[i][j][k];
+    over Q with Fractions, mod p otherwise."""
+    n = len(table)
+    reduced, _ = modp_rref(matrix, p) if p else frac_rref(matrix)
+    if len(reduced) != n:
+        return False
+    cols = [[row[j] for row in matrix] for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            image = [sum(a * b for a, b in zip(row, table[i][j])) for row in matrix]
+            product = table_mul(table, cols[i], cols[j])
+            if any((x - y) % p if p else x != y for x, y in zip(image, product)):
+                return False
+    return True
+
+
+def null_filiform_table(n):
+    """Structure constants of mu0:n: e_i e_j = e_(i+j) when i + j <= n."""
+    return [[[1 if i + j + 1 == k else 0 for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+def null_filiform_automorphisms(n, p):
+    """The matrices of Aut(mu0:n) over F_p, one per first column with a
+    nonzero leading entry, in lexicographic order of that column: column
+    j is the j-th power of the first column in mu0:n."""
+    table = null_filiform_table(n)
+    out = []
+    for col in itertools.product(range(p), repeat=n):
+        if not col[0]:
+            continue
+        cols = [list(col)]
+        for _ in range(n - 1):
+            cols.append([x % p for x in table_mul(table, cols[-1], col)])
+        out.append([[int(cols[j][i]) for j in range(n)] for i in range(n)])
+    return out

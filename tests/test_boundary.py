@@ -31,19 +31,16 @@ from centext import (
     closed_field_representatives,
     cocycle_space,
     delta,
-    in_T1,
     is_cocycle,
-    is_non_split,
     kernel_basis,
     nabla,
     null_filiform,
     orbits_on_T1,
-    require_in_variety,
     rref,
     satisfies_variety,
     second_cohomology,
 )
-from centext.linalg import mat_mul, mat_vec, solve
+from centext.linalg import mat_mul, mat_vec
 from centext.orbits import ClassAction
 
 F7 = Field.prime(7)
@@ -71,8 +68,6 @@ def _entry_points():
         ("Subspace", q, (1, -2, 3), lambda v: Subspace(q, 3, [v, q_row(0, 1, 0)])),
         ("Subspace.contains", f7, (1, 5, 6),
          lambda v: Subspace(f7, 3, [f7_row(1, 0, 6), f7_row(0, 1, 0)]).contains(v)),
-        ("solve rows", q, (1, -2), lambda v: solve([v, q_row(0, 1)], q_row(3, 1), q)),
-        ("solve target", f7, (9, -1), lambda v: solve([f7_row(1, 2), f7_row(0, 1)], v, f7)),
         ("Algebra.multiply", f7, (1, -1, 9), lambda v: mu3.multiply(v, f7_row(0, 1, 1))),
         ("Algebra", q, (0, -2), lambda v: Algebra(q, [[v, q_row(1, 0)], [q_row(0, 0), q_row(0, 0)]])),
         ("BilinearForm", f7, (8, 0, -3), lambda v: BilinearForm(f7, [v, (0, 1, 0), (0, 0, 0)])),
@@ -131,8 +126,6 @@ def _dict_rows():
         ("rref sparse row", lambda: rref([{0: 1, 3: 2}]), DimMismatch),
         ("rref unreadable value", lambda: rref([{0: "x"}]), DimMismatch),
         ("rref after a vector", lambda: rref([(1, 2), {1: 1}]), DimMismatch),
-        ("solve rows", lambda: solve([{0: 1}], (1,), q), DimMismatch),
-        ("solve target", lambda: solve([(1,)], {0: 1}, q), DimMismatch),
         ("mat_vec rows", lambda: mat_vec([{0: 1}], (1,)), DimMismatch),
         ("mat_vec vector", lambda: mat_vec([(1, 0)], {0: 1, 1: 0}), DimMismatch),
         ("mat_mul", lambda: mat_mul([(1,)], [{0: 1}]), DimMismatch),
@@ -176,10 +169,6 @@ def test_values_read_at_the_boundary():
     assert Automorphism(F7, (8, "2", F7.zero)) == Automorphism(F7, (1, 2, 0))
     with pytest.raises(FieldMismatch):
         Automorphism(F7, (1, F5.one))
-    # a target needs one entry per row, also when there are no rows
-    assert solve([], (), RATIONALS) == ()
-    with pytest.raises(DimMismatch):
-        solve([], (0,), RATIONALS)
 
 
 def _scalar_entry_points():
@@ -250,14 +239,11 @@ def _variety_calls():
 
     return [
         ("satisfies_variety", lambda v: satisfies_variety(a, v)),
-        ("require_in_variety", lambda v: require_in_variety(a, v)),
         ("cocycle_space", lambda v: cocycle_space(a, v)),
         ("check_cocycle", lambda v: check_cocycle(a, v, theta)),
         ("is_cocycle", lambda v: is_cocycle(a, v, delta(1, 2, 3, f5))),
         ("second_cohomology", h2),
         ("central_extension", lambda v: central_extension(a, [theta], v)),
-        ("is_non_split", lambda v: is_non_split(a, v, [theta])),
-        ("in_T1", lambda v: in_T1(a, v, theta)),
         ("ClassAction", lambda v: ClassAction(3, v, f5).matrices),
         ("orbits_on_T1", lambda v: orbits_on_T1(3, v, f5).to_json(include_members=True)),
         ("closed_field_representatives", lambda v: closed_field_representatives(v, 3, f5)),

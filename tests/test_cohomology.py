@@ -18,7 +18,6 @@ from centext import (
     builtin_variety,
     check_cocycle,
     coboundary_space,
-    cocycle_annihilator,
     cocycle_space,
     delta,
     is_cocycle,
@@ -198,14 +197,11 @@ def test_rep_from_coords_inverts_reduce():
             assert h.reduce_class(theta) == coords
 
 
-def test_cocycle_annihilator_frozen():
+def test_annihilator_intersection_frozen():
     f = RATIONALS
     a = null_filiform(3, f)
-    assert cocycle_annihilator(a, nabla(3, 3, f)).dim == 0
-    ann = cocycle_annihilator(a, delta(2, 1, 3, f))
-    assert ann.dim == 1 and ann.contains(a.basis_vector(3))
     both = annihilator_intersection(a, [delta(2, 1, 3, f)])
-    assert both.dim == 1
+    assert both.dim == 1 and both.contains(a.basis_vector(3))
     assert annihilator_intersection(a, [nabla(3, 3, f)]).dim == 0
     # two cocycles jointly covering the annihilator
     assert annihilator_intersection(a, [delta(2, 1, 3, f), nabla(3, 3, f)]).dim == 0
@@ -343,4 +339,4 @@ def test_forms_of_another_size_are_refused():
         with pytest.raises(DimMismatch, match="form does not match the algebra"):
             check_cocycle(a, lc, theta)
         with pytest.raises(DimMismatch, match="form does not match the algebra"):
-            cocycle_annihilator(a, theta)
+            annihilator_intersection(a, [theta])

@@ -6,6 +6,7 @@ import pytest
 from centext import (
     Algebra,
     BilinearForm,
+    ClassAction,
     CohomologyMismatch,
     DimMismatch,
     Field,
@@ -17,14 +18,14 @@ from centext import (
     central_extension,
     check_cocycle,
     delta,
-    in_T1,
-    is_non_split,
     is_standard_null_filiform,
     nabla,
     null_filiform,
     satisfies_variety,
     second_cohomology,
 )
+
+from oracles import frac_rref, modp_rref
 
 LC = builtin_variety("left_commutative")
 BC = builtin_variety("bicommutative")
@@ -96,12 +97,12 @@ def test_non_split_matches_rank_criterion():
     f = Field.prime(5)
     a = null_filiform(3, f)
     h = second_cohomology(a, LC)
-    assert is_non_split(a, LC, [nabla(3, 3, f)], h)
-    assert not is_non_split(a, LC, [nabla(2, 3, f)], h)
-    assert is_non_split(a, LC, [delta(2, 1, 3, f), delta(3, 1, 3, f)], h)
-    assert not is_non_split(
-        a, LC, [delta(2, 1, 3, f), f.scalar(2) * delta(2, 1, 3, f)], h
-    )
+    assert central_extension(a, [nabla(3, 3, f)], LC, h).non_split
+    assert not central_extension(a, [nabla(2, 3, f)], LC, h).non_split
+    assert central_extension(a, [delta(2, 1, 3, f), delta(3, 1, 3, f)], LC, h).non_split
+    assert not central_extension(
+        a, [delta(2, 1, 3, f), f.scalar(2) * delta(2, 1, 3, f)], LC, h
+    ).non_split
 
 
 def test_non_cocycle_rejected():
@@ -127,13 +128,14 @@ def test_annihilator_dims():
 
 
 def test_in_t1():
+    # one cocycle's class is in T_1 when it is nonzero and the extension
+    # has a one-dimensional annihilator
     f = RATIONALS
     a = null_filiform(3, f)
-    assert in_T1(a, LC, nabla(3, 3, f))
-    assert in_T1(a, LC, delta(3, 1, 3, f))
-    assert not in_T1(a, LC, delta(2, 1, 3, f))
-    with pytest.raises(ValueError):
-        in_T1(a, LC, nabla(2, 3, f))  # zero class spans no line
+    for theta, t1 in ((nabla(3, 3, f), True), (delta(3, 1, 3, f), True), (delta(2, 1, 3, f), False)):
+        result = central_extension(a, [theta], LC)
+        assert result.non_split and (result.annihilator_dim == 1) == t1
+    assert not central_extension(a, [nabla(2, 3, f)], LC).non_split  # zero class spans no line
 
 
 def test_extension_stays_in_variety_for_every_basis_cocycle():
@@ -228,10 +230,6 @@ def test_space_of_another_algebra_or_variety_is_refused():
         form = nabla(base.dim, base.dim, f)
         with pytest.raises(CohomologyMismatch):
             central_extension(base, [form], variety, h=h3)
-        with pytest.raises(CohomologyMismatch):
-            is_non_split(base, variety, [form], h=h3)
-        with pytest.raises(CohomologyMismatch):
-            in_T1(base, variety, form, h=h3)
     # an equal algebra built separately is the same algebra
     same = central_extension(null_filiform(3, f), [theta], builtin_variety("lc"), h=h3)
     assert same.non_split
@@ -258,23 +256,36 @@ def test_raw_extension_table_equals_the_scalar_table():
 
 @pytest.mark.parametrize("field", [RATIONALS, Field.prime(5)])
 def test_extension_facts_match_the_class_and_annihilator_checks(field):
-    """non_split is is_non_split on the same space, and for one cocycle
-    non_split with annihilator_dim 1 (the t1 of the extend command) is a
-    nonzero class that in_T1 accepts."""
+    """non_split is the independence of the class coordinates, ranked by
+    the oracle, and for one cocycle non_split with annihilator_dim 1 (the
+    t1 of the extend command) is a nonzero class that e_n, which spans
+    Ann(mu0:n), does not annihilate; over F_p ClassAction.line_in_t1
+    agrees."""
+    p = field.p
     for variety in (LC, BC):
         for n in (3, 4):
             a = null_filiform(n, field)
             h = second_cohomology(a, variety)
+            action = ClassAction(n, variety, field) if p else None
+
+            def rank(forms):
+                coords = [[c.value for c in h.reduce_class(theta)] for theta in forms]
+                return len((modp_rref(coords, p) if p else frac_rref(coords))[0])
+
             forms = list(h.z_basis) + list(h.h_reps) + [h.h_reps[0] + h.z_basis[-1]]
             for theta in forms:
                 result = central_extension(a, [theta], variety, h)
                 nonzero = not h.class_is_zero(theta)
-                assert result.non_split == nonzero == is_non_split(a, variety, [theta], h)
+                assert result.non_split == nonzero == (rank([theta]) == 1)
                 t1 = result.non_split and result.annihilator_dim == 1
-                assert t1 == (nonzero and in_T1(a, variety, theta, h))
+                rows = theta.rows
+                nonzero_on_e_n = any(not rows[n - 1][j].is_zero or not rows[j][n - 1].is_zero for j in range(n))
+                assert t1 == (nonzero and nonzero_on_e_n)
+                if action and nonzero:
+                    assert t1 == action.line_in_t1(action.coords_of(theta))
             for pair in itertools.combinations(forms, 2):
                 result = central_extension(a, pair, variety, h)
-                assert result.non_split == is_non_split(a, variety, pair, h)
+                assert result.non_split == (rank(pair) == 2)
 
 
 def test_extension_by_a_form_of_another_size_is_refused():

@@ -15,11 +15,16 @@ from centext import (
     format_identity,
     multilinearize,
     parse_identities,
-    parse_identity,
 )
 from centext.identities import Monomial, evaluate_tree
 
 from oracles import table_mul
+
+
+def parse_identity(text):
+    """The one identity of a text that is no chain."""
+    [schema] = parse_identities(text)
+    return schema
 
 
 def test_parse_print_parse_round_trip():

@@ -11,8 +11,6 @@ from centext.linalg import (
     mat_mul,
     mat_vec,
     rref_with_transform,
-    solve,
-    transpose,
 )
 
 from oracles import frac_kernel, frac_rref, modp_rref
@@ -95,22 +93,6 @@ def test_rref_with_transform_certificate():
         assert as_fracs(prod) == as_fracs(reduced)
 
 
-def test_solve_consistent_and_inconsistent():
-    rng = random.Random(19)
-    for _ in range(15):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        mat = random_matrix(rng, nrows, ncols, RATIONALS)
-        x0 = [RATIONALS.scalar(rng.randint(-3, 3)) for _ in range(ncols)]
-        target = mat_vec(mat, x0)
-        sol = solve(mat, target, RATIONALS)
-        assert sol is not None
-        assert as_fracs([mat_vec(mat, sol)]) == as_fracs([target])
-    # x + y = 0 and x + y = 1 cannot both hold
-    f = RATIONALS
-    mat = [[f.one, f.one], [f.one, f.one]]
-    assert solve(mat, [f.zero, f.one], f) is None
-
-
 def test_subspace_membership_and_intersection():
     f = RATIONALS
     e = lambda i: basis_vec(f, 4, i)
@@ -140,7 +122,6 @@ def test_matrix_helpers():
     )
     assert tuple(mat_mul(ident, mat)) == mat
     assert tuple(mat_mul(mat, ident)) == mat
-    assert tuple(transpose(transpose(mat))) == mat
 
 
 def _random_rows(rng, nrows, ncols, value):

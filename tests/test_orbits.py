@@ -17,13 +17,11 @@ from centext import (
     UnsupportedVariety,
     annihilator_intersection,
     automorphism_count,
-    build_table1,
+    check_table1,
     classification_table,
     closed_field_representatives,
     coset_representatives,
     delta,
-    enumerate_automorphisms,
-    is_automorphism,
     nabla,
     null_filiform,
     orbits_on_H2,
@@ -32,9 +30,9 @@ from centext import (
 )
 from centext.automorphisms import _lower_triangular
 from centext.cli import parse_cocycle_expr
-from centext.orbits import _check_row, _first_columns, resolve_budget
+from centext.orbits import _automorphism_matrices, _check_row, _first_columns, resolve_budget
 
-from oracles import orbit_partition
+from oracles import is_automorphism, null_filiform_automorphisms, null_filiform_table, orbit_partition
 
 
 def test_roots_of_unity_frozen_f13():
@@ -73,7 +71,7 @@ def test_roots_of_unity_rational():
     assert sorted(x.value for x in sub.elements) == [-1, 1]
     sub2 = roots_of_unity_subgroup(1, 3, RATIONALS)
     assert [x.value for x in sub2.elements] == [1]
-    assert sub.same_coset(RATIONALS.scalar(-2), RATIONALS.scalar(2))
+    assert sub.contains(RATIONALS.scalar(-2) / RATIONALS.scalar(2))
 
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -109,20 +107,17 @@ def test_root_subgroup_errors():
 
 
 def test_enumerate_automorphisms_counts():
+    # the matrices ClassAction.matrices walks are the oracle's group, in order
     for n in (2, 3):
         for p in (3, 5):
-            f = Field.prime(p)
-            autos = list(enumerate_automorphisms(n, f))
-            assert len(autos) == automorphism_count(n, f) == (p - 1) * p ** (n - 1)
-            assert len({a.matrix for a in autos}) == len(autos)
-            a = null_filiform(n, f)
-            assert all(is_automorphism(a, phi.matrix) for phi in autos)
+            group = null_filiform_automorphisms(n, p)
+            assert len(group) == automorphism_count(n, Field.prime(p)) == (p - 1) * p ** (n - 1)
+            assert len({str(m) for m in group}) == len(group)
+            assert all(is_automorphism(null_filiform_table(n), m, p) for m in group)
+            assert [[list(row) for row in m] for m in _automorphism_matrices(n, p)] == group
 
 
 def test_budget_guard():
-    f = Field.prime(7)
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_automorphisms(5, f, budget=100))
     with pytest.raises(BudgetExceeded):
         orbits_on_T1(3, "lc", Field.prime(5), budget=10)
 
@@ -281,7 +276,7 @@ def test_closed_field_representatives_lc_t1_structure():
         "delta3_1",
     ]
     by_label = {r.label: r for r in reps}
-    assert by_label["nabla4"].trivial
+    assert by_label["nabla4"].nabla and by_label["nabla4"].mu.is_zero
     assert not by_label["delta2_1"].t1
     assert by_label["delta2_1"].ann_dim == 2
     assert by_label["delta4_1"].t1 and by_label["delta4_1"].ann_dim == 1
@@ -360,7 +355,6 @@ def test_every_named_class_is_built_from_its_parameters(field, sample):
                 for c in closed_field_representatives(vname, n, field, level, sample):
                     base = nabla(n, n, field) if c.nabla else BilinearForm.zero(field, n)
                     assert c.form == base + c.mu * delta(c.i, 1, n, field), c.label
-                    assert c.trivial == (c.nabla and c.mu.is_zero)
                     if c.label == "zero":
                         assert c.form.is_zero and level == "H2" and not c.t1
                     else:
@@ -434,12 +428,12 @@ def test_classification_table_rows():
     assert all(r.expected_ann_dim == 2 and not r.expected_t1 for r in wide)
 
 
-def test_build_table1_passes():
+def test_check_table1_passes():
     for n in (2, 3, 4):
-        results = build_table1(n, RATIONALS)
+        results = check_table1(n, RATIONALS)
         assert all(r["ok"] for r in results)
     for p in (5, 7):
-        results = build_table1(3, Field.prime(p))
+        results = check_table1(3, Field.prime(p))
         assert all(r["ok"] for r in results)
         assert len(results) == 1 + 1 + 1 + p  # delta4.. pattern: n=3 rows
 
@@ -493,7 +487,7 @@ def test_check_table1_collects_failures(monkeypatch):
     assert len(bad) == 1 and bad[0]["label"] == "nabla3"
 
 
-def test_build_table1_raises_with_the_failing_row(monkeypatch):
+def test_check_table1_reports_the_failing_row(monkeypatch):
     import centext.orbits as orbits_mod
 
     real = orbits_mod._check_row
@@ -504,8 +498,8 @@ def test_build_table1_raises_with_the_failing_row(monkeypatch):
         return real(row, n, field)
 
     monkeypatch.setattr(orbits_mod, "_check_row", flaky)
-    with pytest.raises(TableMismatch, match="row delta2_1: synthetic failure"):
-        build_table1(3, RATIONALS)
+    bad = [r for r in check_table1(3, RATIONALS) if not r["ok"]]
+    assert bad == [{"label": "delta2_1", "ok": False, "detail": "row delta2_1: synthetic failure"}]
 
 
 def test_report_json_shape():

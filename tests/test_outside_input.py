@@ -1,6 +1,8 @@
 """Numbers and JSON entries read from outside the package: one number
 grammar for every flag, spec, environment variable and literal, one JSON
-entry reader for algebra and cocycle files, and one mod-p reduction."""
+entry reader for algebra and cocycle files, and one mod-p reduction.
+Input that cannot be read is refused with a CentextError, and a
+dimension is checked against the budget before anything is built."""
 
 import itertools
 import json
@@ -10,14 +12,19 @@ import pytest
 
 from centext import (
     Algebra,
+    BilinearForm,
     BudgetExceeded,
+    CentextError,
+    ClassAction,
     CompositeModulus,
     Field,
+    MalformedInput,
     RATIONALS,
+    closed_field_representatives,
 )
 from centext import fields
 from centext.budget import resolve_budget
-from centext.cli import build_parser, main
+from centext.cli import build_parser, main, parse_cocycle_expr
 from centext.fields import Scalar
 
 REFUSED = ["٣", "1_0", "1.5", "1e1", " 3"]
@@ -229,3 +236,32 @@ def test_json_entries_makes_indices_0_based_and_reads_raw_values():
     assert {at: c % 5 for at, c in entries.items()} == {(1, 0): 2, (0, 1): 2}
     entries = fields.json_entries(RATIONALS, data, "xs", ("i", "j"), 2)
     assert entries == {(1, 0): fields.Fraction(-1, 2), (0, 1): 7}
+
+
+def test_malformed_library_input_is_a_typed_error(capsys):
+    # MalformedInput is also a ValueError, so callers that catch that still do
+    calls = [
+        (lambda: parse_cocycle_expr("nabla_1 nabla_2", 3, RATIONALS),
+         "no '+' or '-' before the term at 'nabla_2'"),
+        (lambda: closed_field_representatives("lc", 3, Field.prime(5), level="x"),
+         "level must be 'H2' or 'T1', not 'x'"),
+        (lambda: ClassAction(2, "lc", Field.prime(3)).normalize_line((0, 0)),
+         "zero vector spans no line"),
+    ]
+    for call, message in calls:
+        with pytest.raises(MalformedInput) as info:
+            call()
+        assert str(info.value) == message
+        assert isinstance(info.value, CentextError) and isinstance(info.value, ValueError)
+    assert run(capsys, "aut", "--n", "3") == (2, "", "error: aut needs --col and/or --count\n")
+
+
+def test_a_form_document_is_bounded_before_it_is_built(monkeypatch):
+    for doc in ({"n": 1000000, "field": "Q", "entries": []},
+                {"dim": 1000000, "field": "Q", "matrix": []}):
+        with pytest.raises(BudgetExceeded, match="^1000000000000 form entries exceed budget 500000$"):
+            BilinearForm.from_json(doc)
+    monkeypatch.setenv("CENTEXT_BUDGET", "9")
+    assert BilinearForm.from_json({"n": 3, "field": "Q", "entries": []}).n == 3
+    with pytest.raises(BudgetExceeded):
+        BilinearForm.from_json({"n": 4, "field": "Q", "entries": []})

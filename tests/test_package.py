@@ -96,6 +96,53 @@ def test_every_private_definition_in_src_is_referenced():
     assert unreferenced == []
 
 
+# The public functions and methods that nothing in src/ reads, each with
+# the reason it stays.  Any other public definition needs a caller in src/.
+KEPT = {
+    "rref": "named in the README",
+    "kernel_basis": "named in the README",
+    "rep_from_coords": "named in the README",
+    "basis_vector": "named in the README",
+    "evaluate": "named in the README",
+    "multiply": "named in the README, wrapped by perfbench/spans.py",
+    "contains": "Subspace and RootSubgroup membership; tests check cosets as sub.contains(x / y)",
+    "coboundary_space": "wrapped by perfbench/spans.py, pinned by test_every_traced_name_resolves",
+    "class_action_matrix": "wrapped by perfbench/spans.py, pinned by test_every_traced_name_resolves",
+    "mat_vec": "wrapped by perfbench/spans.py, pinned by test_every_traced_name_resolves",
+    "mat_mul": "wrapped by perfbench/spans.py, pinned by test_every_traced_name_resolves",
+    "opposite": "tests build right-handed algebras with it",
+    "compose": "the orbits from the group's generators will compose automorphisms",
+    "same_orbit": "certified orbit labels will test orbit membership with it",
+    "transpose": "theta^T extends A^op as theta extends A; no caller yet, see ROADMAP item 13",
+}
+
+
+def _units(tree):
+    """The top-level statements of a module, each class split into its
+    bases, decorators and body statements."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (*node.bases, *node.decorator_list, *node.body)
+        else:
+            yield node
+
+
+def test_every_public_definition_in_src_is_read_in_src():
+    units = [unit for tree in _trees(sorted(SRC.glob("*.py"))).values() for unit in _units(tree)]
+    names = [_names_used(unit) for unit in units]
+    unread = {
+        unit.name
+        for k, unit in enumerate(units)
+        if isinstance(unit, ast.FunctionDef)
+        and not unit.name.startswith("_")
+        and not any(unit.name in used for j, used in enumerate(names) if j != k)
+    }
+    assert {"unexplained": sorted(unread - set(KEPT)), "stale": sorted(set(KEPT) - unread)} == {
+        "unexplained": [],
+        "stale": [],
+    }
+
+
 def test_src_has_no_assert_statement():
     # invariants raise typed errors, which python -O does not strip
     asserts = [
