@@ -2,7 +2,8 @@
 
 Every subcommand prints a single JSON document (sorted keys, indented)
 to stdout.  Exit codes: 0 success, 1 a verification subcommand found a
-failing row or claim, 2 usage or computation error.
+failing row or claim, 2 usage or computation error.  The argument
+grammar is built once, at import, and every `main` call reuses it.
 """
 
 from __future__ import annotations
@@ -81,6 +82,14 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
     raise MalformedInput(f"incomplete cocycle expression {text!r}")
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise MalformedInput(f"{path}: JSON nested too deeply") from None
+
+
 def _load_algebra(spec: str, field: Field) -> Algebra:
     if spec.startswith("mu0:"):
         try:
@@ -90,16 +99,14 @@ def _load_algebra(spec: str, field: Field) -> Algebra:
                 f"--algebra {spec!r}: expected mu0:<dimension> or a JSON file"
             ) from None
         return null_filiform(n, field)
-    with open(spec) as fh:
-        return Algebra.from_json(json.load(fh))
+    return Algebra.from_json(_read_json(spec))
 
 
 def _load_cocycle(spec: str, algebra: Algebra) -> BilinearForm:
     if spec.startswith("named:") or spec.startswith("expr:"):
         text = spec.split(":", 1)[1]
         return parse_cocycle_expr(text, algebra.dim, algebra.field)
-    with open(spec) as fh:
-        theta = BilinearForm.from_json(json.load(fh))
+    theta = BilinearForm.from_json(_read_json(spec))
     if theta.field != algebra.field:
         raise FieldMismatch("cocycle file field differs from the algebra's")
     if theta.n != algebra.dim:
@@ -347,12 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except (CentextError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CentextError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import re
@@ -23,7 +24,7 @@ from centext import (
     null_filiform,
     run_reproduction,
 )
-from centext.cli import main, parse_cocycle_expr
+from centext.cli import build_parser, main, parse_cocycle_expr
 
 
 def run(capsys, *argv):
@@ -676,3 +677,57 @@ def test_a_cocycle_file_of_another_algebra_exits_2(capsys, tmp_path):
 def test_reproduce_refuses_n_max_below_two(capsys):
     code, out, err = run(capsys, "reproduce", "--n-max", "1")
     assert (code, out, err) == (2, "", "error: n_max must be at least 2\n")
+
+
+def test_main_builds_no_grammar(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    run_json(capsys, "identities", "--variety", "lc")
+    run_json(capsys, "cohomology", "--algebra", "mu0:3", "--variety", "lc")
+    run_json(capsys, "aut", "--n", "3", "--field", "Fp:3", "--count")
+    with pytest.raises(SystemExit):
+        main(["cohomology"])
+    assert built == []
+
+
+# (argv, the exit code): an append list, a usage error, a default --level
+_SEQUENCE = [
+    (("extend", "--algebra", "mu0:3", "--variety", "lc",
+      "--cocycle", "named:nabla_n", "--cocycle", "named:delta_2_1"), 0),
+    (("extend", "--algebra", "mu0:3", "--variety", "lc", "--cocycle", "named:nabla_n"), 0),
+    (("classify", "--n", "2", "--field", "Fp:3", "--variety", "lc", "--budget", "0"), 2),
+    (("classify", "--n", "2", "--field", "Fp:3", "--variety", "lc", "--level", "h2"), 0),
+    (("classify", "--n", "2", "--field", "Fp:3", "--variety", "lc"), 0),
+]
+
+
+def _exit_code(call):
+    try:
+        return call()
+    except SystemExit as exc:
+        return exc.code
+
+
+def _on_a_fresh_grammar(argv):
+    args = build_parser().parse_args(argv)
+    return args.fn(args)
+
+
+def test_the_shared_grammar_keeps_no_state_between_calls(capsys):
+    outs = []
+    for argv, expected in _SEQUENCE:
+        code = _exit_code(lambda: main(list(argv)))
+        out = capsys.readouterr().out
+        assert code == expected, argv
+        assert (code, out) == (_exit_code(lambda: _on_a_fresh_grammar(list(argv))),
+                               capsys.readouterr().out), argv
+        outs.append(out)
+    assert len(json.loads(outs[0])["cocycles"]) == 2
+    assert len(json.loads(outs[1])["cocycles"]) == 1
+    assert json.loads(outs[3])["kind"] != json.loads(outs[4])["kind"]

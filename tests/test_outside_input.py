@@ -265,3 +265,19 @@ def test_a_form_document_is_bounded_before_it_is_built(monkeypatch):
     assert BilinearForm.from_json({"n": 3, "field": "Q", "entries": []}).n == 3
     with pytest.raises(BudgetExceeded):
         BilinearForm.from_json({"n": 4, "field": "Q", "entries": []})
+
+
+def test_deeply_nested_json_files_exit_2_with_one_error_line(capsys, tmp_path):
+    algebra = tmp_path / "deep.json"
+    algebra.write_text("[" * 100000 + "]" * 100000)
+    cocycle = tmp_path / "cocycle.json"
+    cocycle.write_text('{"n": 3, "field": "Q", "entries": ' + "[" * 50000 + "]" * 50000 + "}")
+    for argv in (
+        ("cohomology", "--algebra", str(algebra), "--variety", "lc"),
+        ("extend", "--algebra", "mu0:3", "--variety", "lc", "--cocycle", str(cocycle)),
+        ("act", "--n", "3", "--col", "1,0,0", "--cocycle", str(cocycle)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "JSON nested too deeply" in err and "Traceback" not in err
