@@ -61,7 +61,7 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
         if not m["atom"]:
             break
         c = field.scalar((-1) ** m["signs"].count("-") * coeff)
-        idx = [n if g == "n" else int(g) for g in m["idx"][1:].split("_")]
+        idx = [n if g == "n" else read_number(g, integer=True) for g in m["idx"][1:].split("_")]
         build, arity, what = _ATOMS[m["name"]]
         if len(idx) != arity:
             raise MalformedInput(f"{m['name']} takes {what}, got {m['atom']!r}")
@@ -83,11 +83,15 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
 
 
 def _read_json(path: str):
-    with open(path) as fh:
+    """The JSON document in a file; a file that is no JSON (or too deeply
+    nested to read) is a MalformedInput that names it."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise MalformedInput(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            raise MalformedInput(f"{path}: {exc}") from None
 
 
 def _load_algebra(spec: str, field: Field) -> Algebra:

@@ -90,11 +90,6 @@ class BilinearForm:
     def is_zero(self) -> bool:
         return not self._sparse
 
-    def transpose(self) -> "BilinearForm":
-        n = self.n
-        entries = {k % n * n + k // n: v for k, v in self._sparse.items()}
-        return BilinearForm._from_sparse(self.field, n, entries)
-
     def __add__(self, other):
         if not isinstance(other, BilinearForm):
             return NotImplemented

@@ -10,8 +10,8 @@ ints, Fractions, literal strings or Scalars, through
 ``Field._raw_row``, take matrices as lists or tuples of such vectors,
 and return vectors as tuples of Scalar; ``kernel_basis`` and
 ``Subspace``, given the width, also read {column: value} dicts.  The
-package's own sparse rows are not read: ``_kernel``,
-``Subspace._from_sparse`` and ``Subspace._contains`` take them as they are.
+package's own sparse rows are not read: ``_kernel`` and
+``Subspace._from_sparse`` take them as they are.
 Pivots are leftmost and normalized to 1, so echelon forms are canonical
 for a given row span.
 """
@@ -248,10 +248,7 @@ class Subspace:
         return len(self._pivot_rows)
 
     def contains(self, v) -> bool:
-        return self._contains(self.field._raw_row(v, self.ambient))
-
-    def _contains(self, residue: dict) -> bool:
-        """``contains`` for a sparse raw row, which is consumed."""
+        residue = self.field._raw_row(v, self.ambient)
         for c in [c for c in residue if c in self._pivot_rows]:
             _axpy(residue, -residue[c], self._pivot_rows[c], self.field.p)
         return not residue

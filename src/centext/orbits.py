@@ -10,9 +10,11 @@ matrices are kept.  They are the image of Aut(mu0:n) in GL(H^2), usually
 far smaller than the group (294 matrices for the 2058 automorphisms of
 n = 4 over F_7 in the left-commutative variety).  As the image is a
 group, the orbit of an element is the set of its images under these
-matrices, and one routine collects these image sets, either on the full
-point set (all of H^2) or on the Grassmannian lines whose cocycle
-annihilator meets the algebra annihilator trivially (the T_1 condition).
+matrices (``ClassAction.images``, which ``orbit_of_class`` reads too).
+One routine, ``_orbit_report``, partitions either the full point set
+(all of H^2) or the Grassmannian lines whose cocycle annihilator meets
+the algebra annihilator trivially (the T_1 condition), and labels the
+orbits with the tabulated classes of that level.
 As Ann(mu0:n) = <e_n>, a line is in T_1 exactly when one of the linear
 forms c -> theta_c(e_n, e_j), c -> theta_c(e_j, e_n) is nonzero on its
 coordinates, so T_1 membership is tested without building the cocycle.
@@ -357,55 +359,74 @@ class ClassAction:
         row = self.field._raw_row(coords, self.dim_h)
         return tuple(row.get(j, 0) for j in range(self.dim_h))
 
+    def images(self, x, lines: bool = False) -> frozenset:
+        """The images of a point, or of a normalized line, under every
+        matrix: its orbit, as the matrices form a group."""
+        if lines:
+            return frozenset(self.normalize_line(self.apply(mat, x)) for mat in self.matrices)
+        return frozenset(self.apply(mat, x) for mat in self.matrices)
+
     def orbit_of_class(self, coords) -> frozenset:
         """The orbit of a class point, as residue tuples: its images under
         every automorphism."""
-        point = self._point(coords)
-        return frozenset(self.apply(mat, point) for mat in self.matrices)
+        return self.images(self._point(coords))
 
     def same_orbit(self, coords_a, coords_b) -> bool:
         return self._point(coords_b) in self.orbit_of_class(coords_a)
 
 
-def _orbit_report(action: ClassAction, kind, domain, image, to_domain):
-    """Split the domain into orbits of the full automorphism group, where
-    image(mat, x) is the domain element that the matrix sends x to, and
-    label each orbit with the tabulated representatives that
-    to_domain(named) places in it (None places a class nowhere).
+def _orbit_report(n: int, variety, field: Field, budget: int | None, lines: bool) -> OrbitReport:
+    """Split the class points (all of H^2), or the T_1 lines, into orbits
+    of the full automorphism group, and label each orbit with the
+    tabulated representatives of that level whose point or line lies in
+    it.  The domain is counted against the budget before it is listed.
 
-    The matrices are the image of the group in GL(H^2), itself a group,
-    so the orbit of x is the set of its images.  The domain is walked in order and each element not yet
-    placed contributes its image set.  An image outside the domain, or
-    an image set that meets an orbit already found (the matrices are then
-    no group), raises InvariantError."""
-    in_domain = set(domain)
-    placed = set()
-    orbit_members = []
-    for x in domain:
-        if x in placed:
-            continue
-        orbit = {image(mat, x) for mat in action.matrices}
-        if not orbit <= in_domain:
-            raise InvariantError(
-                f"{kind} are not closed under the action; {x} maps outside the domain"
-            )
-        if not placed.isdisjoint(orbit):
-            raise InvariantError(
-                f"the images of {x} meet an orbit already found; "
-                "the action matrices are not a group"
-            )
-        placed |= orbit
-        orbit_members.append(sorted(orbit))
-    orbit_members.sort(key=lambda g: g[0])
-    orbit_index = {x: k for k, group in enumerate(orbit_members) for x in group}
-    reps = []
-    if _tabulated_deltas(action.variety.name, action.n):  # level "H2" or "T1" from the kind
-        reps = closed_field_representatives(action.variety, action.n, action.field, kind[:2])
-    matched = {}
-    for named in reps:
-        k = orbit_index.get(to_domain(named))
-        if k is not None:
-            matched[named.label] = k
+    The domain is walked in order and each element not yet placed
+    contributes its image set.  An image outside the domain, or an image
+    set that meets an orbit already found (the matrices are then no
+    group), raises InvariantError."""
+    kind, level, what = ("T1_lines", "T1", "lines") if lines else ("H2_points", "H2", "points")
+    with budget_scope(budget):
+        action = ClassAction(n, variety, field)
+        p, d = action.p, action.dim_h
+        check_budget((p**d - 1) // (p - 1) if lines else p**d, what)
+        if lines:
+            domain = [ln for ln in action.all_lines() if action.line_in_t1(ln)]
+        else:
+            domain = action.all_points()
+        in_domain = set(domain)
+        placed = set()
+        orbit_members = []
+        for x in domain:
+            if x in placed:
+                continue
+            orbit = action.images(x, lines)
+            if not orbit <= in_domain:
+                raise InvariantError(
+                    f"{kind} are not closed under the action; {x} maps outside the domain"
+                )
+            if not placed.isdisjoint(orbit):
+                raise InvariantError(
+                    f"the images of {x} meet an orbit already found; "
+                    "the action matrices are not a group"
+                )
+            placed |= orbit
+            orbit_members.append(sorted(orbit))
+        orbit_members.sort(key=lambda g: g[0])
+        orbit_index = {x: k for k, group in enumerate(orbit_members) for x in group}
+        reps = []
+        if _tabulated_deltas(action.variety.name, n):
+            reps = closed_field_representatives(action.variety, n, field, level)
+        matched = {}
+        for named in reps:
+            if lines and not named.t1:
+                continue  # a class outside T_1 spans no line of the domain
+            x = action.coords_of(named.form)
+            if lines and any(x):  # a zero class spans no line and lands nowhere
+                x = action.normalize_line(x)
+            k = orbit_index.get(x)
+            if k is not None:
+                matched[named.label] = k
     labels: dict = {}
     for label, k in matched.items():
         labels.setdefault(k, []).append(label)
@@ -422,8 +443,8 @@ def _orbit_report(action: ClassAction, kind, domain, image, to_domain):
         raise InvariantError(f"orbit sizes do not add up to the {len(domain)} {kind}")
     return OrbitReport(
         variety=action.variety.name,
-        n=action.n,
-        field=action.field,
+        n=n,
+        field=field,
         kind=kind,
         domain_size=len(domain),
         orbits=orbits,
@@ -440,16 +461,7 @@ def orbits_on_H2(
 ) -> OrbitReport:
     """Partition all of H^2 (as coordinate tuples over F_p) into orbits
     by applying every automorphism's class action."""
-    with budget_scope(budget):
-        action = ClassAction(n, variety, field)
-        check_budget(action.p ** action.dim_h, "points")
-        return _orbit_report(
-            action,
-            "H2_points",
-            action.all_points(),
-            action.apply,
-            lambda named: action.coords_of(named.form),
-        )
+    return _orbit_report(n, variety, field, budget, lines=False)
 
 
 def orbits_on_T1(
@@ -460,26 +472,7 @@ def orbits_on_T1(
 ) -> OrbitReport:
     """Partition the T_1 Grassmannian lines (normalized class coordinate
     vectors with trivial annihilator overlap) into orbits."""
-
-    def line_of(named: NamedClass):
-        if not named.t1:
-            return None
-        coords = action.coords_of(named.form)
-        if not any(coords):
-            return None
-        return action.normalize_line(coords)
-
-    with budget_scope(budget):
-        action = ClassAction(n, variety, field)
-        p, d = action.p, action.dim_h
-        check_budget((p**d - 1) // (p - 1), "lines")
-        return _orbit_report(
-            action,
-            "T1_lines",
-            [ln for ln in action.all_lines() if action.line_in_t1(ln)],
-            lambda mat, ln: action.normalize_line(action.apply(mat, ln)),
-            line_of,
-        )
+    return _orbit_report(n, variety, field, budget, lines=True)
 
 
 # ---------------------------------------------------------------------------

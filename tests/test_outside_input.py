@@ -7,6 +7,7 @@ dimension is checked against the budget before anything is built."""
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -281,3 +282,32 @@ def test_deeply_nested_json_files_exit_2_with_one_error_line(capsys, tmp_path):
         assert (code, out) == (2, ""), argv
         assert err.count("\n") == 1 and err.startswith("error: "), err
         assert "JSON nested too deeply" in err and "Traceback" not in err
+
+
+def test_a_file_that_is_no_json_exits_2_with_an_error_naming_it(capsys, tmp_path):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"n": 3, ')
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"n": 3, "field": "\xff"}')
+    paths = [truncated, latin]
+    if hasattr(sys, "get_int_max_str_digits"):  # json refuses longer ints
+        paths.append(tmp_path / "long.json")
+        paths[-1].write_text('{"n": 3, "field": "Q", "entries": [{"i": 1, "j": 1, "c": 1' + "0" * 5000 + "}]}")
+    for path in paths:
+        for argv in (
+            ("cohomology", "--algebra", str(path), "--variety", "lc"),
+            ("extend", "--algebra", "mu0:3", "--variety", "lc", "--cocycle", str(path)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
+
+
+def test_an_expression_index_too_long_to_read_is_malformed_input(capsys):
+    text = "delta_" + "9" * 5000 + "_1"
+    with pytest.raises(MalformedInput, match="^a literal of 5000 characters is too long$"):
+        parse_cocycle_expr(text, 3, RATIONALS)
+    code, out, err = run(capsys, "extend", "--algebra", "mu0:3", "--variety", "lc",
+                         "--cocycle", f"expr:{text}")
+    assert (code, out) == (2, "")
+    assert err == "error: a literal of 5000 characters is too long\n"

@@ -113,7 +113,6 @@ KEPT = {
     "opposite": "tests build right-handed algebras with it",
     "compose": "the orbits from the group's generators will compose automorphisms",
     "same_orbit": "certified orbit labels will test orbit membership with it",
-    "transpose": "theta^T extends A^op as theta extends A; no caller yet, see ROADMAP item 13",
 }
 
 
