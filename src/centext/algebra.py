@@ -25,7 +25,6 @@ all read that row.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 from .budget import check_budget
 from .errors import DimMismatch, IndexOutOfRange, InvalidDim
@@ -35,7 +34,7 @@ from .linalg import Subspace, _kernel, _scalar_row, basis_vec
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "_table", "_sparse", "_verdicts")
+    __slots__ = ("field", "dim", "_table", "_sparse")
 
     def __init__(self, field: Field, table):
         dim = len(table)
@@ -51,7 +50,6 @@ class Algebra:
         object.__setattr__(self, "dim", len(sparse))
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_sparse", sparse)
-        object.__setattr__(self, "_verdicts", {})
 
     @classmethod
     def _from_sparse(cls, field: Field, sparse) -> "Algebra":
@@ -222,10 +220,11 @@ def _walk(a: Algebra, variety: VarietySpec, tuples):
     identity and every tuple of ``tuples(identity)``, 0-based basis
     indices bound to its variables in order.  The cocycle equations walk
     every tuple (``_identity_terms``), a cocycle check the block-sorted
-    ones, and membership only the ones that decide it (``_holds``).  The
-    value is the tuple's value row (``_value``), lazy: a consumer that
-    passes over a tuple pays nothing for it.  A subtree shared by several
-    monomials (``IdentitySchema.subtrees``) is multiplied once per tuple.
+    ones, and membership only the ones that decide it
+    (``satisfies_variety``).  The value is the tuple's value row
+    (``_value``), lazy: a consumer that passes over a tuple pays nothing
+    for it.  A subtree shared by several monomials
+    (``IdentitySchema.subtrees``) is multiplied once per tuple.
     Raises CharTooSmall when the multilinear identities do not replace
     the originals, and BudgetExceeded when all N^k tuples are over the
     enumeration budget, however few ``tuples`` yields."""
@@ -292,12 +291,13 @@ def _sorted_tuples(ident, indices):
 
 def satisfies_variety(a: Algebra, variety: VarietySpec | str) -> bool:
     """Whether the algebra satisfies all identities of the variety,
-    checked via the multilinearized identities on the basis tuples.
-    Raises CharTooSmall when that replacement is not valid, and
-    BudgetExceeded when the tuples are over the enumeration budget; both
-    are checked on every call, and the budget counts all N^k tuples.
+    checked via the multilinearized identities on the basis tuples: one
+    ``_walk`` per call, up to the first nonzero value.  Raises
+    CharTooSmall when that replacement is not valid, and BudgetExceeded
+    when the tuples are over the enumeration budget; ``_walk`` checks both
+    on every call, and the budget counts all N^k tuples.
 
-    Only the tuples that can decide the verdict are walked: those of
+    Only the tuples that can decide the answer are walked: those of
     ``_sorted_tuples`` over the basis vectors with a nonzero row or
     column in the table, found once per call.  A tuple binding any other
     basis vector vanishes, since every variable of a multilinear
@@ -305,30 +305,9 @@ def satisfies_variety(a: Algebra, variety: VarietySpec | str) -> bool:
     tuple's value is plus or minus that of its sorted tuple, since
     sorting a symmetry block maps the identity to plus or minus itself.
     Tuples with equal indices in a block are kept, so an antisymmetric
-    identity is still checked on them in characteristic 2.
-
-    The verdict of each multilinear identity is kept on the algebra, so
-    each identity is walked at most once per Algebra object: another
-    variety sharing it (bicommutative after left-commutative) walks only
-    the identities not seen yet."""
+    identity is still checked on them in characteristic 2."""
     variety = builtin_variety(variety)
-    variety.char_gate(a.field)
-    idents = variety.multilinear_identities
-    check_budget(sum(a.dim ** len(ident.variables) for ident in idents), "identity tuples")
-    table, verdicts = a._sparse, a._verdicts
+    table = a._sparse
     live = [i for i, row in enumerate(table) if any(row) or any(r[i] for r in table)]
-    for ident in idents:
-        if ident not in verdicts:
-            verdicts[ident] = _holds(a, replace(variety, multilinear_identities=(ident,)), live)
-        if not verdicts[ident]:
-            return False
-    return True
-
-
-def _holds(a: Algebra, variety: VarietySpec, live) -> bool:
-    """Whether every multilinear identity of the variety vanishes on
-    every tuple of basis elements: ``_walk`` over its decisive tuples
-    only, those of ``_sorted_tuples`` over the ascending indices
-    ``live`` (see ``satisfies_variety``), up to the first nonzero value."""
     walk = _walk(a, variety, lambda ident: _sorted_tuples(ident, live))
     return not any(_multiplied(a, value) for _, _, value in walk)

@@ -83,11 +83,12 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
 
 
 def _read_json(path: str):
-    """The JSON document in a file; a file that is no JSON (or too deeply
-    nested to read) is a MalformedInput that names it."""
-    with open(path, encoding="utf-8") as fh:
+    """The JSON document in a file, after a leading UTF-8 byte-order mark
+    if any, its integers read by ``read_number``; a file that is no JSON
+    (or too deeply nested to read) is a MalformedInput that names it."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=lambda s: read_number(s, integer=True))
         except RecursionError:
             raise MalformedInput(f"{path}: JSON nested too deeply") from None
         except ValueError as exc:

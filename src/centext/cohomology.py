@@ -34,11 +34,6 @@ def _cocycle_equations(a: Algebra, variety: VarietySpec):
                 yield row, ident, combo
 
 
-def _equation_rows(a: Algebra, variety: VarietySpec):
-    """The distinct cocycle equations as sparse raw rows, first-seen order."""
-    return [row for row, _, _ in _cocycle_equations(a, variety)]
-
-
 def cocycle_space(a: Algebra, variety: VarietySpec | str, equations=None):
     """Canonical echelonized basis of the cocycle space Z^2(A, F) for the
     variety, as a list of BilinearForm.  ``equations``, when given, are
@@ -58,14 +53,9 @@ def _require_member(a: Algebra, variety: VarietySpec, equations) -> None:
     """Raise NotInVariety unless the algebra satisfies the variety.  The
     row of an (identity, tuple) is its value row, so the algebra is in
     the variety exactly when every distinct row multiplies out to zero
-    (``_multiplied``).  Verdicts are kept as ``satisfies_variety`` keeps
-    them: every identity on success, only the failing row's identity on
-    failure."""
-    for row, ident, _ in equations:
-        if _multiplied(a, row.items()):
-            a._verdicts[ident] = False
-            raise NotInVariety(f"algebra does not satisfy {variety.name}")
-    a._verdicts.update(dict.fromkeys(variety.multilinear_identities, True))
+    (``_multiplied``)."""
+    if any(_multiplied(a, row.items()) for row, _, _ in equations):
+        raise NotInVariety(f"algebra does not satisfy {variety.name}")
 
 
 def check_cocycle(a: Algebra, variety: VarietySpec | str, theta: BilinearForm) -> None:

@@ -538,13 +538,14 @@ def classification_table(n: int, field: Field, mu_sample=None):
     ]
 
 
-def _check_row(row: TableRow, n: int, field: Field) -> dict:
+def _check_row(row: TableRow) -> dict:
     """Extend the base by the row's cocycle, checked against the cocycle
     equations kept on row.base_h2, and compare the extension with the
     row's pattern (raw tables; scalars only for a TableMismatch text),
     flags and annihilator dimension.  The row is in T_1 exactly when that
-    dimension is 1, and the bicommutative test walks only the
-    right-commutative identity: the left-commutative verdict is kept."""
+    dimension is 1.  Bicommutative is left- and right-commutative, and the
+    extension has passed the left-commutative test by then, so the flag
+    walks the right-commutative identity only."""
     lc, base = row.base_h2.variety, row.base_h2.algebra
     result = central_extension(base, [row.cocycle], lc, h=row.base_h2)
     ext, expected = result.extended, row.expected
@@ -572,7 +573,7 @@ def _check_row(row: TableRow, n: int, field: Field) -> dict:
         raise TableMismatch(
             f"row {row.label}: T_1 membership {t1}, expected {row.expected_t1}"
         )
-    bicom = satisfies_variety(ext, builtin_variety("bicommutative"))
+    bicom = satisfies_variety(ext, builtin_variety("right_commutative"))
     return {
         "label": row.label,
         "ok": True,
@@ -588,7 +589,7 @@ def check_table1(n: int, field: Field, mu_sample=None):
     out = []
     for row in classification_table(n, field, mu_sample):
         try:
-            out.append(_check_row(row, n, field))
+            out.append(_check_row(row))
         except TableMismatch as exc:
             out.append({"label": row.label, "ok": False, "detail": str(exc)})
     return out

@@ -297,6 +297,42 @@ def orbit_partition(domain, matrices, p, lines):
     return sorted(sorted(g) for g in groups.values())
 
 
+def burnside_orbit_count(matrices, p, reps=None):
+    """The number of orbits of the group listed by matrices (integer
+    matrices acting mod p on column vectors, each element once), by
+    Burnside's lemma: (1/|G|) times the sum over M of fix(M).  Without
+    reps the domain is all of F_p^d, where fix(M) = p^dim ker(M - I).
+    With reps, the n x n int matrices of the class representatives, it
+    is the lines outside W, the classes c whose form sum c_k reps[k]
+    vanishes on (e_n, e_j) and on (e_j, e_n) for every j: fix(M) is the
+    sum over the eigenvalues l in F_p* of (p^dim E_l - p^dim(E_l & W))
+    / (p - 1), E_l = ker(M - l I).  Raises ValueError when the sum is
+    not a multiple of |G|."""
+    matrices = list(matrices)
+    d = len(matrices[0])
+    w_rows = []
+    if reps is not None:
+        n = len(reps[0])
+        w_rows = [[rep[n - 1][j] for rep in reps] for j in range(n)]
+        w_rows += [[rep[j][n - 1] for rep in reps] for j in range(n)]
+
+    def dim_kernel(rows):
+        return len(modp_kernel(rows, d, p))
+
+    total = 0
+    for m in matrices:
+        for lam in [1] if reps is None else range(1, p):
+            shifted = [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+            if reps is None:
+                total += p ** dim_kernel(shifted)
+            else:
+                total += (p ** dim_kernel(shifted) - p ** dim_kernel(shifted + w_rows)) // (p - 1)
+    count, rest = divmod(total, len(matrices))
+    if rest:
+        raise ValueError(f"the fixed points sum to {total}, no multiple of {len(matrices)}")
+    return count
+
+
 # ---------------------------------------------------------------------------
 # cohomology classes and the automorphism action on them
 

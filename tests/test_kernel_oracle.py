@@ -38,7 +38,7 @@ from centext import (
 import centext.algebra as algebra_mod
 import centext.cohomology as cohomology_mod
 from centext.algebra import _sorted_tuples
-from centext.cohomology import _equation_rows
+from centext.cohomology import _cocycle_equations
 from centext.linalg import mat_mul, rref_with_transform
 
 from oracles import (
@@ -127,9 +127,9 @@ def test_membership_matches_dense_oracle(vname):
 
 
 def test_stored_verdicts_match_dense_oracle_in_any_order():
-    # satisfies_variety keeps each identity's verdict on the Algebra object;
     # every variety, asked in catalog order and then in reverse on one
-    # object, must get the oracle's answer and a fresh object's
+    # object, must get the oracle's answer and a fresh object's: no answer
+    # depends on what was asked of the object before
     outcomes = set()
     for _, field, table, a in algebras(7):
         want = {
@@ -207,25 +207,29 @@ def test_membership_skips_match_dense_oracle(vname):
         assert {("Fp:2", True), ("Fp:2", False)} <= outcomes
 
 
-def test_stored_verdicts_walk_only_new_identities(monkeypatch):
+def test_membership_walks_the_same_tuples_whatever_ran_before(monkeypatch):
+    # membership is a function of the algebra and the variety: bc walks
+    # the same (identity, tuple) sequence on a fresh object as on one whose
+    # H2 and lc membership were computed first
     walked = []
     real = algebra_mod._walk
 
     def recording(a, variety, tuples):
-        walked.extend(variety.multilinear_identities)
-        return real(a, variety, tuples)
+        for ident, combo, value in real(a, variety, tuples):
+            walked.append((ident, combo))
+            yield ident, combo, value
 
     monkeypatch.setattr(algebra_mod, "_walk", recording)
+    bc, lc = builtin_variety("bc"), builtin_variety("lc")
+    assert satisfies_variety(null_filiform(4, RATIONALS), bc)
+    fresh = list(walked)
+    assert {ident for ident, _ in fresh} == set(bc.multilinear_identities)
     a = null_filiform(4, RATIONALS)
-    lc, rc = builtin_variety("lc"), builtin_variety("rc")
+    second_cohomology(a, lc)
     assert satisfies_variety(a, lc)
-    assert walked == list(lc.multilinear_identities)
     walked.clear()
-    assert satisfies_variety(a, builtin_variety("bc"))
-    assert walked == list(rc.multilinear_identities)
-    walked.clear()
-    assert satisfies_variety(a, lc) and satisfies_variety(a, rc)
-    assert walked == []
+    assert satisfies_variety(a, bc)
+    assert walked == fresh
 
 
 def test_membership_reads_only_the_values_that_decide_it(monkeypatch):
@@ -294,7 +298,7 @@ def test_stored_verdicts_keep_the_char_gate_and_the_budget(monkeypatch):
     f3 = Field.prime(3)
     a = null_filiform(3, f3)
     jordan = builtin_variety("jordan")
-    # the multilinear identities alone pass the gate and store their verdicts
+    # the multilinear identities alone pass the gate
     linear = dataclasses.replace(jordan, identities=jordan.multilinear_identities)
     assert satisfies_variety(a, linear)
     with pytest.raises(CharTooSmall):
@@ -310,8 +314,8 @@ def test_stored_verdicts_keep_the_char_gate_and_the_budget(monkeypatch):
 
 def test_second_cohomology_walks_each_identity_once(monkeypatch):
     # membership is read off the cocycle equations: one walk of every
-    # identity over every basis tuple, and the verdicts it leaves on the
-    # algebra answer satisfies_variety without another walk
+    # identity over every basis tuple; satisfies_variety walks only the
+    # decisive tuples, never the full walk of the equations
     calls, walked = [], Counter()
     real = algebra_mod._identity_terms
 
@@ -456,7 +460,7 @@ def test_cohomology_refuses_exactly_the_non_members(vname):
             else:
                 with pytest.raises(NotInVariety, match=f"^algebra does not satisfy {vname}$"):
                     solve(b, variety)
-            # the verdicts the solve kept on b agree with fresh answers
+            # after the solve, b still gets the fresh answers
             for other, expected in others.items():
                 if expected is not CharTooSmall:
                     assert satisfies_variety(b, other) == expected, (vname, other.name)
@@ -475,13 +479,14 @@ def test_equation_rows_and_cocycle_checks_match_dense_oracle(vname):
             for idx, row in oracle_equations(table, ident, p)
         ]
         want_rows = first_seen([row for _, _, row in tagged])
-        assert dense(_equation_rows(a, variety), n * n) == want_rows
+        rows = [row for row, _, _ in _cocycle_equations(a, variety)]
+        assert dense(rows, n * n) == want_rows
         # the row space's kernel, and forms in it and near it
         if p:
             kernel = modp_kernel(want_rows, n * n, p)
         else:
             kernel = frac_kernel(want_rows, n * n)
-        got = [[x.value for x in v] for v in kernel_basis(_equation_rows(a, variety), n * n, field)]
+        got = [[x.value for x in v] for v in kernel_basis(rows, n * n, field)]
         assert got == kernel
         for _ in range(4):
             theta = [0] * (n * n)

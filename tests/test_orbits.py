@@ -32,7 +32,14 @@ from centext.automorphisms import _lower_triangular
 from centext.cli import parse_cocycle_expr
 from centext.orbits import _automorphism_matrices, _check_row, _first_columns, resolve_budget
 
-from oracles import is_automorphism, null_filiform_automorphisms, null_filiform_table, orbit_partition
+from oracles import (
+    burnside_orbit_count,
+    class_action_oracle,
+    is_automorphism,
+    null_filiform_automorphisms,
+    null_filiform_table,
+    orbit_partition,
+)
 
 
 def test_roots_of_unity_frozen_f13():
@@ -463,11 +470,11 @@ def test_table_mismatch_detection():
     ]
     bad = dataclasses.replace(row, expected=row.expected.__class__(f, bad_table))
     with pytest.raises(TableMismatch) as err:
-        _check_row(bad, 3, f)
+        _check_row(bad)
     assert "e_1 e_1" in str(err.value)
     wrong_flag = dataclasses.replace(row, expected_ann_dim=3)
     with pytest.raises(TableMismatch):
-        _check_row(wrong_flag, 3, f)
+        _check_row(wrong_flag)
 
 
 def test_check_table1_collects_failures(monkeypatch):
@@ -476,10 +483,10 @@ def test_check_table1_collects_failures(monkeypatch):
 
     real = orbits_mod._check_row
 
-    def flaky(row, n, field):
+    def flaky(row):
         if row.label == "nabla3":
             raise TableMismatch("synthetic failure")
-        return real(row, n, field)
+        return real(row)
 
     monkeypatch.setattr(orbits_mod, "_check_row", flaky)
     results = orbits_mod.check_table1(3, RATIONALS)
@@ -492,10 +499,10 @@ def test_check_table1_reports_the_failing_row(monkeypatch):
 
     real = orbits_mod._check_row
 
-    def flaky(row, n, field):
+    def flaky(row):
         if row.label == "delta2_1":
             raise TableMismatch(f"row {row.label}: synthetic failure")
-        return real(row, n, field)
+        return real(row)
 
     monkeypatch.setattr(orbits_mod, "_check_row", flaky)
     bad = [r for r in check_table1(3, RATIONALS) if not r["ok"]]
@@ -551,6 +558,34 @@ def test_orbits_match_union_find_oracle(variety, n, p):
         assert got == want, (report.kind, variety, n, p)
         assert [o.size for o in report.orbits] == [len(g) for g in want]
         assert report.domain_size == len(domain)
+
+
+# (n, p, variety, levels, whether the oracle's group is checked too: its
+# 6 * 7^3 and 6 * 7^4 automorphisms of the F_7 shapes take seconds)
+BURNSIDE_CASES = [
+    (n, p, variety, ("H2", "T1"), True)
+    for variety in ("lc", "bc", "associative", "novikov")
+    for n, p in ((2, 3), (3, 5), (4, 3))
+] + [(4, 7, "lc", ("H2", "T1"), False), (5, 7, "lc", ("T1",), False)]
+
+
+@pytest.mark.parametrize(
+    "n,p,variety,levels,oracle",
+    BURNSIDE_CASES,
+    ids=[f"{v}-n{n}-F{p}-{'+'.join(levels)}" for n, p, v, levels, _ in BURNSIDE_CASES],
+)
+def test_orbit_counts_match_burnside(n, p, variety, levels, oracle):
+    # the orbit count is the mean number of fixed points over the group,
+    # for the class-action matrices and for the oracle's set alike
+    field = Field.prime(p)
+    action = ClassAction(n, variety, field)
+    reps = [[[x.value for x in row] for row in rep.rows] for rep in action.h.h_reps]
+    groups = [action.matrices] + ([class_action_oracle(n, p, reps)] if oracle else [])
+    for level in levels:
+        lines = level == "T1"
+        report = (orbits_on_T1 if lines else orbits_on_H2)(n, variety, field)
+        for group in groups:
+            assert burnside_orbit_count(group, p, reps if lines else None) == len(report.orbits), level
 
 
 def test_matrices_that_are_no_group_raise(monkeypatch):

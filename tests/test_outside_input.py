@@ -303,6 +303,36 @@ def test_a_file_that_is_no_json_exits_2_with_an_error_naming_it(capsys, tmp_path
             assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
 
 
+_FILE_COMMANDS = (
+    (_cocycle_doc, ("extend", "--algebra", "mu0:3", "--variety", "lc", "--cocycle")),
+    (_algebra_doc, ("cohomology", "--variety", "lc", "--algebra")),
+)
+
+
+def test_a_byte_order_mark_opening_a_json_file_is_ignored(capsys, tmp_path):
+    for doc, argv in _FILE_COMMANDS:
+        outs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / f"{encoding}.json"
+            path.write_text(json.dumps(doc("-1/2")), encoding=encoding)
+            code, out, err = run(capsys, *argv, str(path))
+            assert (code, err) == (0, ""), err
+            outs.append(out)
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outs[0] == outs[1]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="ints of any length are read")
+def test_a_json_integer_too_long_to_read_is_refused_by_the_grammar(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    for doc, argv in _FILE_COMMANDS:
+        path.write_text(json.dumps(doc("X")).replace('"X"', "1" + "0" * 5000))
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: a literal of 5001 characters is too long\n"
+        assert "set_int_max_str_digits" not in err
+
+
 def test_an_expression_index_too_long_to_read_is_malformed_input(capsys):
     text = "delta_" + "9" * 5000 + "_1"
     with pytest.raises(MalformedInput, match="^a literal of 5000 characters is too long$"):

@@ -142,6 +142,22 @@ def test_every_public_definition_in_src_is_read_in_src():
     }
 
 
+def test_every_private_function_in_src_is_read_in_src():
+    # a private function or method that only tests call is dead code;
+    # dunder methods are called by Python itself
+    units = [unit for tree in _trees(sorted(SRC.glob("*.py"))).values() for unit in _units(tree)]
+    names = [_names_used(unit) for unit in units]
+    unread = [
+        unit.name
+        for k, unit in enumerate(units)
+        if isinstance(unit, ast.FunctionDef)
+        and unit.name.startswith("_")
+        and not unit.name.startswith("__")
+        and not any(unit.name in used for j, used in enumerate(names) if j != k)
+    ]
+    assert unread == []
+
+
 def test_src_has_no_assert_statement():
     # invariants raise typed errors, which python -O does not strip
     asserts = [
