@@ -207,6 +207,25 @@ def is_standard_null_filiform(a: Algebra) -> bool:
     return a == null_filiform(a.dim, a.field)
 
 
+def build_extension(a: Algebra, thetas) -> Algebra:
+    """The central extension of A by the forms, no cocycle checking, as a
+    sparse raw table: e_i * e_j of A followed by the nonzero theta_t(e_i,
+    e_j) at f_t, and zero products for every f_t.  So its annihilator
+    equations are those of A and of every form, on e_1..e_n alone."""
+    n, s = a.dim, len(thetas)
+    if any(theta.n != n or theta.field != a.field for theta in thetas):
+        raise DimMismatch("form does not match the algebra")
+    sparse = []
+    for i, row in enumerate(a._sparse):
+        out = []
+        for j, vec in enumerate(row):
+            k = i * n + j
+            out.append(vec + tuple((n + t, th._sparse[k]) for t, th in enumerate(thetas) if k in th._sparse))
+        sparse.append(tuple(out) + ((),) * s)
+    sparse += [((),) * (n + s)] * s
+    return Algebra._from_sparse(a.field, tuple(sparse))
+
+
 def _identity_terms(a: Algebra, variety: VarietySpec):
     """The H² equations' walk: ``_walk`` over every tuple of basis
     indices, in lexicographic order, as (identity, tuple, value row)

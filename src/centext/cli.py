@@ -82,13 +82,23 @@ def parse_cocycle_expr(text: str, n: int, field: Field) -> BilinearForm:
     raise MalformedInput(f"incomplete cocycle expression {text!r}")
 
 
+def _json_object(pairs) -> dict:
+    """A JSON object's dict; a key given twice is refused, not overwritten."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise MalformedInput(f"repeated key '{key}'")
+        out[key] = value
+    return out
+
+
 def _read_json(path: str):
     """The JSON document in a file, after a leading UTF-8 byte-order mark
     if any, its integers read by ``read_number``; a file that is no JSON
-    (or too deeply nested to read) is a MalformedInput that names it."""
+    (too deeply nested, or repeating a key) is a MalformedInput naming it."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            return json.load(fh, parse_int=lambda s: read_number(s, integer=True))
+            return json.load(fh, parse_int=lambda s: read_number(s, integer=True), object_pairs_hook=_json_object)
         except RecursionError:
             raise MalformedInput(f"{path}: JSON nested too deeply") from None
         except ValueError as exc:
@@ -195,8 +205,7 @@ def _cmd_extend(args) -> int:
     algebra = _load_algebra(args.algebra, field)
     variety = builtin_variety(args.variety)
     thetas = [_load_cocycle(spec, algebra) for spec in args.cocycle]
-    h = second_cohomology(algebra, variety)
-    result = central_extension(algebra, thetas, variety, h=h)
+    result = central_extension(algebra, thetas, variety)
     t1 = None
     if len(thetas) == 1:
         # in T1: the class is nonzero and f_1 alone spans the annihilator

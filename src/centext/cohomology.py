@@ -11,7 +11,8 @@ are taken modulo coboundaries.
 
 from __future__ import annotations
 
-from .algebra import Algebra, _identity_terms, _multiplied, _sorted_tuples, _walk, is_standard_null_filiform
+from .algebra import (Algebra, _identity_terms, _multiplied, _sorted_tuples, _walk, build_extension,
+                      is_standard_null_filiform)
 from .errors import DimMismatch, InvariantError, NotACocycle, NotInVariety
 from .forms import BilinearForm, _tabulated_class, _tabulated_deltas
 from .identities import VarietySpec, builtin_variety, format_identity
@@ -60,25 +61,17 @@ def _require_member(a: Algebra, variety: VarietySpec, equations) -> None:
 
 def check_cocycle(a: Algebra, variety: VarietySpec | str, theta: BilinearForm) -> None:
     """Raise NotACocycle (naming a violated equation) unless theta
-    satisfies every cocycle equation of the variety over this algebra.
-    Only block-sorted tuples (``_sorted_tuples``) are evaluated, each
-    value row paired with theta as it is walked: an unsorted tuple's
-    value is plus or minus its sorted tuple's, which comes no later, so
-    the equation named is the first to fail in the full walk, as in
-    ``CohomologySpace``."""
+    satisfies every cocycle equation of the variety over this algebra;
+    DimMismatch, before any walk, unless theta is a form on the algebra.
+    Only block-sorted tuples (``_sorted_tuples``) are walked, each value
+    row r paired with theta as the sum of r * theta_k over its (k, r)
+    pairs: an unsorted tuple's value is plus or minus its sorted tuple's,
+    which comes no later, so the equation named is the first to fail."""
     variety = builtin_variety(variety)
-    _require_cocycle(a, theta, _walk(a, variety, lambda ident: _sorted_tuples(ident, range(a.dim))))
-
-
-def _require_cocycle(a: Algebra, theta: BilinearForm, rows) -> None:
-    """Raise NotACocycle at the first (identity, tuple, value row) of
-    ``rows`` whose row does not vanish on theta, the sum of r * theta_k
-    over its (k, r) pairs, naming that equation; DimMismatch unless
-    theta is a form on the algebra, before any row is read."""
     if theta.n != a.dim or theta.field != a.field:
         raise DimMismatch("form does not match the algebra")
     p, entries = a.field.p, theta._sparse
-    for ident, combo, row in rows:
+    for ident, combo, row in _walk(a, variety, lambda ident: _sorted_tuples(ident, range(a.dim))):
         value = sum(r * entries.get(k, 0) for k, r in row)
         if value % p if p else value:
             args = ", ".join(f"{v}=e_{i + 1}" for v, i in zip(ident.variables, combo))
@@ -112,26 +105,11 @@ def coboundary_space(a: Algebra):
     return [BilinearForm._from_sparse(a.field, a.dim, r) for r in _coboundary_rows(a)]
 
 
-def _form_annihilator_rows(a: Algebra, theta: BilinearForm) -> list:
-    """The equations theta(x, e_j) = 0 and theta(e_j, x) = 0 on the
-    coordinates of x, as sparse raw rows {i: coefficient of x_i}, read
-    from the form's raw view; the zero rows are left out."""
-    if theta.n != a.dim or theta.field != a.field:
-        raise DimMismatch("form does not match the algebra")
-    rows = {}
-    for k, c in theta._sparse.items():
-        i, j = divmod(k, a.dim)
-        rows.setdefault((0, j), {})[i] = c  # theta(e_i, e_j) in theta(x, e_j)
-        rows.setdefault((1, i), {})[j] = c  # theta(e_i, e_j) in theta(e_i, x)
-    return list(rows.values())
-
-
 def annihilator_intersection(a: Algebra, thetas) -> Subspace:
     """Ann(A) intersected with the annihilators of all the given forms:
-    the kernel of their equations, stacked."""
-    rows = a._annihilator_rows()
-    for theta in thetas:
-        rows += _form_annihilator_rows(a, theta)
+    the kernel, on the n base coordinates, of the annihilator equations
+    of their extension A_theta (``build_extension``)."""
+    rows = build_extension(a, tuple(thetas))._annihilator_rows()
     return Subspace._from_sparse(a.field, a.dim, _kernel(rows, a.dim, a.field.p))
 
 
@@ -150,15 +128,9 @@ def _preferred_h_reps(a: Algebra, variety: VarietySpec):
 
 class CohomologySpace:
     """Second cohomology data: cocycle basis, coboundary basis, chosen
-    class representatives, the reduction map onto class coordinates, and
-    the cocycle equations the cocycle basis solves.
-
-    The equations are the deduplicated (row, identity, tuple) triples of
-    the one identity walk, in first-seen order, which also decided that
-    the algebra is in the variety.  They are kept from the solve so that
-    ``check_cocycle`` tests a form against them without walking the
-    identities again, and names the same failing equation as the
-    module-level ``check_cocycle``.
+    class representatives and the reduction map onto class coordinates.
+    B^2 and the representatives span Z^2, so the reduction map alone
+    decides whether a form is a cocycle.
 
     The reduction map is the transform T of a row reduction of the
     matrix whose columns are the coboundary basis and then the
@@ -179,10 +151,9 @@ class CohomologySpace:
         "preferred_basis_used",
         "_transform",
         "_columns",
-        "_equations",
     )
 
-    def __init__(self, algebra, variety, z_basis, b_basis, h_reps, h_labels, preferred, equations):
+    def __init__(self, algebra, variety, z_basis, b_basis, h_reps, h_labels, preferred):
         self.algebra = algebra
         self.variety = variety
         self.z_basis = tuple(z_basis)
@@ -190,7 +161,6 @@ class CohomologySpace:
         self.h_reps = tuple(h_reps)
         self.h_labels = tuple(h_labels)
         self.preferred_basis_used = preferred
-        self._equations = tuple(equations)
         cols = [f.as_vector() for f in self.b_basis] + [f.as_vector() for f in self.h_reps]
         n2 = algebra.dim * algebra.dim
         rows = [tuple(col[r] for col in cols) for r in range(n2)]
@@ -237,11 +207,16 @@ class CohomologySpace:
         return tuple(values[: self.dim_h])
 
     def check_cocycle(self, theta: BilinearForm) -> None:
-        """``check_cocycle(self.algebra, self.variety, theta)``, with
-        theta paired with the stored value rows: NotACocycle names the
-        same violated equation."""
-        rows = ((ident, combo, row.items()) for row, ident, combo in self._equations)
-        _require_cocycle(self.algebra, theta, rows)
+        """``check_cocycle(self.algebra, self.variety, theta)``, decided by
+        the reduction map; only a form that fails walks the identities, to
+        name its equation, and a walk that names none is an InvariantError."""
+        if theta.n != self.algebra.dim or theta.field != self.algebra.field:
+            raise DimMismatch("form does not match the algebra")
+        try:
+            self._reduce_raw(theta._sparse)
+        except NotACocycle:
+            check_cocycle(self.algebra, self.variety, theta)
+            raise InvariantError("a form outside the cocycle span satisfies every cocycle equation") from None
 
     def reduce_class(self, theta: BilinearForm):
         """Coordinates of the class [theta] in the h_reps basis.
@@ -279,8 +254,7 @@ def second_cohomology(a: Algebra, variety: VarietySpec | str) -> CohomologySpace
     vectors z<k> (1-based) outside the span of B and the vectors before
     them, and checks that B lies in Z: that dim Z rows open a pivot."""
     variety = builtin_variety(variety)
-    equations = tuple(_cocycle_equations(a, variety))
-    z_forms = cocycle_space(a, variety, equations)
+    z_forms = cocycle_space(a, variety, tuple(_cocycle_equations(a, variety)))
     b_rows = _coboundary_rows(a)
     b_forms = [BilinearForm._from_sparse(a.field, a.dim, r) for r in b_rows]
     z_rows, p = [f._sparse for f in z_forms], a.field.p
@@ -290,11 +264,11 @@ def second_cohomology(a: Algebra, variety: VarietySpec | str) -> CohomologySpace
         opened = []
         _echelon([dict(r) for r in b_rows + [f._sparse for f in forms] + z_rows], p, opened)
         if opened == list(range(len(b_rows) + len(forms))):
-            return CohomologySpace(a, variety, z_forms, b_forms, forms, labels, True, equations)
+            return CohomologySpace(a, variety, z_forms, b_forms, forms, labels, True)
     opened = []
     _echelon([dict(r) for r in b_rows + z_rows], p, opened)
     if len(opened) != len(z_rows):
         raise InvariantError("coboundary outside the cocycle space")
     picked = [i - len(b_rows) for i in opened if i >= len(b_rows)]
     h_reps, h_labels = [z_forms[k] for k in picked], [f"z{k + 1}" for k in picked]
-    return CohomologySpace(a, variety, z_forms, b_forms, h_reps, h_labels, False, equations)
+    return CohomologySpace(a, variety, z_forms, b_forms, h_reps, h_labels, False)

@@ -539,13 +539,13 @@ def classification_table(n: int, field: Field, mu_sample=None):
 
 
 def _check_row(row: TableRow) -> dict:
-    """Extend the base by the row's cocycle, checked against the cocycle
-    equations kept on row.base_h2, and compare the extension with the
-    row's pattern (raw tables; scalars only for a TableMismatch text),
-    flags and annihilator dimension.  The row is in T_1 exactly when that
-    dimension is 1.  Bicommutative is left- and right-commutative, and the
-    extension has passed the left-commutative test by then, so the flag
-    walks the right-commutative identity only."""
+    """Extend the base by the row's cocycle, checked by the reduction map
+    of row.base_h2, and compare the extension with the row's pattern (raw
+    tables; scalars only for a TableMismatch text), flags and annihilator
+    dimension.  The row is in T_1 exactly when that dimension is 1.
+    Bicommutative is left- and right-commutative, and the extension has
+    passed the left-commutative test by then, so the flag walks the
+    right-commutative identity only."""
     lc, base = row.base_h2.variety, row.base_h2.algebra
     result = central_extension(base, [row.cocycle], lc, h=row.base_h2)
     ext, expected = result.extended, row.expected
@@ -566,8 +566,6 @@ def _check_row(row: TableRow) -> dict:
             f"row {row.label}: annihilator dim {result.annihilator_dim}, "
             f"expected {row.expected_ann_dim}"
         )
-    if ext.annihilator().dim != row.expected_ann_dim:
-        raise TableMismatch(f"row {row.label}: extended annihilator disagrees")
     t1 = result.annihilator_dim == 1
     if t1 != row.expected_t1:
         raise TableMismatch(

@@ -25,7 +25,7 @@ from centext import (
     null_filiform,
     second_cohomology,
 )
-from centext.cohomology import _cocycle_equations, _preferred_h_reps
+from centext.cohomology import _preferred_h_reps
 
 from oracles import extension_table, frac_rref, is_left_commutative, modp_rref
 
@@ -255,8 +255,23 @@ def test_representative_in_the_coboundaries_is_an_invariant_error():
     h = second_cohomology(null_filiform(3, RATIONALS), LC)
     with pytest.raises(InvariantError, match="not independent"):
         CohomologySpace(
-            h.algebra, h.variety, h.z_basis, h.b_basis, (h.b_basis[0],), ("b",), False, ()
+            h.algebra, h.variety, h.z_basis, h.b_basis, (h.b_basis[0],), ("b",), False
         )
+
+
+def test_a_rejected_cocycle_that_no_equation_refutes_is_an_invariant_error(monkeypatch):
+    # the reduction map decides; a form it rejects but that satisfies every
+    # cocycle equation means the map and the equations disagree
+    h = second_cohomology(null_filiform(4, RATIONALS), LC)
+    theta = h.z_basis[-1]
+    h.check_cocycle(theta)
+
+    def reject(self, entries):
+        raise NotACocycle("form lies outside the cocycle space")
+
+    monkeypatch.setattr(CohomologySpace, "_reduce_raw", reject)
+    with pytest.raises(InvariantError, match="satisfies every cocycle equation"):
+        h.check_cocycle(theta)
 
 
 def test_coboundary_outside_the_cocycles_is_an_invariant_error(monkeypatch):
@@ -326,7 +341,6 @@ def test_second_cohomology_leaves_its_inputs_intact(name, field):
     copies of the stored equations and of the forms' raw views."""
     a, v = null_filiform(5, field), builtin_variety(name)
     h = second_cohomology(a, v)
-    assert h._equations == tuple(_cocycle_equations(a, v))
     assert list(h.b_basis) == coboundary_space(a)
     assert list(h.z_basis) == cocycle_space(a, v)
     if h.preferred_basis_used:

@@ -540,8 +540,8 @@ def test_annihilators_match_dense_oracle(name):
         n = a.dim
         zero = [[[0] * n for _ in range(n)] for _ in range(n)]
 
-        def kernel(rows):
-            return modp_kernel(rows, n, p) if p else frac_kernel(rows, n)
+        def kernel(rows, ncols=n):
+            return modp_kernel(rows, ncols, p) if p else frac_kernel(rows, ncols)
 
         def values(space):
             return [[x.value for x in v] for v in space.basis]
@@ -557,6 +557,16 @@ def test_annihilators_match_dense_oracle(name):
             want = kernel(annihilator_equations(table, forms))
             assert values(annihilator_intersection(a, thetas)) == want
             dims.add(len(want))
+            # the extension's annihilator, from its own table, is the
+            # intersection plus the span of f_1..f_s
+            m = n + count
+            ext_table = [
+                [table[i][j] + [f[i][j] for f in forms] if i < n and j < n else [0] * m for j in range(m)]
+                for i in range(m)
+            ]
+            ext_ann = kernel(annihilator_equations(ext_table, []), m)
+            assert values(build_extension(a, thetas).annihilator()) == ext_ann
+            assert len(ext_ann) == len(want) + count
             # over the zero algebra, whose annihilator is everything,
             # the intersection is the annihilator of the form alone
             for theta, form in zip(thetas, forms):

@@ -303,6 +303,21 @@ def test_a_file_that_is_no_json_exits_2_with_an_error_naming_it(capsys, tmp_path
             assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
 
 
+def test_a_repeated_json_key_exits_2_with_an_error_naming_it(capsys, tmp_path):
+    # json keeps the last value of a repeated key, so the second "c" would
+    # silently replace the first
+    cases = [
+        ('{"n": 3, "n": 3, "field": "Q", "entries": []}', "n"),
+        ('{"n": 3, "field": "Q", "entries": [{"i": 3, "j": 1, "c": "1", "c": "5"}]}', "c"),
+    ]
+    for text, key in cases:
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "extend", "--algebra", "mu0:3", "--variety", "lc", "--cocycle", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: repeated key '{key}'\n"
+
+
 _FILE_COMMANDS = (
     (_cocycle_doc, ("extend", "--algebra", "mu0:3", "--variety", "lc", "--cocycle")),
     (_algebra_doc, ("cohomology", "--variety", "lc", "--algebra")),

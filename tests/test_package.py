@@ -113,6 +113,7 @@ KEPT = {
     "opposite": "tests build right-handed algebras with it",
     "compose": "the orbits from the group's generators will compose automorphisms",
     "same_orbit": "certified orbit labels will test orbit membership with it",
+    "annihilator_intersection": "wrapped by perfbench/spans.py; tests check it against the kernel oracle",
 }
 
 
