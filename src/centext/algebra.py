@@ -11,8 +11,8 @@ table of (k, raw value) pairs (see ``Scalar.raw``), which products,
 identity evaluation, cocycle equations, annihilators, ``to_json`` and
 ``opposite`` read.  ``Algebra.__init__`` and ``Algebra.multiply`` read the
 vectors they are given through ``Field._raw_row``, and ``multiply``
-returns Scalars.  The Scalar ``table`` is built from the sparse table
-only when it is read.
+returns Scalars.  The Scalar ``table`` is a view built from the sparse
+table on every read, so an Algebra holds no mutable state.
 
 Identities are evaluated on basis tuples by one walk (``_walk``): each
 multilinear identity is read once as its distinct positional subtrees,
@@ -34,7 +34,7 @@ from .linalg import Subspace, _kernel, _scalar_row, basis_vec
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "_table", "_sparse")
+    __slots__ = ("field", "dim", "_sparse")
 
     def __init__(self, field: Field, table):
         dim = len(table)
@@ -43,32 +43,28 @@ class Algebra:
         if any(len(row) != dim for row in table):
             raise DimMismatch("structure constant table must be dim x dim x dim")
         sparse = tuple(tuple(tuple(field._raw_row(vec, dim).items()) for vec in row) for row in table)
-        self._set(field, sparse, None)
+        self._set(field, sparse)
 
-    def _set(self, field, sparse, table):
+    def _set(self, field, sparse):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", len(sparse))
-        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_sparse", sparse)
 
     @classmethod
     def _from_sparse(cls, field: Field, sparse) -> "Algebra":
         """The algebra of a sparse raw table, given as the private table
         is kept: sparse[i][j] lists the (k, raw value) pairs of e_i * e_j
-        with nonzero values in ascending k.  The Scalar table is built on
-        first use."""
+        with nonzero values in ascending k."""
         a = object.__new__(cls)
-        a._set(field, sparse, None)
+        a._set(field, sparse)
         return a
 
     @property
     def table(self):
-        """table[i][j] = e_i * e_j as a tuple of scalars, 0-based."""
-        if self._table is None:
-            field, n = self.field, self.dim
-            table = tuple(tuple(_scalar_row(field, dict(v), n) for v in row) for row in self._sparse)
-            object.__setattr__(self, "_table", table)
-        return self._table
+        """table[i][j] = e_i * e_j as a tuple of scalars, 0-based, built
+        from the sparse table on every read."""
+        field, n = self.field, self.dim
+        return tuple(tuple(_scalar_row(field, dict(v), n) for v in row) for row in self._sparse)
 
     def __setattr__(self, name, value):
         raise AttributeError("Algebra is immutable")

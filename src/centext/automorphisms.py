@@ -81,9 +81,10 @@ def _class_matrix(h: CohomologySpace, m, reps):
 class Automorphism:
     """An automorphism of the n-dimensional null-filiform algebra,
     stored as its first column and the raw (lower triangular) matrix
-    with entries phi_{i+1, j+1}; ``matrix`` is built from it when read."""
+    with entries phi_{i+1, j+1}; ``matrix`` is built from it on every
+    read."""
 
-    __slots__ = ("field", "n", "first_col", "_matrix", "_raw")
+    __slots__ = ("field", "n", "first_col", "_raw")
 
     def __init__(self, field: Field, first_col):
         n = len(first_col)
@@ -93,16 +94,13 @@ class Automorphism:
         if 0 not in col:
             raise NotInvertible("phi_{1,1} must be nonzero")
         raw = _lower_triangular(tuple(col.get(k, 0) for k in range(n)), field.p)
-        for name, value in zip(self.__slots__, (field, n, _scalar_row(field, col, n), None, raw)):
+        for name, value in zip(self.__slots__, (field, n, _scalar_row(field, col, n), raw)):
             object.__setattr__(self, name, value)
 
     @property
     def matrix(self):
         """matrix[i][j] = phi_{i+1, j+1} as scalars."""
-        if self._matrix is None:
-            matrix = tuple(tuple(map(self.field.from_raw, row)) for row in self._raw)
-            object.__setattr__(self, "_matrix", matrix)
-        return self._matrix
+        return tuple(tuple(map(self.field.from_raw, row)) for row in self._raw)
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")

@@ -22,41 +22,30 @@ from .linalg import Subspace, _echelon, _kernel, rref_with_transform
 def _cocycle_equations(a: Algebra, variety: VarietySpec):
     """The linear constraints on the entries c_ij (row-major) of a
     cocycle, one per (identity, basis tuple): the tuple's value row,
-    deduplicated in first-seen order.  Yields (row, identity, tuple):
-    row is a sparse raw {i*n + j: coefficient of c_ij}, and the identity
-    and the tuple of 0-based basis indices are where it was first seen."""
+    deduplicated in first-seen order.  Each row is a sparse raw
+    {i*n + j: coefficient of c_ij}."""
     seen = set()
-    for ident, combo, value in _identity_terms(a, variety):
+    for _, _, value in _identity_terms(a, variety):
         row = dict(value)
         if row:
             key = frozenset(row.items())
             if key not in seen:
                 seen.add(key)
-                yield row, ident, combo
+                yield row
 
 
-def cocycle_space(a: Algebra, variety: VarietySpec | str, equations=None):
+def cocycle_space(a: Algebra, variety: VarietySpec | str):
     """Canonical echelonized basis of the cocycle space Z^2(A, F) for the
-    variety, as a list of BilinearForm.  ``equations``, when given, are
-    the (row, identity, tuple) triples of ``_cocycle_equations(a,
-    variety)``, already built by the caller.  Membership in the variety
-    is read off the same equations, so the identities are walked once."""
+    variety, as a list of BilinearForm, from one walk of the identities.
+    The row of an (identity, tuple) is its value row, so the algebra is
+    in the variety exactly when every distinct row multiplies out to zero
+    (``_multiplied``); NotInVariety otherwise."""
     variety = builtin_variety(variety)
-    if equations is None:
-        equations = tuple(_cocycle_equations(a, variety))
-    _require_member(a, variety, equations)
-    n = a.dim
-    basis = _kernel([dict(row) for row, _, _ in equations], n * n, a.field.p)
-    return [BilinearForm._from_sparse(a.field, n, v) for v in basis]
-
-
-def _require_member(a: Algebra, variety: VarietySpec, equations) -> None:
-    """Raise NotInVariety unless the algebra satisfies the variety.  The
-    row of an (identity, tuple) is its value row, so the algebra is in
-    the variety exactly when every distinct row multiplies out to zero
-    (``_multiplied``)."""
-    if any(_multiplied(a, row.items()) for row, _, _ in equations):
+    rows = list(_cocycle_equations(a, variety))
+    if any(_multiplied(a, row.items()) for row in rows):
         raise NotInVariety(f"algebra does not satisfy {variety.name}")
+    n = a.dim
+    return [BilinearForm._from_sparse(a.field, n, v) for v in _kernel(rows, n * n, a.field.p)]
 
 
 def check_cocycle(a: Algebra, variety: VarietySpec | str, theta: BilinearForm) -> None:
@@ -129,8 +118,8 @@ def _preferred_h_reps(a: Algebra, variety: VarietySpec):
 class CohomologySpace:
     """Second cohomology data: cocycle basis, coboundary basis, chosen
     class representatives and the reduction map onto class coordinates.
-    B^2 and the representatives span Z^2, so the reduction map alone
-    decides whether a form is a cocycle.
+    B^2 and the representatives span Z^2, so one reduction of a form
+    (``_coordinates``) decides both whether it is a cocycle and its class.
 
     The reduction map is the transform T of a row reduction of the
     matrix whose columns are the coboundary basis and then the
@@ -206,24 +195,27 @@ class CohomologySpace:
             raise NotACocycle("form lies outside the cocycle space")
         return tuple(values[: self.dim_h])
 
-    def check_cocycle(self, theta: BilinearForm) -> None:
-        """``check_cocycle(self.algebra, self.variety, theta)``, decided by
-        the reduction map; only a form that fails walks the identities, to
-        name its equation, and a walk that names none is an InvariantError."""
+    def _coordinates(self, theta: BilinearForm):
+        """Raw coordinates of [theta] in the h_reps basis.  Only a form
+        outside the cocycle span walks the identities (``check_cocycle``),
+        to name its first failing equation; a walk that names none is an
+        InvariantError."""
         if theta.n != self.algebra.dim or theta.field != self.algebra.field:
             raise DimMismatch("form does not match the algebra")
         try:
-            self._reduce_raw(theta._sparse)
+            return self._reduce_raw(theta._sparse)
         except NotACocycle:
             check_cocycle(self.algebra, self.variety, theta)
             raise InvariantError("a form outside the cocycle span satisfies every cocycle equation") from None
 
+    def check_cocycle(self, theta: BilinearForm) -> None:
+        """``check_cocycle(self.algebra, self.variety, theta)``, by ``_coordinates``."""
+        self._coordinates(theta)
+
     def reduce_class(self, theta: BilinearForm):
-        """Coordinates of the class [theta] in the h_reps basis.
-        Raises NotACocycle when theta is outside the cocycle span."""
-        if theta.n != self.algebra.dim or theta.field != self.algebra.field:
-            raise DimMismatch("form does not match the cohomology space")
-        return tuple(self.algebra.field.from_raw(v) for v in self._reduce_raw(theta._sparse))
+        """Coordinates of the class [theta] in the h_reps basis; NotACocycle,
+        naming the first failing equation, when theta is not a cocycle."""
+        return tuple(map(self.algebra.field.from_raw, self._coordinates(theta)))
 
     def rep_from_coords(self, coords) -> BilinearForm:
         field = self.algebra.field
@@ -254,7 +246,7 @@ def second_cohomology(a: Algebra, variety: VarietySpec | str) -> CohomologySpace
     vectors z<k> (1-based) outside the span of B and the vectors before
     them, and checks that B lies in Z: that dim Z rows open a pivot."""
     variety = builtin_variety(variety)
-    z_forms = cocycle_space(a, variety, tuple(_cocycle_equations(a, variety)))
+    z_forms = cocycle_space(a, variety)
     b_rows = _coboundary_rows(a)
     b_forms = [BilinearForm._from_sparse(a.field, a.dim, r) for r in b_rows]
     z_rows, p = [f._sparse for f in z_forms], a.field.p

@@ -7,8 +7,9 @@ produces the (n+s)-dimensional algebra on A + span(f_1..f_s) with
 
 so the new basis vectors f_k multiply everything to zero and land in the
 annihilator.  ``central_extension`` reads its facts off H^2 of A and the
-extension's own table: the cocycle checks and ``non_split`` (independent
-class coordinates) off H^2, and ``annihilator_dim`` off Ann(A_theta) =
+extension's own table: each form's cocycle check and class coordinates
+off one reduction by H^2, ``non_split`` (independent class coordinates)
+off those coordinates, and ``annihilator_dim`` off Ann(A_theta) =
 (Ann(A) met with the forms' annihilators) + <f_1..f_s>.  A single
 non-split cocycle's class lies in T_1 exactly when that dimension is 1.
 """
@@ -61,15 +62,15 @@ def central_extension(
     h: CohomologySpace | None = None,
 ) -> ExtensionResult:
     """Checked central extension: every form must be a cocycle for the
-    variety (NotACocycle names a violated equation otherwise).  The forms
-    are checked by ``h.check_cocycle``, h the H^2 of (a, variety),
-    computed here when h is None."""
+    variety (NotACocycle names the first failing equation otherwise).
+    Each form is reduced once, in order and before the extension is
+    built, by ``h.reduce_class``, h the H^2 of (a, variety), computed
+    here when h is None; that one reduction is both its check and its
+    class coordinates."""
     thetas = tuple(thetas)
     h = _space_for(a, variety, h)
-    for theta in thetas:
-        h.check_cocycle(theta)
-    extended = build_extension(a, thetas)
     coords = tuple(h.reduce_class(theta) for theta in thetas)
+    extended = build_extension(a, thetas)
     return ExtensionResult(
         extended=extended,
         base=a,

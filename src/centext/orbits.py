@@ -325,7 +325,7 @@ class ClassAction:
         )
 
     def coords_of(self, theta: BilinearForm):
-        return tuple(c.value for c in self.h.reduce_class(theta))
+        return self.h._coordinates(theta)
 
     def scalars(self, residues):
         return tuple(self.field.scalar(r) for r in residues)

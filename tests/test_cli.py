@@ -15,14 +15,17 @@ from centext import (
     DimMismatch,
     Field,
     InvalidDim,
+    NotACocycle,
     RATIONALS,
     automorphism_count,
     automorphism_from_column,
     builtin_variety,
+    check_cocycle,
     delta,
     nabla,
     null_filiform,
     run_reproduction,
+    second_cohomology,
 )
 from centext.cli import build_parser, main, parse_cocycle_expr
 
@@ -155,6 +158,26 @@ def test_algebra_json_file(capsys, tmp_path):
     via_file = run_json(capsys, "cohomology", "--algebra", str(path), "--variety", "bc")
     via_name = run_json(capsys, "cohomology", "--algebra", "mu0:3", "--variety", "bc")
     assert via_file == via_name
+
+
+def test_a_non_cocycle_gets_the_same_error_from_every_entry_point(capsys):
+    # H^2 decides whether a form is a cocycle and names its first failing
+    # equation: its methods, the module-level walk, extend and act --variety
+    # all give one text
+    a, lc, theta = null_filiform(3, RATIONALS), builtin_variety("lc"), delta(2, 2, 3, RATIONALS)
+    h = second_cohomology(a, lc)
+    texts = set()
+    for check in (h.reduce_class, h.check_cocycle, lambda t: check_cocycle(a, lc, t)):
+        with pytest.raises(NotACocycle) as exc:
+            check(theta)
+        texts.add(str(exc.value))
+    (text,) = texts
+    assert "fails at" in text
+    for argv in (
+        ("act", "--n", "3", "--col", "1,0,0", "--cocycle", "expr:delta_2_2", "--variety", "lc"),
+        ("extend", "--algebra", "mu0:3", "--variety", "lc", "--cocycle", "expr:delta_2_2"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {text}\n")
 
 
 def test_cohomology_of_an_algebra_outside_the_variety_exits_2(capsys, tmp_path):

@@ -277,7 +277,7 @@ def test_a_rejected_cocycle_that_no_equation_refutes_is_an_invariant_error(monke
 def test_coboundary_outside_the_cocycles_is_an_invariant_error(monkeypatch):
     import centext.cohomology as cohomology_mod
 
-    monkeypatch.setattr(cohomology_mod, "cocycle_space", lambda a, variety, equations: [])
+    monkeypatch.setattr(cohomology_mod, "cocycle_space", lambda a, variety: [])
     with pytest.raises(InvariantError, match="coboundary outside the cocycle space"):
         second_cohomology(null_filiform(3, RATIONALS), LC)
 

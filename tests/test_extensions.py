@@ -8,6 +8,7 @@ from centext import (
     BilinearForm,
     ClassAction,
     CohomologyMismatch,
+    CohomologySpace,
     DimMismatch,
     Field,
     NotACocycle,
@@ -114,6 +115,24 @@ def test_non_cocycle_rejected():
     raw = build_extension(a, [delta(2, 2, 3, f)])
     assert raw.dim == 4
     assert not satisfies_variety(raw, LC)
+
+
+def test_central_extension_reduces_each_form_once(monkeypatch):
+    # one reduction by H^2 is both a form's cocycle check and its class
+    f = RATIONALS
+    a = null_filiform(4, f)
+    h = second_cohomology(a, LC)
+    thetas = [nabla(4, 4, f), delta(2, 1, 4, f), delta(3, 1, 4, f) + h.b_basis[0]]
+    seen, reduce_raw = [], CohomologySpace._reduce_raw
+
+    def recorded(self, entries):
+        seen.append(dict(entries))
+        return reduce_raw(self, entries)
+
+    monkeypatch.setattr(CohomologySpace, "_reduce_raw", recorded)
+    result = central_extension(a, thetas, LC, h)
+    assert seen == [theta._sparse for theta in thetas]
+    assert result.class_coords == tuple(map(h.reduce_class, thetas))
 
 
 def test_annihilator_dims():

@@ -222,10 +222,8 @@ def test_algebra_from_json_matches_the_scalar_built_algebra(monkeypatch, field):
             m.setattr(Scalar, "__init__", lambda self, *args: created.append(1) or init(self, *args))
             a = Algebra.from_json(doc)
         assert created == []
-        assert a._table is None
         expected = Algebra(field, table)
         assert a == expected and hash(a) == hash(expected)
-        assert a._table is None
         assert all(c for row in a._sparse for vec in row for _, c in vec)  # "0" terms dropped
         assert a.table == expected.table
         assert Algebra.from_json(a.to_json()) == a

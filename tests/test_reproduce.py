@@ -82,9 +82,9 @@ def test_each_cohomology_space_is_solved_once(monkeypatch):
         finally:
             inside_h2[0] -= 1
 
-    def counted_z(a, variety, equations=None):
+    def counted_z(a, variety):
         z_only.append(inside_h2[0] == 0)
-        return cocycle_space(a, variety, equations)
+        return cocycle_space(a, variety)
 
     def counted_table(n, field, mu_sample=None):
         in_table[0] = True
