@@ -30,7 +30,7 @@ from .budget import check_budget
 from .errors import DimMismatch, IndexOutOfRange, InvalidDim
 from .fields import Field, json_entries, json_value
 from .identities import VarietySpec, builtin_variety, evaluate_tree
-from .linalg import Subspace, _kernel, _scalar_row, basis_vec
+from .linalg import Subspace, _echelon, _kernel, _scalar_row, basis_vec
 
 
 class Algebra:
@@ -111,6 +111,11 @@ class Algebra:
         """Elements x with x*A = 0 and A*x = 0."""
         kernel = _kernel(self._annihilator_rows(), self.dim, self.field.p)
         return Subspace._from_sparse(self.field, self.dim, kernel)
+
+    def _annihilator_dim(self) -> int:
+        """``annihilator().dim``: the dimension less the rank of the
+        annihilator equations, from one elimination."""
+        return self.dim - len(_echelon(self._annihilator_rows(), self.field.p)[0])
 
     def power_dims(self):
         """Dimensions of the descending power series A, A^2, A^3, ...

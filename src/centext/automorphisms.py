@@ -13,10 +13,13 @@ from a first column, M^T C M on a form given by its sparse raw view
 {i*n + j: c} (``BilinearForm._sparse``), and the class coordinates of
 the image from ``CohomologySpace._reduce_raw``, which walks only the
 image's nonzero entries, each through its sparse column of the reduction
-map.  A first column and the vector given to ``Automorphism.apply`` are
-read by ``Field._raw_row``; ``Automorphism.matrix``, ``apply``,
-``act_on_cocycle`` and ``class_action_matrix`` convert the kernel's
-results to Scalars; ``orbits.ClassAction.matrices`` uses it directly.
+map.  For each automorphism the nonzero entries of each row of M are
+listed once (``_nonzero``), and M^T C M walks only those lists, for
+every form it acts on.  A first column and the vector given to
+``Automorphism.apply`` are read by ``Field._raw_row``;
+``Automorphism.matrix``, ``apply``, ``act_on_cocycle`` and
+``class_action_matrix`` convert the kernel's results to Scalars;
+``orbits.ClassAction.matrices`` uses it directly.
 The image of one class is ``h.reduce_class(act_on_cocycle(phi,
 h.rep_from_coords(coords)))``.
 """
@@ -47,23 +50,28 @@ def _lower_triangular(col, p):
     return tuple(zip(*cols))
 
 
-def _act_raw(m, entries, p) -> dict:
-    """M^T C M for the raw lower-triangular matrix m (rows) and the form
-    C given by its raw view {i*n + j: c}, as sparse {a*n + b: raw value}:
-    entry (a, b) is the sum of m[i][a] c m[j][b], where a <= i, b <= j."""
-    n = len(m)
+def _nonzero(m):
+    """Each row of the raw matrix m as the list of its nonzero (column,
+    value) pairs: built once per matrix, walked by ``_act_raw`` for every
+    form."""
+    return [[(a, x) for a, x in enumerate(row) if x] for row in m]
+
+
+def _act_raw(rows, entries, p) -> dict:
+    """M^T C M for the raw matrix M given by its nonzero entries
+    (``_nonzero``) and the form C given by its raw view {i*n + j: c}, as
+    sparse {a*n + b: raw value}: entry (a, b) is the sum of
+    M[i][a] c M[j][b]."""
+    n = len(rows)
     out = {}
     for k, c in entries.items():
         i, j = divmod(k, n)
-        row_j = m[j]
-        for a, x in enumerate(m[i][: i + 1]):
-            if not x:
-                continue
+        row_j = rows[j]
+        for a, x in rows[i]:
             xc, base = x * c, a * n
-            for b, y in enumerate(row_j[: j + 1]):
-                if y:
-                    k = base + b
-                    out[k] = out.get(k, 0) + xc * y
+            for b, y in row_j:
+                k = base + b
+                out[k] = out.get(k, 0) + xc * y
     if p:
         return {k: v % p for k, v in out.items() if v % p}
     return {k: v for k, v in out.items() if v}
@@ -73,8 +81,8 @@ def _class_matrix(h: CohomologySpace, m, reps):
     """Raw class-action matrix (rows) of the automorphism with raw matrix
     m: column k holds the class coordinates of m acting on the k-th
     representative, given by its raw view."""
-    p = h.algebra.field.p
-    cols = [h._reduce_raw(_act_raw(m, rep, p)) for rep in reps]
+    p, rows = h.algebra.field.p, _nonzero(m)
+    cols = [h._reduce_raw(_act_raw(rows, rep, p)) for rep in reps]
     return tuple(zip(*cols))
 
 
@@ -145,7 +153,7 @@ def act_on_cocycle(phi: Automorphism, theta: BilinearForm) -> BilinearForm:
     """(phi . theta)(x, y) = theta(phi x, phi y), i.e. M^T C M."""
     if theta.n != phi.n or theta.field != phi.field:
         raise DimMismatch("form and automorphism sizes differ")
-    image = _act_raw(phi._raw, theta._sparse, phi.field.p)
+    image = _act_raw(_nonzero(phi._raw), theta._sparse, phi.field.p)
     return BilinearForm._from_sparse(phi.field, phi.n, image)
 
 

@@ -176,24 +176,25 @@ class CohomologySpace:
         are {i*n + j: raw value}; NotACocycle when the form is outside
         the cocycle span.  Each entry adds its value times its column of
         the reduction map; over F_p the sums are reduced once at the end."""
+        nb, nh = len(self.b_basis), len(self.h_reps)
         if self._columns is None:
             columns = {}
-            for r, row in enumerate(self._transform[self.dim_b :]):
+            for r, row in enumerate(self._transform[nb:]):
                 for k, x in enumerate(row):
                     if not x.is_zero:
                         columns.setdefault(k, []).append((r, x.raw))
             self._columns = {k: tuple(col) for k, col in columns.items()}
         columns = self._columns
-        values = [0] * (len(self._transform) - self.dim_b)
+        values = [0] * (len(self._transform) - nb)
         for k, x in entries.items():
             for r, v in columns.get(k, ()):
                 values[r] += x * v
         p = self.algebra.field.p
         if p:
             values = [v % p for v in values]
-        if any(values[self.dim_h :]):
+        if any(values[nh:]):
             raise NotACocycle("form lies outside the cocycle space")
-        return tuple(values[: self.dim_h])
+        return tuple(values[:nh])
 
     def _coordinates(self, theta: BilinearForm):
         """Raw coordinates of [theta] in the h_reps basis.  Only a form

@@ -9,8 +9,9 @@ so the new basis vectors f_k multiply everything to zero and land in the
 annihilator.  ``central_extension`` reads its facts off H^2 of A and the
 extension's own table: each form's cocycle check and class coordinates
 off one reduction by H^2, ``non_split`` (independent class coordinates)
-off those coordinates, and ``annihilator_dim`` off Ann(A_theta) =
-(Ann(A) met with the forms' annihilators) + <f_1..f_s>.  A single
+off those coordinates, and ``annihilator_dim``, n + s less the rank of
+the extension's annihilator equations, off Ann(A_theta) = (Ann(A) met
+with the forms' annihilators) + <f_1..f_s>.  A single
 non-split cocycle's class lies in T_1 exactly when that dimension is 1.
 """
 
@@ -78,5 +79,5 @@ def central_extension(
         variety=h.variety,
         class_coords=coords,
         non_split=_independent(coords, a.field),
-        annihilator_dim=extended.annihilator().dim,
+        annihilator_dim=extended._annihilator_dim(),
     )

@@ -151,12 +151,6 @@ class Field:
         type checking, for converting results of raw-value loops."""
         return Scalar(self, value if self.p else Fraction(value))
 
-    def elements(self):
-        """All field elements, in canonical residue order (finite fields only)."""
-        if self.p is None:
-            raise FieldMismatch("the rationals are not enumerable")
-        return [Scalar(self, r) for r in range(self.p)]
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 

@@ -5,12 +5,14 @@ The automorphism group is enumerated exactly (one first column with
 nonzero leading entry per automorphism).  The automorphism matrix is
 built once for the p columns that differ only in their last entry, which
 sets only row n, column 1; the induced linear action on class coordinates
-is computed on raw residues for each automorphism, and only the distinct
-matrices are kept.  They are the image of Aut(mu0:n) in GL(H^2), usually
-far smaller than the group (294 matrices for the 2058 automorphisms of
-n = 4 over F_7 in the left-commutative variety).  As the image is a
-group, the orbit of an element is the set of its images under these
-matrices (``ClassAction.images``, which ``orbit_of_class`` reads too).
+is computed on raw residues for each automorphism, from the nonzero
+entries of its matrix listed once and applied to each H^2
+representative, and only the distinct matrices are kept.  They are the
+image of Aut(mu0:n) in GL(H^2), usually far smaller than the group (294
+matrices for the 2058 automorphisms of n = 4 over F_7 in the
+left-commutative variety).  As the image is a group, the orbit of an
+element is the set of its images under these matrices
+(``ClassAction.images``, which ``orbit_of_class`` reads too).
 One routine, ``_orbit_report``, partitions either the full point set
 (all of H^2) or the Grassmannian lines whose cocycle annihilator meets
 the algebra annihilator trivially (the T_1 condition), and labels the
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import Algebra, _check_size, null_filiform, satisfies_variety
@@ -320,9 +323,7 @@ class ClassAction:
 
     def apply(self, mat, point):
         p = self.p
-        return tuple(
-            sum(mrow[j] * point[j] for j in range(self.dim_h)) % p for mrow in mat
-        )
+        return tuple(sum(map(operator.mul, mrow, point)) % p for mrow in mat)
 
     def coords_of(self, theta: BilinearForm):
         return self.h._coordinates(theta)

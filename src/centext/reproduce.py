@@ -62,7 +62,7 @@ def _claim(claims, cid, fn, *args):
 # the first call, so a failing solve fails only the claim that made it.
 
 def _power_dims(a, n):
-    dims, ann = a.power_dims(), a.annihilator().dim
+    dims, ann = a.power_dims(), a._annihilator_dim()
     ok = dims == tuple(range(n, -1, -1)) and ann == 1
     return ok, f"descending power dims {dims}, annihilator dim {ann}"
 
@@ -97,7 +97,7 @@ def _tower(a, n, h):
     ok = (
         out.is_null_filiform()
         and ext.non_split
-        and out.annihilator().dim == 1
+        and out._annihilator_dim() == 1
         and satisfies_variety(out, assoc.variety)
     )
     return ok, f"extension by the full antidiagonal form is null-filiform of dim {out.dim}"

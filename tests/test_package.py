@@ -114,6 +114,7 @@ KEPT = {
     "compose": "the orbits from the group's generators will compose automorphisms",
     "same_orbit": "certified orbit labels will test orbit membership with it",
     "annihilator_intersection": "wrapped by perfbench/spans.py; tests check it against the kernel oracle",
+    "annihilator": "tests check it against the kernel oracle; src/ reads only its dimension, by _annihilator_dim",
 }
 
 
