@@ -27,7 +27,7 @@ h.rep_from_coords(coords)))``.
 from __future__ import annotations
 
 from .cohomology import CohomologySpace
-from .errors import DimMismatch, NotInvertible
+from .errors import DimMismatch, FieldMismatch, InvalidDim, NotInvertible
 from .fields import Field
 from .forms import BilinearForm
 from .linalg import _scalar_row
@@ -147,6 +147,16 @@ def automorphism_from_column(n: int, field: Field, col) -> Automorphism:
     if len(col) != n:
         raise DimMismatch(f"column length {len(col)} != {n}")
     return Automorphism(field, col)
+
+
+def automorphism_count(n: int, field: Field) -> int:
+    """The order of Aut(mu0:n) over F_p: one automorphism per first column
+    with a nonzero leading entry."""
+    if n < 1:
+        raise InvalidDim(f"dimension {n} must be >= 1")
+    if not field.is_finite:
+        raise FieldMismatch("the automorphism group is finite only over finite fields")
+    return (field.p - 1) * field.p ** (n - 1)
 
 
 def act_on_cocycle(phi: Automorphism, theta: BilinearForm) -> BilinearForm:

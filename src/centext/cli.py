@@ -4,6 +4,12 @@ Every subcommand prints a single JSON document (sorted keys, indented)
 to stdout.  Exit codes: 0 success, 1 a verification subcommand found a
 failing row or claim, 2 usage or computation error.  The argument
 grammar is built once, at import, and every `main` call reuses it.
+
+Only the modules that every subcommand shares are imported here.  The
+extension code is imported by `extend`, the orbit code by `classify`
+and `verify-table1`, and the reproduction battery by `reproduce`, each
+when it first runs, so `identities`, `cohomology`, `aut` and `act` never
+load them.
 """
 
 from __future__ import annotations
@@ -14,20 +20,12 @@ import re
 import sys
 
 from .algebra import Algebra, null_filiform
-from .automorphisms import act_on_cocycle, automorphism_from_column
+from .automorphisms import act_on_cocycle, automorphism_count, automorphism_from_column
 from .cohomology import second_cohomology
 from .errors import CentextError, DimMismatch, FieldMismatch, InvalidDim, MalformedInput
-from .extensions import central_extension
 from .fields import RATIONALS, Field, read_number
 from .forms import BilinearForm, delta, nabla
 from .identities import builtin_variety, format_identity, VARIETY_NAMES
-from .orbits import (
-    automorphism_count,
-    check_table1,
-    orbits_on_H2,
-    orbits_on_T1,
-)
-from .reproduce import run_reproduction
 
 # the most digits `aut --count` prints: CPython's default int-to-str limit
 _MAX_COUNT_DIGITS = 4300
@@ -201,6 +199,8 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    from .extensions import central_extension
+
     field = Field.from_spec(args.field)
     algebra = _load_algebra(args.algebra, field)
     variety = builtin_variety(args.variety)
@@ -272,6 +272,8 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .orbits import orbits_on_H2, orbits_on_T1
+
     field = Field.from_spec(args.field)
     fn = orbits_on_T1 if args.level == "t1" else orbits_on_H2
     report = fn(args.n, args.variety, field, budget=args.budget)
@@ -280,6 +282,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_table1(args) -> int:
+    from .orbits import check_table1
+
     field = Field.from_spec(args.field)
     mu = None
     if args.mu is not None:
@@ -291,6 +295,8 @@ def _cmd_verify_table1(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .reproduce import run_reproduction
+
     primes = tuple(_parse_list(args.primes, "--primes", integer, "an integer"))
     report = run_reproduction(
         n_max=args.n_max, seed=args.seed, budget=args.budget, orbit_primes=primes

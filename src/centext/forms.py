@@ -86,10 +86,6 @@ class BilinearForm:
         x, y = field._raw_row(x, n), field._raw_row(y, n)
         return field.from_raw(sum(x.get(k // n, 0) * y.get(k % n, 0) * v for k, v in self._sparse.items()))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._sparse
-
     def __add__(self, other):
         if not isinstance(other, BilinearForm):
             return NotImplemented

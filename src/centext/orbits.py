@@ -36,7 +36,7 @@ import operator
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import Algebra, _check_size, null_filiform, satisfies_variety
-from .automorphisms import _class_matrix, _lower_triangular
+from .automorphisms import _class_matrix, _lower_triangular, automorphism_count
 from .budget import budget_scope, check_budget, resolve_budget
 from .cohomology import CohomologySpace, second_cohomology
 from .errors import (
@@ -51,13 +51,6 @@ from .extensions import central_extension
 from .fields import Field, Scalar
 from .forms import BilinearForm, _tabulated_class, _tabulated_deltas
 from .identities import builtin_variety
-
-def automorphism_count(n: int, field: Field) -> int:
-    if n < 1:
-        raise InvalidDim(f"dimension {n} must be >= 1")
-    if not field.is_finite:
-        raise FieldMismatch("the automorphism group is finite only over finite fields")
-    return (field.p - 1) * field.p ** (n - 1)
 
 
 def _first_columns(n: int, p: int):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -6,19 +7,77 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import centext
 from centext.cli import main
 
 
 def test_all_lists_every_public_name():
-    public = {
+    assert len(set(centext.__all__)) == len(centext.__all__)
+    for name in centext.__all__:
+        module = importlib.import_module(f"centext.{centext._EXPORTS[name]}")
+        value = getattr(centext, name)
+        assert value is getattr(module, name), name
+        assert not isinstance(value, types.ModuleType), name
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == module.__name__, name  # the defining module
+    bound = {
         name
         for name, value in vars(centext).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(set(centext.__all__)) == len(centext.__all__)
-    assert set(centext.__all__) == public
+    assert bound - set(centext.__all__) == set()
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        centext.__getattr__("no_such_name")
 
+
+def _modules_loaded(code: str) -> set:
+    """The centext modules in sys.modules after a fresh interpreter runs code."""
+    src = str(Path(centext.__file__).resolve().parent.parent)
+    probe = code + "\nprint(sorted(m for m in sys.modules if m.startswith('centext')))"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        check=True,
+    )
+    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+
+def test_import_centext_loads_no_submodule_until_a_name_is_used():
+    assert _modules_loaded("import centext") == {"centext"}
+    loaded = _modules_loaded("import centext\ncentext.orbits\ncentext.Field")
+    assert {"centext.orbits", "centext.fields"} <= loaded
+    assert "centext.reproduce" not in loaded and "centext.cli" not in loaded
+
+
+# the modules that only some subcommands load
+OPTIONAL = {"centext.extensions", "centext.orbits", "centext.reproduce"}
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["identities", "--variety", "lc"], set()),
+        (["cohomology", "--algebra", "mu0:3", "--variety", "lc"], set()),
+        (["extend", "--algebra", "mu0:3", "--variety", "lc", "--cocycle", "expr:nabla_n"], {"extensions"}),
+        (["classify", "--n", "3", "--field", "Fp:3", "--variety", "lc"], {"extensions", "orbits"}),
+        (["verify-table1", "--n", "3"], {"extensions", "orbits"}),
+        (["reproduce", "--n-max", "2", "--primes", "3"], {"extensions", "orbits", "reproduce"}),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else "+".join(sorted(v)) or "shared",
+)
+def test_each_command_loads_only_its_modules(argv, loads):
+    code = (
+        "import contextlib, io\n"
+        "from centext.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main({argv!r})\n"
+        "assert rc == 0, rc"
+    )
+    assert _modules_loaded(code) & OPTIONAL == {f"centext.{m}" for m in loads}
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "centext"
