@@ -20,6 +20,16 @@ and on each tuple every distinct subtree is multiplied once, however
 many monomials share it.  Each tuple yields its value row once
 (``_value``); variety membership, cocycle equations and cocycle checks
 all read that row.
+
+Membership and cocycle checks skip the tuples whose value is zero by
+the table's grading (``_weights``): integer weights w with w[k] >= w[i]
++ w[j] whenever e_k occurs in e_i * e_j, so that a product of basis
+vectors lies in the span of the e_k of weight at least the sum of
+theirs (mu0:n has weights 1..n).  Membership walks only the tuples
+whose weight sum is at most max(w), and a cocycle check only those
+whose sum is at most the largest w[i] + w[j] over the form's nonzero
+entries; every other tuple's value is zero, so no verdict and no named
+equation depends on the skip.  The H² equations walk every tuple.
 """
 
 from __future__ import annotations
@@ -239,11 +249,12 @@ def _walk(a: Algebra, variety: VarietySpec, tuples):
     cocycle checks: (identity, tuple, value) for every multilinear
     identity and every tuple of ``tuples(identity)``, 0-based basis
     indices bound to its variables in order.  The cocycle equations walk
-    every tuple (``_identity_terms``), a cocycle check the block-sorted
-    ones, and membership only the ones that decide it
-    (``satisfies_variety``).  The value is the tuple's value row
-    (``_value``), lazy: a consumer that passes over a tuple pays nothing
-    for it.  A subtree shared by several monomials
+    every tuple (``_identity_terms``); a cocycle check and membership
+    walk the block-sorted ones within a weight cap (``_sorted_tuples``,
+    ``check_cocycle``), and membership only over the basis vectors with
+    a nonzero row or column (``satisfies_variety``).  The value is the
+    tuple's value row (``_value``), lazy: a consumer that passes over a
+    tuple pays nothing for it.  A subtree shared by several monomials
     (``IdentitySchema.subtrees``) is multiplied once per tuple.
     Raises CharTooSmall when the multilinear identities do not replace
     the originals, and BudgetExceeded when all N^k tuples are over the
@@ -293,20 +304,63 @@ def _multiplied(a: Algebra, pairs) -> dict:
     return {k: x for k, v in acc.items() if (x := v % p if p else v)}
 
 
-def _sorted_tuples(ident, indices):
+def _weights(a: Algebra):
+    """The least weights w[k] >= 1 of the basis vectors with w[k] >= w[i]
+    + w[j] whenever e_k occurs in e_i * e_j, or None when there are none:
+    when the support graph (i -> k and j -> k) has a cycle.  By induction
+    over a product tree, a product of basis vectors lies in the span of
+    the e_k whose weight is at least the sum of theirs.  One topological
+    pass over the sparse table: e_k is weighed once every product it
+    occurs in has both factors weighed.  mu0:n has weights 1..n."""
+    n = a.dim
+    into = [[] for _ in range(n)]  # into[k]: the (i, j) with e_k in e_i * e_j
+    feeds = [[] for _ in range(n)]  # feeds[i]: k once per factor e_i of such a product
+    for i, row in enumerate(a._sparse):
+        for j, vec in enumerate(row):
+            for k, _ in vec:
+                into[k].append((i, j))
+                feeds[i].append(k)
+                feeds[j].append(k)
+    waiting = [2 * len(pairs) for pairs in into]
+    w = [1] * n
+    done = [k for k in range(n) if not waiting[k]]
+    for i in done:  # grows as the vectors it feeds are weighed
+        for k in feeds[i]:
+            waiting[k] -= 1
+            if not waiting[k]:
+                w[k] = max(w[x] + w[y] for x, y in into[k])
+                done.append(k)
+    return w if len(done) == n else None
+
+
+def _sorted_tuples(ident, indices, weights=None, cap=None):
     """The tuples over the ascending ``indices`` sorted within every
     ``symmetry_blocks`` block of the identity, in lexicographic order,
     built position by position: blocks list variables in ``variables``
-    order, so the block-mate that bounds a position comes before it."""
+    order, so the block-mate that bounds a position comes before it.
+    Given a cap, only the tuples whose sum of ``weights`` is at most the
+    cap: a prefix is dropped once its weight, plus the least weight of
+    the indices for each position still open, is over the cap.  With no
+    cap, every such tuple."""
     indices = list(indices)
     rank = {x: k for k, x in enumerate(indices)}
     at = ident.variables.index
     mate = {at(v): at(u) for block in ident.symmetry_blocks for u, v in zip(block, block[1:])}
-    tuples = [()]
-    for k in range(len(ident.variables)):
-        m = mate.get(k)
-        tuples = [t + (x,) for t in tuples for x in (indices[rank[t[m]]:] if m is not None else indices)]
-    yield from tuples
+    if cap is None:
+        weights, cap = dict.fromkeys(indices, 0), 0
+    least = min((weights[x] for x in indices), default=0)
+    d = len(ident.variables)
+    tuples = [((), 0)]
+    for k in range(d):
+        m, room = mate.get(k), cap - (d - 1 - k) * least
+        tuples = [
+            (t + (x,), s + weights[x])
+            for t, s in tuples
+            for x in (indices[rank[t[m]]:] if m is not None else indices)
+            if s + weights[x] <= room
+        ]
+    for t, _ in tuples:
+        yield t
 
 
 def satisfies_variety(a: Algebra, variety: VarietySpec | str) -> bool:
@@ -319,15 +373,21 @@ def satisfies_variety(a: Algebra, variety: VarietySpec | str) -> bool:
 
     Only the tuples that can decide the answer are walked: those of
     ``_sorted_tuples`` over the basis vectors with a nonzero row or
-    column in the table, found once per call.  A tuple binding any other
-    basis vector vanishes, since every variable of a multilinear
-    identity is a factor of a product in every monomial; an unsorted
-    tuple's value is plus or minus that of its sorted tuple, since
-    sorting a symmetry block maps the identity to plus or minus itself.
-    Tuples with equal indices in a block are kept, so an antisymmetric
-    identity is still checked on them in characteristic 2."""
+    column in the table, found once per call, whose weight sum
+    (``_weights``) is at most the largest weight.  A tuple binding any
+    other basis vector vanishes, since every variable of a multilinear
+    identity is a factor of a product in every monomial; so does a tuple
+    of larger weight, since every monomial is a product of all its basis
+    vectors and no e_k weighs that much; an unsorted tuple's value is
+    plus or minus that of its sorted tuple, since sorting a symmetry
+    block maps the identity to plus or minus itself.  Tuples with equal
+    indices in a block are kept, so an antisymmetric identity is still
+    checked on them in characteristic 2.  A table with no weights walks
+    every sorted tuple over those basis vectors."""
     variety = builtin_variety(variety)
     table = a._sparse
     live = [i for i, row in enumerate(table) if any(row) or any(r[i] for r in table)]
-    walk = _walk(a, variety, lambda ident: _sorted_tuples(ident, live))
+    w = _weights(a)
+    cap = None if w is None else max(w)
+    walk = _walk(a, variety, lambda ident: _sorted_tuples(ident, live, w, cap))
     return not any(_multiplied(a, value) for _, _, value in walk)

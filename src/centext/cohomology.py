@@ -11,7 +11,7 @@ are taken modulo coboundaries.
 
 from __future__ import annotations
 
-from .algebra import (Algebra, _identity_terms, _multiplied, _sorted_tuples, _walk, build_extension,
+from .algebra import (Algebra, _identity_terms, _multiplied, _sorted_tuples, _walk, _weights, build_extension,
                       is_standard_null_filiform)
 from .errors import DimMismatch, InvariantError, NotACocycle, NotInVariety
 from .forms import BilinearForm, _tabulated_class, _tabulated_deltas
@@ -55,12 +55,20 @@ def check_cocycle(a: Algebra, variety: VarietySpec | str, theta: BilinearForm) -
     Only block-sorted tuples (``_sorted_tuples``) are walked, each value
     row r paired with theta as the sum of r * theta_k over its (k, r)
     pairs: an unsorted tuple's value is plus or minus its sorted tuple's,
-    which comes no later, so the equation named is the first to fail."""
+    which comes no later, so the equation named is the first to fail.
+    Of those, only the tuples whose weight sum (``_weights``) is at most
+    the largest w[i] + w[j] over theta's nonzero entries are walked:
+    every entry (i, j) of a tuple's value row has w[i] + w[j] at least
+    the tuple's sum, so theta vanishes on the row of any other tuple.  A
+    zero form walks no tuple; a table with no weights walks them all."""
     variety = builtin_variety(variety)
-    if theta.n != a.dim or theta.field != a.field:
+    n = a.dim
+    if theta.n != n or theta.field != a.field:
         raise DimMismatch("form does not match the algebra")
     p, entries = a.field.p, theta._sparse
-    for ident, combo, row in _walk(a, variety, lambda ident: _sorted_tuples(ident, range(a.dim))):
+    w = _weights(a)
+    cap = None if w is None else max((w[k // n] + w[k % n] for k in entries), default=0)
+    for ident, combo, row in _walk(a, variety, lambda ident: _sorted_tuples(ident, range(n), w, cap)):
         value = sum(r * entries.get(k, 0) for k, r in row)
         if value % p if p else value:
             args = ", ".join(f"{v}=e_{i + 1}" for v, i in zip(ident.variables, combo))

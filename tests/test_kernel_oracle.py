@@ -27,9 +27,11 @@ from centext import (
     builtin_variety,
     check_cocycle,
     cocycle_space,
+    delta,
     format_identity,
     is_cocycle,
     kernel_basis,
+    nabla,
     null_filiform,
     rref,
     satisfies_variety,
@@ -37,7 +39,7 @@ from centext import (
 )
 import centext.algebra as algebra_mod
 import centext.cohomology as cohomology_mod
-from centext.algebra import _sorted_tuples
+from centext.algebra import _sorted_tuples, _weights
 from centext.cohomology import _cocycle_equations
 from centext.linalg import mat_mul, rref_with_transform
 
@@ -235,14 +237,19 @@ def test_membership_walks_the_same_tuples_whatever_ran_before(monkeypatch):
 def test_membership_reads_only_the_values_that_decide_it(monkeypatch):
     # the walk's values are lazy: satisfies_variety reads a tuple's value
     # only when the tuple is block-sorted over the basis vectors with a
-    # nonzero row or column, and a member reads every one of them once
+    # nonzero row or column and its weight sum is at most the top weight,
+    # and a member reads every one of them once
     base = null_filiform(3, RATIONALS)
     bc = builtin_variety("bc")
     z = cocycle_space(base, bc)
-    a = build_extension(base, [sum(z[1:], z[0])])
+    theta = sum(z[1:], z[0])
+    a = build_extension(base, [theta])
     table = a._sparse
     live = [i for i, row in enumerate(table) if any(row) or any(r[i] for r in table)]
     assert live == [0, 1, 2]  # the extension's e_4 has an empty row and column
+    # mu0:3 has weights 1, 2, 3, and e_4 the form's largest i + j
+    assert max(i + j for i in range(1, 4) for j in range(1, 4) if not theta.entry(i, j).is_zero) == 4
+    weights = [1, 2, 3, 4]
     read = []
     real = algebra_mod._walk
 
@@ -257,7 +264,10 @@ def test_membership_reads_only_the_values_that_decide_it(monkeypatch):
     monkeypatch.setattr(algebra_mod, "_walk", recording)
     assert satisfies_variety(a, bc)
     assert read == [
-        (ident, combo) for ident in bc.multilinear_identities for combo in _sorted_tuples(ident, live)
+        (ident, combo)
+        for ident in bc.multilinear_identities
+        for combo in _sorted_tuples(ident, live)
+        if sum(weights[i] for i in combo) <= max(weights)
     ]
     assert len(read) < sum(4 ** len(ident.variables) for ident in bc.multilinear_identities)
 
@@ -265,14 +275,19 @@ def test_membership_reads_only_the_values_that_decide_it(monkeypatch):
 def test_membership_walks_only_the_decisive_tuples(monkeypatch):
     # the walk generates no tuple that cannot decide the verdict: on each
     # identity it yields exactly the block-sorted tuples over the basis
-    # vectors with a nonzero row or column, fewer than its N^k tuples,
-    # while the budget still counts all N^k
+    # vectors with a nonzero row or column whose weight sum is at most the
+    # top weight, fewer than its N^k tuples, while the budget still counts
+    # all N^k
     base = null_filiform(3, RATIONALS)
     lc = builtin_variety("lc")
     z = cocycle_space(base, lc)
-    a = build_extension(base, [sum(z[1:], z[0])])
+    theta = sum(z[1:], z[0])
+    a = build_extension(base, [theta])
     live = [0, 1, 2]  # the extension's e_4 has an empty row and column
     assert not any(a._sparse[3]) and not any(row[3] for row in a._sparse)
+    # mu0:3 has weights 1, 2, 3, and e_4 the form's largest i + j
+    assert max(i + j for i in range(1, 4) for j in range(1, 4) if not theta.entry(i, j).is_zero) == 4
+    weights = [1, 2, 3, 4]
     walked = Counter()
     real = algebra_mod._walk
 
@@ -286,7 +301,8 @@ def test_membership_walks_only_the_decisive_tuples(monkeypatch):
     assert set(walked.values()) == {1}
     for ident in lc.multilinear_identities:
         got = [combo for i, combo in walked if i is ident]
-        assert got == list(_sorted_tuples(ident, live))
+        want = [combo for combo in _sorted_tuples(ident, live) if sum(weights[i] for i in combo) <= max(weights)]
+        assert got == want
         assert len(got) < 4 ** len(ident.variables)
     total = sum(4 ** len(ident.variables) for ident in lc.multilinear_identities)
     monkeypatch.setenv("CENTEXT_BUDGET", str(total - 1))
@@ -385,6 +401,31 @@ def test_sorted_tuples_are_the_block_sorted_product(n):
             assert list(_sorted_tuples(ident, indices)) == want, format_identity(ident)
 
 
+def test_weights_are_the_least_grading_of_the_table():
+    for n in range(1, 9):
+        base = null_filiform(n, RATIONALS)
+        assert _weights(base) == list(range(1, n + 1))
+        # the extension's f weighs the largest i + j of the form's support
+        assert _weights(build_extension(base, [nabla(n, n, RATIONALS)])) == list(range(1, n + 2))
+        for i in range(1, n + 1):
+            assert _weights(build_extension(base, [delta(i, 1, n, RATIONALS)]))[-1] == i + 1
+    o, z = RATIONALS.one, RATIONALS.zero
+    assert _weights(Algebra(RATIONALS, [[[o]]])) is None  # e_1 e_1 = e_1
+    # e_1 e_1 = e_2 and e_2 e_2 = e_1
+    assert _weights(Algebra(RATIONALS, [[[z, o], [z, z]], [[z, z], [o, z]]])) is None
+    graded = set()
+    for _, _, table, a in algebras(19):
+        w = _weights(a)
+        graded.add(w is not None)
+        if w is None:
+            continue
+        n = a.dim
+        into = {k: [w[i] + w[j] for i in range(n) for j in range(n) if table[i][j][k]] for k in range(n)}
+        assert all(w[k] >= s for k, sums in into.items() for s in sums)
+        assert all(w[k] == max(sums, default=1) for k, sums in into.items())  # the least such weights
+    assert graded == {True, False}
+
+
 def test_is_cocycle_evaluates_only_block_sorted_tuples(monkeypatch):
     evaluated = Counter()
     real = algebra_mod._walk
@@ -401,13 +442,19 @@ def test_is_cocycle_evaluates_only_block_sorted_tuples(monkeypatch):
     a = null_filiform(5, RATIONALS)
     jordan = builtin_variety("jordan")
     z = cocycle_space(a, jordan)
-    assert is_cocycle(a, jordan, sum(z[1:], z[0]))
+    theta = sum(z[1:], z[0])
+    assert is_cocycle(a, jordan, theta)
+    # mu0:5 has weights 1..5; a tuple of larger weight sum than the
+    # form's largest i + j has a value row the form vanishes on
+    weights = [1, 2, 3, 4, 5]
+    cap = max(i + j for i in range(1, 6) for j in range(1, 6) if not theta.entry(i, j).is_zero)
+    assert cap == 6
     assert set(evaluated.values()) == {1}
     assert set(evaluated) == {
         (ident, combo)
         for ident in jordan.multilinear_identities
         for combo in itertools.product(range(5), repeat=len(ident.variables))
-        if block_sorted(ident, combo)
+        if block_sorted(ident, combo) and sum(weights[i] for i in combo) <= cap
     }
     assert len(evaluated) < sum(5 ** len(i.variables) for i in jordan.multilinear_identities) / 2
 
@@ -511,6 +558,90 @@ def test_equation_rows_and_cocycle_checks_match_dense_oracle(vname):
             assert str(err.value) == (
                 f"cocycle equation from '{format_identity(ident)}' fails at {args}"
             )
+
+
+def shuffled_null_filiform(rng, n):
+    """The dense table of mu0:n on a shuffled basis, e_s[i] e_s[j] =
+    e_s[i+j+1], so that the weight order of its basis is not the index
+    order."""
+    s = list(range(n))
+    while s == sorted(s):
+        rng.shuffle(s)
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n - 1 - i):
+            table[s[i]][s[j]][s[i + j + 1]] = 1
+    return table
+
+
+def random_form(rng, field, n):
+    p = field.p
+    rows = [[_value(rng, p) if rng.random() < 1 / 3 else 0 for _ in range(n)] for _ in range(n)]
+    return BilinearForm(field, rows)
+
+
+def random_cocycle(rng, a, variety):
+    theta = BilinearForm.zero(a.field, a.dim)
+    for form in cocycle_space(a, variety):
+        theta = theta + a.field.scalar(_value(rng, a.field.p)) * form
+    return theta
+
+
+@pytest.mark.parametrize("vname", VARIETY_NAMES)
+def test_weight_caps_match_dense_oracle_off_the_index_order(vname):
+    # membership and cocycle checks walk only the tuples within a weight
+    # cap (_weights); on a shuffled basis of mu0:n and on its extensions
+    # the weights do not follow the indices, so a cap too low, or weights
+    # that miss a product, skips a tuple on which the oracle fails
+    variety = builtin_variety(vname)
+    monomials = {ident: [(m.coeff, m.tree) for m in ident.monomials] for ident in variety.multilinear_identities}
+    rng = random.Random(53)
+    members, cocycles = set(), set()
+    for field in (RATIONALS, Field.prime(3), Field.prime(5)):
+        if field.characteristic in variety.char_exclusions:
+            continue
+        p = field.p
+        for n in (3, 4, 5):
+            base = Algebra(field, shuffled_null_filiform(rng, n))
+            thetas = [random_cocycle(rng, base, variety), random_form(rng, field, n), random_form(rng, field, n)]
+            for a in [base] + [build_extension(base, [theta]) for theta in thetas]:
+                table = [[[x.value for x in vec] for vec in row] for row in a.table]
+                member = all(identity_holds(table, ident.variables, monos, p) for ident, monos in monomials.items())
+                assert satisfies_variety(a, variety) == member, (field.spec(), table)
+                members.add(member)
+                if a is not base and not member:
+                    continue
+                d = a.dim
+                tagged = [
+                    (ident, idx, row)
+                    for ident in variety.multilinear_identities
+                    for idx, row in oracle_equations(table, ident, p)
+                ]
+                cocycle = random_cocycle(rng, a, variety)
+                near = cocycle + field.scalar(_value(rng, p)) * delta(rng.randint(1, d), rng.randint(1, d), d, field)
+                forms = [cocycle, near, random_form(rng, field, d)]
+                if a is base:  # each entry alone, at every weight
+                    forms += [delta(i, j, d, field) for i in range(1, d + 1) for j in range(1, d + 1)]
+                for theta in forms:
+                    entries = [x.value for x in theta.as_vector()]
+                    failing = next(
+                        (
+                            (ident, idx)
+                            for ident, idx, row in tagged
+                            if reduce(sum(r * t for r, t in zip(row, entries)), p)
+                        ),
+                        None,
+                    )
+                    assert is_cocycle(a, variety, theta) == (failing is None)
+                    cocycles.add(failing is None)
+                    if failing:
+                        ident, idx = failing
+                        args = ", ".join(f"{v}=e_{k + 1}" for v, k in zip(ident.variables, idx))
+                        with pytest.raises(NotACocycle) as err:
+                            check_cocycle(a, variety, theta)
+                        want = f"cocycle equation from '{format_identity(ident)}' fails at {args}"
+                        assert str(err.value) == want
+    assert members == {True, False} and cocycles == {True, False}
 
 
 def annihilator_equations(table, forms):
