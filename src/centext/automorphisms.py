@@ -122,12 +122,6 @@ class Automorphism:
         x = self.field._raw_row(x, self.n)
         return tuple(self.field.from_raw(sum(row[k] * v for k, v in x.items())) for row in self._raw)
 
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other: (self . other)(x) = self(other(x))."""
-        if other.n != self.n or other.field != self.field:
-            raise DimMismatch("automorphisms of different algebras")
-        return Automorphism(self.field, self.apply(other.first_col))
-
     def __eq__(self, o):
         return (
             isinstance(o, Automorphism)

@@ -127,7 +127,8 @@ class CohomologySpace:
     """Second cohomology data: cocycle basis, coboundary basis, chosen
     class representatives and the reduction map onto class coordinates.
     B^2 and the representatives span Z^2, so one reduction of a form
-    (``_coordinates``) decides both whether it is a cocycle and its class.
+    (``_coordinates``) decides both whether it is a cocycle and its class:
+    ``reduce_class`` raises NotACocycle or returns the class coordinates.
 
     The reduction map is the transform T of a row reduction of the
     matrix whose columns are the coboundary basis and then the
@@ -217,10 +218,6 @@ class CohomologySpace:
             check_cocycle(self.algebra, self.variety, theta)
             raise InvariantError("a form outside the cocycle span satisfies every cocycle equation") from None
 
-    def check_cocycle(self, theta: BilinearForm) -> None:
-        """``check_cocycle(self.algebra, self.variety, theta)``, by ``_coordinates``."""
-        self._coordinates(theta)
-
     def reduce_class(self, theta: BilinearForm):
         """Coordinates of the class [theta] in the h_reps basis; NotACocycle,
         naming the first failing equation, when theta is not a cocycle."""
@@ -232,9 +229,6 @@ class CohomologySpace:
         for r, c in field._raw_row(coords, self.dim_h).items():
             acc = acc + c * self.h_reps[r]
         return acc
-
-    def class_is_zero(self, theta: BilinearForm) -> bool:
-        return all(c.is_zero for c in self.reduce_class(theta))
 
     def __repr__(self):
         return (

@@ -7,10 +7,12 @@ residue is reduced mod p in one place, ``Scalar.__init__``: the
 operators, ``Field.scalar`` and ``Field.from_raw`` hand it any
 representative.  Inner loops elsewhere in the package work on raw values
 instead (see ``Scalar.raw`` and ``Field.from_raw``), reduce them there,
-and build scalars only for results.  One reader, ``Field._raw``, reads
-every scalar entry from outside (an int, Fraction, literal or Scalar) and
-refuses a bad one with MalformedInput, FieldMismatch or DivisionByZero;
-``Field._raw_row`` reads a vector with it and checks the length.
+and build scalars only for results, which combine only with Scalars of
+their field (a number raises TypeError; ``==`` alone reads one).  One
+reader, ``Field._raw``, reads every scalar entry from outside (an int,
+Fraction, literal or Scalar) and refuses a bad one with MalformedInput,
+FieldMismatch or DivisionByZero; ``Field._raw_row`` reads a vector with
+it and checks the length.
 
 Every number read from outside the package (literals, flags, specs, the
 budget variable, JSON files) follows the grammar of ``read_number``.
@@ -183,8 +185,6 @@ class Scalar:
                     f"cannot combine scalars of {self.field} and {other.field}"
                 )
             return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.field.scalar(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -193,27 +193,17 @@ class Scalar:
             return NotImplemented
         return Scalar(self.field, self.value + o.value)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return Scalar(self.field, self.value - o.value)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return Scalar(self.field, self.value * o.value)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return Scalar(self.field, -self.value)
@@ -228,12 +218,6 @@ class Scalar:
         if o is NotImplemented:
             return NotImplemented
         return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inv()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -267,7 +251,8 @@ class Scalar:
         if isinstance(other, Scalar):
             return self.field == other.field and self.value == other.value
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self == self.field.scalar(other)
+            p = self.field.p  # a denominator that vanishes mod p names no element
+            return not (p and other.denominator % p == 0) and self.value == self.field._raw(other)
         return NotImplemented
 
     def __lt__(self, other):
@@ -275,12 +260,6 @@ class Scalar:
         if o is NotImplemented:
             return NotImplemented
         return self.value < o.value
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.value <= o.value
 
     def __hash__(self):
         return hash((self.field.p, self.value))

@@ -62,12 +62,6 @@ class BilinearForm:
             raise InvalidDim(f"dimension {n} must be >= 1")
         return cls._from_sparse(field, n, field._raw_row(vec, n * n))
 
-    @property
-    def rows(self):
-        """The n rows of scalars, 0-based."""
-        vec, n = self.as_vector(), self.n
-        return tuple(vec[i * n : i * n + n] for i in range(n))
-
     def as_vector(self):
         """Row-major flattening; entry (i, j) sits at position i*n + j.
         This fixes the variable order c_11, c_12, ..., c_nn used by all

@@ -12,7 +12,8 @@ image of Aut(mu0:n) in GL(H^2), usually far smaller than the group (294
 matrices for the 2058 automorphisms of n = 4 over F_7 in the
 left-commutative variety).  As the image is a group, the orbit of an
 element is the set of its images under these matrices
-(``ClassAction.images``, which ``orbit_of_class`` reads too).
+(``ClassAction.images``, which ``orbit_of_class`` reads too); two classes
+share an orbit when one's point lies in the other's ``orbit_of_class``.
 One routine, ``_orbit_report``, partitions either the full point set
 (all of H^2) or the Grassmannian lines whose cocycle annihilator meets
 the algebra annihilator trivially (the T_1 condition), and labels the
@@ -364,9 +365,6 @@ class ClassAction:
         """The orbit of a class point, as residue tuples: its images under
         every automorphism."""
         return self.images(self._point(coords))
-
-    def same_orbit(self, coords_a, coords_b) -> bool:
-        return self._point(coords_b) in self.orbit_of_class(coords_a)
 
 
 def _orbit_report(n: int, variety, field: Field, budget: int | None, lines: bool) -> OrbitReport:

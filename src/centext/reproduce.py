@@ -86,7 +86,7 @@ def _split(a, n, h):
     theta = nabla(n - 1, n, a.field)  # a coboundary
     assoc = h("associative")
     ext = central_extension(a, [theta], assoc.variety, h=assoc)
-    ok = (not ext.non_split) and assoc.class_is_zero(theta)
+    ok = (not ext.non_split) and all(c.is_zero for c in assoc.reduce_class(theta))
     return ok, "coboundary extension is split and its class vanishes"
 
 

@@ -102,7 +102,7 @@ def test_group_closure_over_f3():
     matrices = {a.matrix for a in autos}
     for a in autos:
         for b in autos:
-            assert a.compose(b).matrix in matrices
+            assert Automorphism(f, a.apply(b.first_col)).matrix in matrices
 
 
 def test_compose_acts_contravariantly_on_cocycles():
@@ -113,7 +113,7 @@ def test_compose_acts_contravariantly_on_cocycles():
         phi = Automorphism(f, rand_col(rng, n, f))
         psi = Automorphism(f, rand_col(rng, n, f))
         theta = nabla(n, n, f) + f.scalar(rng.randint(-3, 3)) * delta(2, 1, n, f)
-        lhs = act_on_cocycle(phi.compose(psi), theta)
+        lhs = act_on_cocycle(Automorphism(f, phi.apply(psi.first_col)), theta)
         rhs = act_on_cocycle(psi, act_on_cocycle(phi, theta))
         assert lhs == rhs
 
@@ -185,9 +185,6 @@ def test_class_action_matrix_columns():
 def test_maps_of_another_algebra_are_refused():
     f7, f5 = Field.prime(7), Field.prime(5)
     phi = Automorphism(f7, (1, 2, 0))
-    for other in (Automorphism(f7, (1, 2)), Automorphism(f5, (1, 2, 0))):
-        with pytest.raises(DimMismatch, match="automorphisms of different algebras"):
-            phi.compose(other)
     for theta in (nabla(2, 2, f7), nabla(3, 3, f5)):
         with pytest.raises(DimMismatch, match="form and automorphism sizes differ"):
             act_on_cocycle(phi, theta)

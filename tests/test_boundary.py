@@ -76,7 +76,8 @@ def _entry_points():
         ("rep_from_coords", f7, (1, 8, -1), h.rep_from_coords),
         ("Automorphism.apply", f7, (1, 9, -1), phi.apply),
         ("orbit_of_class", action.field, (4, 0), action.orbit_of_class),
-        ("same_orbit", action.field, (2, 3), lambda v: action.same_orbit((1, 0), v)),
+        # whether two classes share an orbit, asked of orbit_of_class
+        ("same_orbit", action.field, (2, 3), lambda v: action.orbit_of_class(v) == action.orbit_of_class((1, 0))),
         ("mat_vec", q, (1, -2, 3), lambda v: mat_vec([q_row(1, 0, 2), q_row(0, "1/2", 1)], v)),
         ("mat_mul", f7, (8, -1),
          lambda v: mat_mul([v, f7_row(0, 1)], [f7_row(1, 2, 0), f7_row(3, 0, 1)])),

@@ -25,7 +25,7 @@ from oracles import class_action_oracle, span_coordinates
 
 
 def _ints(form):
-    return [[x.value for x in row] for row in form.rows]
+    return [[form.entry(i, j).value for j in range(1, form.n + 1)] for i in range(1, form.n + 1)]
 
 
 def _mat_mul(a, b, p):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from centext import (
     Field,
     FieldMismatch,
     RATIONALS,
+    delta,
 )
 
 from oracles import modp_inv
@@ -122,6 +124,26 @@ def test_scalars_hashable_and_ordered():
     # int and Fraction compare equal to matching scalars
     assert f.scalar(3) == 3
     assert RATIONALS.scalar(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_scalars_combine_only_with_scalars_of_their_field():
+    # Field.scalar reads a number first; == alone reads an int or Fraction,
+    # and one that is no element of the field is unequal, never an error
+    for f in (RATIONALS, Field.prime(5)):
+        s = f.scalar(3)
+        for number in (3, Fraction(1, 2)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.le):
+                for args in ((s, number), (number, s)):
+                    with pytest.raises(TypeError):
+                        op(*args)
+        assert s == 3 and 3 == s and s == Fraction(3) and s != 4
+        half, theta = f.scalar(Fraction(1, 2)), delta(2, 1, 3, f)
+        assert half == Fraction(1, 2) and Fraction(1, 2) == half
+        for c in (Fraction(1, 2), "1/2", half):
+            assert (c * theta).entry(2, 1) == half
+        assert (2 * theta).entry(2, 1) == f.scalar(2)
+    f5 = Field.prime(5)
+    assert f5.one != Fraction(1, 5) and Fraction(1, 5) != f5.one
 
 
 def test_primality_is_exact_below_the_limit():
