@@ -38,12 +38,12 @@ import itertools
 
 from .budget import check_budget
 from .errors import DimMismatch, IndexOutOfRange, InvalidDim
-from .fields import Field, json_entries, json_value
+from .fields import Field, _Frozen, json_entries, json_value
 from .identities import VarietySpec, builtin_variety, evaluate_tree
 from .linalg import Subspace, _echelon, _kernel, _scalar_row, basis_vec
 
 
-class Algebra:
+class Algebra(_Frozen):
     __slots__ = ("field", "dim", "_sparse")
 
     def __init__(self, field: Field, table):
@@ -53,21 +53,14 @@ class Algebra:
         if any(len(row) != dim for row in table):
             raise DimMismatch("structure constant table must be dim x dim x dim")
         sparse = tuple(tuple(tuple(field._raw_row(vec, dim).items()) for vec in row) for row in table)
-        self._set(field, sparse)
-
-    def _set(self, field, sparse):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", len(sparse))
-        object.__setattr__(self, "_sparse", sparse)
+        self._fill(field, dim, sparse)
 
     @classmethod
     def _from_sparse(cls, field: Field, sparse) -> "Algebra":
         """The algebra of a sparse raw table, given as the private table
         is kept: sparse[i][j] lists the (k, raw value) pairs of e_i * e_j
         with nonzero values in ascending k."""
-        a = object.__new__(cls)
-        a._set(field, sparse)
-        return a
+        return cls._new(field, len(sparse), sparse)
 
     @property
     def table(self):
@@ -75,9 +68,6 @@ class Algebra:
         from the sparse table on every read."""
         field, n = self.field, self.dim
         return tuple(tuple(_scalar_row(field, dict(v), n) for v in row) for row in self._sparse)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Algebra is immutable")
 
     def basis_vector(self, i: int):
         """Basis vector e_i, 1-based; IndexOutOfRange outside 1..dim."""
@@ -157,16 +147,6 @@ class Algebra:
 
     def opposite(self) -> "Algebra":
         return Algebra._from_sparse(self.field, tuple(zip(*self._sparse)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Algebra)
-            and self.field == other.field
-            and self._sparse == other._sparse
-        )
-
-    def __hash__(self):
-        return hash((self.field, self._sparse))
 
     def to_json(self) -> dict:
         products = []

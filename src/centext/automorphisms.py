@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .cohomology import CohomologySpace
 from .errors import DimMismatch, FieldMismatch, InvalidDim, NotInvertible
-from .fields import Field
+from .fields import Field, _Frozen
 from .forms import BilinearForm
 from .linalg import _scalar_row
 
@@ -86,7 +86,7 @@ def _class_matrix(h: CohomologySpace, m, reps):
     return tuple(zip(*cols))
 
 
-class Automorphism:
+class Automorphism(_Frozen):
     """An automorphism of the n-dimensional null-filiform algebra,
     stored as its first column and the raw (lower triangular) matrix
     with entries phi_{i+1, j+1}; ``matrix`` is built from it on every
@@ -102,16 +102,12 @@ class Automorphism:
         if 0 not in col:
             raise NotInvertible("phi_{1,1} must be nonzero")
         raw = _lower_triangular(tuple(col.get(k, 0) for k in range(n)), field.p)
-        for name, value in zip(self.__slots__, (field, n, _scalar_row(field, col, n), raw)):
-            object.__setattr__(self, name, value)
+        self._fill(field, n, _scalar_row(field, col, n), raw)
 
     @property
     def matrix(self):
         """matrix[i][j] = phi_{i+1, j+1} as scalars."""
         return tuple(tuple(map(self.field.from_raw, row)) for row in self._raw)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Automorphism is immutable")
 
     @property
     def phi11(self):
@@ -121,16 +117,6 @@ class Automorphism:
         """Image of a coordinate vector."""
         x = self.field._raw_row(x, self.n)
         return tuple(self.field.from_raw(sum(row[k] * v for k, v in x.items())) for row in self._raw)
-
-    def __eq__(self, o):
-        return (
-            isinstance(o, Automorphism)
-            and o.field == self.field
-            and o.first_col == self.first_col
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.first_col))
 
     def __repr__(self):
         col = ",".join(x.literal() for x in self.first_col)

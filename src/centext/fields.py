@@ -64,7 +64,48 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class Field:
+class _Frozen:
+    """Base of the package's immutable value types.  A subclass names its
+    state in ``__slots__``; constructors fill the slots once with
+    ``_fill``, and no slot is set or deleted after.  Two objects are equal
+    when they are of one type with equal slots, and hash by their slots (a
+    dict slot by its keys); copy, deepcopy and pickle rebuild the slots."""
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _slot_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._slot_values() == other._slot_values()
+
+    def __hash__(self):
+        return hash(tuple(frozenset(v) if isinstance(v, dict) else v for v in self._slot_values()))
+
+    @classmethod
+    def _new(cls, *values):
+        """The object whose slots hold values, built without ``__init__``."""
+        obj = object.__new__(cls)
+        obj._fill(*values)
+        return obj
+
+    def __reduce__(self):
+        return self._new, self._slot_values()
+
+
+class Field(_Frozen):
     """The field of rationals (``p is None``) or the prime field F_p."""
 
     __slots__ = ("p",)
@@ -72,10 +113,7 @@ class Field:
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
             raise CompositeModulus(f"modulus {p} is not prime")
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Field is immutable")
+        self._fill(p)
 
     @classmethod
     def prime(cls, p: int) -> "Field":
@@ -163,20 +201,21 @@ class Field:
         return f"Field({self.spec()})"
 
 
-class Scalar:
-    """An immutable field element supporting exact arithmetic."""
+class Scalar(_Frozen):
+    """An immutable field element supporting exact arithmetic.  It hashes
+    like its value, so over Q it meets its int or Fraction in a set or
+    dict, and over F_p its canonical residue (``==`` also matches the
+    other representatives, which no hash can follow)."""
 
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value):
         # callers outside this module should go through Field.scalar; the
-        # one reduction of a residue mod p
+        # one reduction of a residue mod p.  Every arithmetic result comes
+        # through here, so the slots are set directly rather than by _fill
         p = field.p
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "value", value % p if p else value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
@@ -262,7 +301,7 @@ class Scalar:
         return self.value < o.value
 
     def __hash__(self):
-        return hash((self.field.p, self.value))
+        return hash(self.value)
 
     def __repr__(self):
         return f"{self.literal()}@{self.field.spec()}"

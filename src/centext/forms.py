@@ -15,41 +15,34 @@ from __future__ import annotations
 
 from .budget import check_budget
 from .errors import DimMismatch, FieldMismatch, IndexOutOfRange, InvalidDim
-from .fields import Field, Scalar, json_entries, json_value
+from .fields import Field, Scalar, _Frozen, json_entries, json_value
 from .linalg import _scalar_row
 
 
-class BilinearForm:
+class BilinearForm(_Frozen):
     """An n-by-n matrix of scalars, acting as theta(x, y) = x^T C y."""
 
     __slots__ = ("field", "n", "_sparse")
 
     def __init__(self, field: Field, rows):
         n = len(rows)
-        sparse = {i * n + j: x for i, row in enumerate(rows) for j, x in field._raw_row(row, n).items()}
-        self._set(field, n, sparse)
-
-    def _set(self, field, n, sparse):
         if n < 1:
             raise InvalidDim(f"dimension {n} must be >= 1")
-        for name, value in zip(self.__slots__, (field, n, sparse)):
-            object.__setattr__(self, name, value)
+        sparse = {i * n + j: x for i, row in enumerate(rows) for j, x in field._raw_row(row, n).items()}
+        self._fill(field, n, sparse)
 
     @classmethod
     def _from_sparse(cls, field: Field, n: int, entries: dict) -> "BilinearForm":
         """The n-by-n form with the entries {i*n + j: raw value}, any
         representatives, kept as ``Scalar.raw`` keeps them; zeros drop out."""
+        if n < 1:
+            raise InvalidDim(f"dimension {n} must be >= 1")
         p, sparse = field.p, {}
         for k in sorted(entries):
             x = entries[k] % p if p else entries[k]
             if x:
                 sparse[k] = x.numerator if x.denominator == 1 else x
-        form = object.__new__(cls)
-        form._set(field, n, sparse)
-        return form
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BilinearForm is immutable")
+        return cls._new(field, n, sparse)
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "BilinearForm":
@@ -103,17 +96,6 @@ class BilinearForm:
 
     def __neg__(self):
         return (-1) * self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BilinearForm)
-            and self.field == other.field
-            and self.n == other.n
-            and self._sparse == other._sparse
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.n, frozenset(self._sparse.items())))
 
     def to_json(self) -> dict:
         return {

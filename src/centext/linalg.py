@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimMismatch
-from .fields import RATIONALS, Field, Scalar
+from .fields import RATIONALS, Field, Scalar, _Frozen
 
 
 def basis_vec(field: Field, m: int, k: int):
@@ -214,29 +214,19 @@ def _kernel(rows, ncols: int, p):
     return _echelon(basis, p)[1]
 
 
-class Subspace:
+class Subspace(_Frozen):
     """A linear subspace of F^m, stored by its canonical RREF basis as
     sparse raw rows {pivot column: row}, in ascending pivot order."""
 
     __slots__ = ("field", "ambient", "_pivot_rows")
 
     def __init__(self, field: Field, ambient: int, vectors=()):
-        self._set(field, ambient, _raw_rows(field, vectors, ambient, True))
+        self._fill(field, ambient, dict(zip(*_echelon(_raw_rows(field, vectors, ambient, True), field.p))))
 
     @classmethod
     def _from_sparse(cls, field: Field, ambient: int, rows) -> "Subspace":
         """The span of the package's own sparse raw rows, consumed unread."""
-        space = object.__new__(cls)
-        space._set(field, ambient, rows)
-        return space
-
-    def _set(self, field, ambient, rows):
-        pivots, reduced = _echelon(rows, field.p)
-        for name, value in zip(self.__slots__, (field, ambient, dict(zip(pivots, reduced)))):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+        return cls._new(field, ambient, dict(zip(*_echelon(rows, field.p))))
 
     @property
     def basis(self):
@@ -252,17 +242,6 @@ class Subspace:
         for c in [c for c in residue if c in self._pivot_rows]:
             _axpy(residue, -residue[c], self._pivot_rows[c], self.field.p)
         return not residue
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.ambient == other.ambient
-            and self._pivot_rows == other._pivot_rows
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.ambient, tuple(self._pivot_rows)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"

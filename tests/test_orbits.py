@@ -132,6 +132,16 @@ def test_budget_guard():
         orbits_on_T1(3, "lc", Field.prime(5), budget=10)
 
 
+def test_budget_refusal_names_the_domain_size():
+    # H^2 of (6, lc) has dimension 6: (3^6 - 1) / 2 lines and 3^6 points.
+    # Over F_3 a miscounted domain, such as (p^d + 1) // (p - 1) lines,
+    # reads 365, so the refusal pins the count exactly at the boundary.
+    with pytest.raises(BudgetExceeded, match="^364 lines exceed budget 363$"):
+        orbits_on_T1(6, "lc", Field.prime(3), budget=363)
+    with pytest.raises(BudgetExceeded, match="^729 points exceed budget 728$"):
+        orbits_on_H2(6, "lc", Field.prime(3), budget=728)
+
+
 def test_matrices_check_the_budget_before_building(monkeypatch):
     # the budget counts the whole group, not the distinct matrices
     import centext.orbits as orbits_mod

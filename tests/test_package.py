@@ -225,6 +225,29 @@ def test_every_private_function_in_src_is_read_in_src():
     assert unread == []
 
 
+def test_only_the_frozen_base_guards_and_rebuilds_its_slots():
+    # immutability, copying and pickling are one mechanism, fields._Frozen;
+    # a method counts whether it is written with def or assigned
+    defined = []
+    for path, tree in _trees(sorted(SRC.glob("*.py"))).items():
+        for cls in [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                else:
+                    names = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+                defined += [
+                    f"{path.relative_to(ROOT)}: {cls.name}.{name}"
+                    for name in names
+                    if name in {"__setattr__", "__delattr__", "__reduce__"}
+                ]
+    assert defined == [
+        "src/centext/fields.py: _Frozen.__setattr__",
+        "src/centext/fields.py: _Frozen.__delattr__",
+        "src/centext/fields.py: _Frozen.__reduce__",
+    ]
+
+
 def test_src_has_no_assert_statement():
     # invariants raise typed errors, which python -O does not strip
     asserts = [
