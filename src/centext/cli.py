@@ -5,11 +5,12 @@ to stdout.  Exit codes: 0 success, 1 a verification subcommand found a
 failing row or claim, 2 usage or computation error.  The argument
 grammar is built once, at import, and every `main` call reuses it.
 
-Only the modules that every subcommand shares are imported here.  The
-extension code is imported by `extend`, the orbit code by `classify`
-and `verify-table1`, and the reproduction battery by `reproduce`, each
-when it first runs, so `identities`, `cohomology`, `aut` and `act` never
-load them.
+Only the modules that every subcommand shares are imported here, and
+the automorphism code, which only `aut` and `act` use and which loads no
+module beyond those.  The extension code is imported by `extend`, the
+orbit code by `classify` and `verify-table1`, and the reproduction
+battery by `reproduce`, each when it first runs, so `identities`,
+`cohomology`, `aut` and `act` never load them.
 """
 
 from __future__ import annotations

@@ -17,24 +17,17 @@ non-split cocycle's class lies in T_1 exactly when that dimension is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Algebra, build_extension
 from .cohomology import CohomologySpace, second_cohomology
 from .errors import CohomologyMismatch
+from .fields import _Frozen
 from .identities import VarietySpec, builtin_variety
 from .linalg import _echelon
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
-    extended: Algebra
-    base: Algebra
-    cocycles: tuple
-    variety: VarietySpec
-    class_coords: tuple          # one coordinate tuple per cocycle
-    non_split: bool
-    annihilator_dim: int
+class ExtensionResult(_Frozen):
+    # class_coords holds one coordinate tuple per cocycle
+    __slots__ = ("extended", "base", "cocycles", "variety", "class_coords", "non_split", "annihilator_dim")
 
 
 def _space_for(a: Algebra, variety: VarietySpec | str, h: CohomologySpace | None) -> CohomologySpace:

@@ -65,13 +65,34 @@ def _is_prime(p: int) -> bool:
 
 
 class _Frozen:
-    """Base of the package's immutable value types.  A subclass names its
-    state in ``__slots__``; constructors fill the slots once with
-    ``_fill``, and no slot is set or deleted after.  Two objects are equal
-    when they are of one type with equal slots, and hash by their slots (a
-    dict slot by its keys); copy, deepcopy and pickle rebuild the slots."""
+    """Base of every immutable type of the package.  A subclass names its
+    state in ``__slots__``, filled once by ``_fill`` and never set or
+    deleted after.  Objects of one type are equal when their slots are, and
+    hash by their slots (a dict slot by its keys); copy, deepcopy and pickle
+    rebuild the slots.  A record's first slots are its ``_fields`` (all
+    unless it names fewer; the rest are derived at construction), which the
+    shared ``__init__`` fills by position or keyword (TypeError for a
+    missing, repeated or unknown one) and ``__repr__`` prints as
+    ``Type(field=value, ...)``, less ``_unprinted``.  The value types write
+    their own ``__init__`` and ``__repr__``."""
 
     __slots__ = ()
+    _unprinted = ()
+
+    @property
+    def _fields(self) -> tuple:
+        return self.__slots__
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        given = {**dict(zip(names, args)), **kwargs}
+        if len(given) != len(args) + len(kwargs) or given.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        self._fill(*(given[name] for name in names))
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._unprinted)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
 
     def _fill(self, *values):
         for name, value in zip(self.__slots__, values):

@@ -14,17 +14,14 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import CharTooSmall, DegreeError, IdentitySyntaxError, UnknownVariety
-from .fields import Field, _is_prime
+from .fields import Field, _Frozen, _is_prime
 
 # ---------------------------------------------------------------------------
 # monomials and identities
 
 # A tree is either a variable name (str) or a pair (left, right).
-Tree = object
 
 
 def tree_degree(tree) -> int:
@@ -65,10 +62,8 @@ def _swap(tree, u, v):
     return (_swap(tree[0], u, v), _swap(tree[1], u, v))
 
 
-@dataclass(frozen=True)
-class Monomial:
-    coeff: int
-    tree: Tree
+class Monomial(_Frozen):
+    __slots__ = ("coeff", "tree")
 
     @property
     def degree(self) -> int:
@@ -87,75 +82,80 @@ class Monomial:
         return self.tree[0], self.tree[1]
 
 
-@dataclass(frozen=True)
-class IdentitySchema:
-    monomials: tuple
-    variables: tuple
+def _combine(monomials) -> dict:
+    """{tree: coefficient} of the monomials, like ones combined, zeros dropped."""
+    combined: dict = {}
+    for m in monomials:
+        combined[m.tree] = combined.get(m.tree, 0) + m.coeff
+    return {t: c for t, c in combined.items() if c != 0}
+
+
+def _symmetry_blocks(monomials, variables) -> tuple:
+    """The classes, of two or more variables each in the order of
+    ``variables``, of variables whose swap maps the identity (its
+    combined monomials) to itself or to its negative.  Two such swaps
+    sharing a variable give the third by conjugation, so the classes
+    are well defined and every permutation of a class maps the
+    identity to plus or minus itself."""
+    combined = _combine(monomials)
+    negated = {t: -c for t, c in combined.items()}
+    classes: list = []
+    for v in variables:
+        for cls in classes:
+            swapped = {_swap(t, cls[0], v): c for t, c in combined.items()}
+            if swapped == combined or swapped == negated:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return tuple(tuple(cls) for cls in classes if len(cls) > 1)
+
+
+def _subtrees(monomials, variables) -> tuple:
+    """The identity as (pairs, roots) over positional slots, each
+    distinct subtree once.  Slots 0..k-1 are the variables in the
+    order of ``variables``; pairs[s] fills slot k + s as the product
+    of two earlier slots, one entry per distinct product below a
+    monomial's root, left factor before right, in monomial order.
+    roots lists (coeff, left slot, right slot), one per monomial; a
+    monomial of degree 1 raises DegreeError."""
+    slot = {v: k for k, v in enumerate(variables)}
+    pairs: list = []
+
+    def fill(tree):
+        if isinstance(tree, str):
+            return slot[tree]
+        pair = (fill(tree[0]), fill(tree[1]))
+        if pair not in slot:
+            slot[pair] = len(slot)
+            pairs.append(pair)
+        return slot[pair]
+
+    roots = tuple((m.coeff, *map(fill, m.split_root())) for m in monomials)
+    return tuple(pairs), roots
+
+
+class IdentitySchema(_Frozen):
+    """An identity, and the values that the walks read, derived from it
+    once: is_multilinear, symmetry_blocks and subtrees."""
+
+    __slots__ = ("monomials", "variables", "is_multilinear", "symmetry_blocks", "subtrees")
+    _fields = ("monomials", "variables")
+
+    def __init__(self, monomials, variables):
+        ones = dict.fromkeys(variables, 1)  # every variable exactly once
+        multilinear = all(m.multiplicities() == ones for m in monomials)
+        blocks = _symmetry_blocks(monomials, variables)
+        self._fill(monomials, variables, multilinear, blocks, _subtrees(monomials, variables))
 
     @property
     def degree(self) -> int:
         return max(m.degree for m in self.monomials)
 
-    @cached_property
-    def is_multilinear(self) -> bool:
-        want = set(self.variables)
-        for m in self.monomials:
-            counts = m.multiplicities()
-            if set(counts) != want or any(c != 1 for c in counts.values()):
-                return False
-        return True
-
-    @cached_property
-    def symmetry_blocks(self) -> tuple:
-        """The classes, of two or more variables each in the order of
-        ``variables``, of variables whose swap maps the identity (its
-        combined monomials) to itself or to its negative.  Two such swaps
-        sharing a variable give the third by conjugation, so the classes
-        are well defined and every permutation of a class maps the
-        identity to plus or minus itself."""
-        combined = {m.tree: m.coeff for m in _make_schema(self.monomials).monomials}
-        negated = {t: -c for t, c in combined.items()}
-        classes: list = []
-        for v in self.variables:
-            for cls in classes:
-                swapped = {_swap(t, cls[0], v): c for t, c in combined.items()}
-                if swapped == combined or swapped == negated:
-                    cls.append(v)
-                    break
-            else:
-                classes.append([v])
-        return tuple(tuple(cls) for cls in classes if len(cls) > 1)
-
-    @cached_property
-    def subtrees(self) -> tuple:
-        """The identity as (pairs, roots) over positional slots, each
-        distinct subtree once.  Slots 0..k-1 are the variables in the
-        order of ``variables``; pairs[s] fills slot k + s as the product
-        of two earlier slots, one entry per distinct product below a
-        monomial's root, left factor before right, in monomial order.
-        roots lists (coeff, left slot, right slot), one per monomial."""
-        slot = {v: k for k, v in enumerate(self.variables)}
-        pairs: list = []
-
-        def fill(tree):
-            if isinstance(tree, str):
-                return slot[tree]
-            pair = (fill(tree[0]), fill(tree[1]))
-            if pair not in slot:
-                slot[pair] = len(slot)
-                pairs.append(pair)
-            return slot[pair]
-
-        roots = tuple((m.coeff, *map(fill, m.split_root())) for m in self.monomials)
-        return tuple(pairs), roots
-
 
 def _make_schema(monomials):
     """Combine like monomials, drop zeros, validate degrees, fix variable order."""
-    combined: dict = {}
-    for m in monomials:
-        combined[m.tree] = combined.get(m.tree, 0) + m.coeff
-    kept = tuple(Monomial(c, t) for t, c in combined.items() if c != 0)
+    kept = tuple(Monomial(c, t) for t, c in _combine(monomials).items())
     if not kept:
         raise DegreeError("identity is trivially zero")
     for m in kept:
@@ -196,11 +196,17 @@ def _tokenize(text: str):
     return tokens
 
 
+# The most parentheses an identity nests: deeper text would exhaust the
+# recursion of the parser and of the walks of its trees.
+_MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -277,8 +283,12 @@ class _Parser:
         if tok[0] == "IDENT":
             return tok[1]
         if tok[0] == "(":
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise IdentitySyntaxError(f"parentheses nested too deeply (over {_MAX_DEPTH} levels)", tok[2])
             inner = self.parse_product()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise IdentitySyntaxError(f"expected a variable or '(', found {tok[1]!r}", tok[2])
 
@@ -387,19 +397,18 @@ def multilinearize(schema: IdentitySchema):
 # ---------------------------------------------------------------------------
 # built-in varieties
 
-@dataclass(frozen=True)
-class VarietySpec:
-    name: str
-    identity_texts: tuple
-    identities: tuple
-    multilinear_identities: tuple
+class VarietySpec(_Frozen):
+    """A variety, and char_exclusions, derived from it once: the
+    characteristics that char_gate refuses, the primes up to the largest
+    degree of a non-multilinear identity."""
 
-    @cached_property
-    def char_exclusions(self) -> frozenset:
-        """The characteristics that char_gate refuses: the primes up to the
-        largest degree of a non-multilinear identity."""
-        top = max((i.degree for i in self.identities if not i.is_multilinear), default=0)
-        return frozenset(p for p in range(2, top + 1) if _is_prime(p))
+    __slots__ = ("name", "identity_texts", "identities", "multilinear_identities", "char_exclusions")
+    _fields = ("name", "identity_texts", "identities", "multilinear_identities")
+
+    def __init__(self, name, identity_texts, identities, multilinear_identities):
+        top = max((i.degree for i in identities if not i.is_multilinear), default=0)
+        exclusions = frozenset(p for p in range(2, top + 1) if _is_prime(p))
+        self._fill(name, identity_texts, identities, multilinear_identities, exclusions)
 
     def char_gate(self, field: Field) -> None:
         """Multilinearized identities replace the originals only when the

@@ -34,12 +34,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import Algebra, _check_size, null_filiform, satisfies_variety
 from .automorphisms import _class_matrix, _lower_triangular, automorphism_count
 from .budget import budget_scope, check_budget, resolve_budget
-from .cohomology import CohomologySpace, second_cohomology
+from .cohomology import second_cohomology
 from .errors import (
     FieldMismatch,
     InvalidDim,
@@ -49,7 +48,7 @@ from .errors import (
     UnsupportedVariety,
 )
 from .extensions import central_extension
-from .fields import Field, Scalar
+from .fields import Field, Scalar, _Frozen
 from .forms import BilinearForm, _tabulated_class, _tabulated_deltas
 from .identities import builtin_variety
 
@@ -79,15 +78,11 @@ def _automorphism_matrices(n: int, p: int):
 # ---------------------------------------------------------------------------
 # roots-of-unity subgroups and their cosets
 
-@dataclass(frozen=True)
-class RootSubgroup:
+class RootSubgroup(_Frozen):
     """R(i, n): the (i+1)-st powers of the (n+1)-st roots of unity,
     a subgroup of the multiplicative group."""
 
-    i: int
-    n: int
-    field: Field
-    elements: tuple
+    __slots__ = ("i", "n", "field", "elements")
 
     def contains(self, x: Scalar) -> bool:
         return x in self.elements
@@ -132,19 +127,13 @@ def coset_representatives(subgroup: RootSubgroup):
 # ---------------------------------------------------------------------------
 # tabulated representatives
 
-@dataclass(frozen=True)
-class NamedClass:
+class NamedClass(_Frozen):
     """A tabulated class nabla_n + mu*delta(i, 1) (mu*delta(i, 1) when
     nabla is false): its label and form come from the parameters
-    through ``forms._tabulated_class``."""
+    through ``forms._tabulated_class``; t1 tells if it lies in T_1, and
+    ann_dim is the annihilator dim of its 1-dim extension (None at H2)."""
 
-    label: str
-    form: BilinearForm
-    nabla: bool
-    i: int
-    mu: Scalar
-    t1: bool                       # lies in the T_1 Grassmannian
-    ann_dim: int | None            # annihilator dim of the 1-dim extension
+    __slots__ = ("label", "form", "nabla", "i", "mu", "t1", "ann_dim")
 
 
 def _families(variety, n: int, field: Field, level: str, mu_sample):
@@ -226,25 +215,15 @@ def closed_field_representatives(
 # ---------------------------------------------------------------------------
 # orbit computation
 
-@dataclass(frozen=True)
-class Orbit:
-    representative: tuple      # class coordinates (T1: normalized line coords)
-    size: int
-    members: tuple
-    labels: tuple
+class Orbit(_Frozen):
+    # representative: class coordinates (T1: normalized line coordinates)
+    __slots__ = ("representative", "size", "members", "labels")
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    variety: str
-    n: int
-    field: Field
-    kind: str                  # "H2_points" or "T1_lines"
-    domain_size: int
-    orbits: tuple
-    matched_labels: dict
-    # labels of the T_1-flagged tabulated classes, in order; not printed
-    t1_labels: tuple
+class OrbitReport(_Frozen):
+    # kind is "H2_points" or "T1_lines"; t1_labels, the labels of the
+    # T_1-flagged tabulated classes in order, is left out of to_json
+    __slots__ = ("variety", "n", "field", "kind", "domain_size", "orbits", "matched_labels", "t1_labels")
 
     def to_json(self, include_members: bool = False) -> dict:
         orbits = []
@@ -470,15 +449,11 @@ def orbits_on_T1(
 # ---------------------------------------------------------------------------
 # the table of one-dimensional extensions
 
-@dataclass(frozen=True)
-class TableRow:
-    label: str
-    cocycle: BilinearForm
-    expected: Algebra
-    expected_ann_dim: int
-    expected_t1: bool
-    # H^2 of the base for the left-commutative variety, shared by the rows
-    base_h2: CohomologySpace = dataclass_field(compare=False, repr=False)
+class TableRow(_Frozen):
+    # base_h2: H^2 of the base for the left-commutative variety, shared by
+    # the rows and compared by identity
+    __slots__ = ("label", "cocycle", "expected", "expected_ann_dim", "expected_t1", "base_h2")
+    _unprinted = ("base_h2",)
 
 
 def _expected_extension(named: NamedClass, n: int, field: Field) -> Algebra:

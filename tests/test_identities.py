@@ -16,7 +16,7 @@ from centext import (
     multilinearize,
     parse_identities,
 )
-from centext.identities import Monomial, evaluate_tree
+from centext.identities import IdentitySchema, Monomial, evaluate_tree
 
 from oracles import table_mul
 
@@ -74,6 +74,15 @@ def test_syntax_errors_carry_position():
     assert "position" in str(err.value)
 
 
+def test_deeply_nested_text_is_a_syntax_error():
+    # text from outside may nest parentheses past Python's recursion limit
+    with pytest.raises(IdentitySyntaxError, match="nested too deeply") as err:
+        parse_identities("(" * 600 + "x*x" + ")" * 600 + " = x*x")
+    assert err.value.position == 100
+    deep = parse_identity("(" * 99 + "x*(y*z)" + ")" * 99 + " = (x*y)*z")  # 100 levels
+    assert deep == parse_identity("x*(y*z) = (x*y)*z")
+
+
 def test_degenerate_identities_rejected():
     with pytest.raises(DegreeError):
         parse_identity("x = y")  # degree-1 monomials
@@ -83,6 +92,12 @@ def test_degenerate_identities_rejected():
         parse_identity("x*y = x*y")  # trivially zero
     with pytest.raises(IdentitySyntaxError):
         parse_identity("x*y")  # no '='
+
+
+def test_a_schema_with_a_degree_one_monomial_is_refused_when_built():
+    # its walks' subtrees are derived at construction, and x has no root product
+    with pytest.raises(DegreeError, match="degree 1"):
+        IdentitySchema((Monomial(1, ("x", "x")), Monomial(-1, "x")), ("x",))
 
 
 def test_multilinear_identity_is_fixed_point():

@@ -33,7 +33,7 @@ from centext import (
 )
 from centext.automorphisms import _class_matrix, _lower_triangular
 from centext.cli import parse_cocycle_expr
-from centext.orbits import _automorphism_matrices, _check_row, _first_columns, resolve_budget
+from centext.orbits import TableRow, _automorphism_matrices, _check_row, _first_columns, resolve_budget
 
 from oracles import (
     burnside_orbit_count,
@@ -502,17 +502,17 @@ def test_table_mismatch_detection():
     rows = classification_table(3, f)
     row = rows[0]
     # sabotage the expected pattern: claim e1 e1 = 0
-    import dataclasses
-
     z = f.zero
     bad_table = [
         [[z for _ in range(4)] for _ in range(4)] for _ in range(4)
     ]
-    bad = dataclasses.replace(row, expected=row.expected.__class__(f, bad_table))
+    bad = TableRow(
+        row.label, row.cocycle, row.expected.__class__(f, bad_table), row.expected_ann_dim, row.expected_t1, row.base_h2
+    )
     with pytest.raises(TableMismatch) as err:
         _check_row(bad)
     assert "e_1 e_1" in str(err.value)
-    wrong_flag = dataclasses.replace(row, expected_ann_dim=3)
+    wrong_flag = TableRow(row.label, row.cocycle, row.expected, 3, row.expected_t1, row.base_h2)
     with pytest.raises(TableMismatch):
         _check_row(wrong_flag)
 

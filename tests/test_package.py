@@ -248,6 +248,42 @@ def test_only_the_frozen_base_guards_and_rebuilds_its_slots():
     ]
 
 
+def test_src_makes_no_dataclass_and_no_cached_property():
+    # every immutable type derives from fields._Frozen, which fills its
+    # slots once; a dataclass or a cached_property would be a second way
+    found = []
+    for path, tree in _trees(sorted(SRC.glob("*.py"))).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(ROOT)}: {name}"
+                for name in names
+                if name in ("dataclasses", "functools.cached_property")
+            ]
+    assert found == []
+
+
+def test_import_centext_cli_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(centext.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, centext.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_src_has_no_assert_statement():
     # invariants raise typed errors, which python -O does not strip
     asserts = [
